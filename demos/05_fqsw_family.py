@@ -12,8 +12,7 @@ import numpy as np
 from decouplab import decoupling, ensembles
 
 a1, a2, r = 2, 4, 2
-inst, info = decoupling.fqsw_instance(a1, a2, r, seed=11)
-w = decoupling.prepare(inst)
+inst, w, info = decoupling.fqsw_instance(a1, a2, r, seed=11)
 
 print(f"registers: |A1| = {a1}, |A2| = {a2}, |R| = {r}")
 print(f"closed-form coefficients: alpha = {info['alpha_closed']:.6f}  "

@@ -13,8 +13,10 @@ from .decoupling import (
     Weights,
     dupuis_expectation_bound,
     f_value,
+    f_values,
     fqsw_instance,
     g_value,
+    g_values,
     haar_expected_g_squared,
     iid_parameters,
     lipschitz_bound,
@@ -73,8 +75,10 @@ __all__ = [
     "clifford_group",
     "dupuis_expectation_bound",
     "f_value",
+    "f_values",
     "fqsw_instance",
     "g_value",
+    "g_values",
     "h2_conditional",
     "h2_prime",
     "haar_ensemble",

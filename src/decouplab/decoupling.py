@@ -23,6 +23,9 @@ from .errors import ComputationError, DimensionError, DomainError
 from .linalg import SystemShape
 from .quantum import ChannelStinespring, DensitySystem
 
+# working memory for one chunk of draws in f_values / g_values
+BATCH_BYTES = 1 << 21
+
 
 def _pow2(x: float) -> float:
     """2^x as a float, mapping overflow to inf instead of raising."""
@@ -76,7 +79,8 @@ class Weights:
     """Precomputed smoothing witnesses and weighted operators for g.
 
     rho_s / xi certify the collision entropy of the input; eta / omega3
-    certify the channel side. povm is the measurement on the dilation's
+    certify the channel side, and omega3_inv_quarter is the weight g applies
+    on B. povm is the measurement on the dilation's
     environment steering the maximally entangled input to eta; it is None
     when epsilon = 0, where the plain channel already does.
     """
@@ -88,6 +92,7 @@ class Weights:
     choi: DensitySystem
     eta: np.ndarray
     omega3: np.ndarray
+    omega3_inv_quarter: np.ndarray
     povm: np.ndarray | None
     omega_tilde: np.ndarray
     omega_tilde_b: np.ndarray
@@ -120,9 +125,9 @@ def prepare(inst: DecouplingInstance, weight_mode: str = "fixed_marginal") -> We
     if cfg.epsilon > 0:
         povm = _environment_povm(inst.channel, eta_ds.matrix)
 
-    omega_tilde = entropy.conj_by_inverse_quarter(
-        eta_ds.matrix, choi.shape, omega3.matrix, ["B"]
-    )
+    omega3_iq = linalg.pseudo_inverse_power(omega3.matrix, -0.25)
+    w_b = entropy.embed_on_labels(omega3_iq, choi.shape, ["B"])
+    omega_tilde = w_b @ eta_ds.matrix @ w_b
     omega_tilde_b = linalg.partial_trace(omega_tilde, choi.shape, ["Ap"])
 
     n_r = linalg.schatten_norm(rho_tilde_r, 2) ** 2
@@ -135,7 +140,8 @@ def prepare(inst: DecouplingInstance, weight_mode: str = "fixed_marginal") -> We
         raise ComputationError("channel witness norm does not match its entropy value")
     return Weights(
         rho_s=rho_s, xi=xi, rho_tilde=rho_tilde, rho_tilde_r=rho_tilde_r,
-        choi=choi, eta=eta_ds.matrix, omega3=omega3.matrix, povm=povm,
+        choi=choi, eta=eta_ds.matrix, omega3=omega3.matrix,
+        omega3_inv_quarter=omega3_iq, povm=povm,
         omega_tilde=omega_tilde, omega_tilde_b=omega_tilde_b,
         h2_eps=h2_eps, h2_prime_val=h2_prime_val, hmax_prime_val=hmax_prime_val,
         n_r=n_r, n_ar=n_ar, n_b=n_b, n_ab=n_ab, warnings=warns,
@@ -144,43 +150,73 @@ def prepare(inst: DecouplingInstance, weight_mode: str = "fixed_marginal") -> We
 
 def _environment_povm(channel: ChannelStinespring, eta: np.ndarray) -> np.ndarray:
     """The measurement P on Z with (measured channel (x) id)(EPR) = eta."""
-    da, dc = channel.a_dim, channel.c_dim
-    db, dz = channel.b_dim, channel.z_dim
-    phi = np.zeros((da, dc, da), dtype=complex)
-    for a in range(da):
-        phi[a, 0, a] = 1.0 / math.sqrt(da)
-    w = np.kron(np.asarray(channel.v, dtype=complex), np.eye(da))
-    psi = (w @ phi.reshape(da * dc * da)).reshape(db, dz, da)
-    psi = psi.transpose(0, 2, 1).reshape(db * da * dz)  # order (B, Ap, Z)
+    da, db, dz = channel.a_dim, channel.b_dim, channel.z_dim
+    # (v (x) I)(|0>^C (x) |Phi>) has amplitude v0[(b, z), a] / sqrt(|A|);
+    # psi lists it in the order (B, Ap, Z)
+    psi = channel.v0.reshape(db, dz, da).transpose(0, 2, 1).reshape(-1) / math.sqrt(da)
     shp = linalg.shape(("X", db * da), ("Z", dz))
     psi_ds = DensitySystem.from_matrix(np.outer(psi, psi.conj()), shp)
     return quantum.povm_completion(psi_ds, eta)
 
 
-def _evolved(inst: DecouplingInstance, state: np.ndarray, u: np.ndarray) -> np.ndarray:
-    big = np.kron(np.asarray(u, dtype=complex), np.eye(inst.r_dim))
-    return big @ state @ big.conj().T
-
-
 def f_value(inst: DecouplingInstance, u: np.ndarray,
             choi_b: np.ndarray | None = None) -> float:
     """1-norm decoupling error of the true state under the true channel."""
-    if choi_b is None:
-        choi_b = quantum.choi_state(inst.channel).marginal(["B"]).matrix
-    x = _evolved(inst, inst.rho.matrix, u)
-    y, _ = inst.channel.apply_matrix(x, inst.rho.shape, block=inst.a_labels)
-    rho_r = inst.rho.marginal(list(inst.r_labels)).matrix
-    return linalg.schatten_norm(y - np.kron(choi_b, rho_r), 1)
+    return float(f_values(inst, np.asarray(u, dtype=complex)[None], choi_b)[0])
 
 
 def g_value(inst: DecouplingInstance, u: np.ndarray, w: Weights) -> float:
     """Weighted 2-norm surrogate evaluated with the prepared witnesses."""
-    x = _evolved(inst, w.rho_tilde, u)
-    y, yshape = inst.channel.apply_matrix(
-        x, inst.rho.shape, block=inst.a_labels, z_povm=w.povm
-    )
-    y = entropy.conj_by_inverse_quarter(y, yshape, w.omega3, ["B"])
-    return linalg.schatten_norm(y - np.kron(w.omega_tilde_b, w.rho_tilde_r), 2)
+    return float(g_values(inst, np.asarray(u, dtype=complex)[None], w)[0])
+
+
+def f_values(inst: DecouplingInstance, us: np.ndarray,
+             choi_b: np.ndarray | None = None) -> np.ndarray:
+    """f for each unitary of an (n, |A|, |A|) stack.
+
+    choi_b, the channel's fixed output, is computed when omitted.
+    """
+    if choi_b is None:
+        choi_b = quantum.choi_state(inst.channel).marginal(["B"]).matrix
+    rho_r = linalg.partial_trace(inst.rho.matrix, inst.rho.shape, inst.a_labels)
+    # the difference is Hermitian: its trace norm is the sum of |eigenvalues|
+    return _draw_norms(inst, us, inst.channel.v0, inst.rho.matrix,
+                       np.kron(choi_b, rho_r),
+                       lambda d: np.abs(np.linalg.eigvalsh(d)).sum(axis=-1))
+
+
+def g_values(inst: DecouplingInstance, us: np.ndarray, w: Weights) -> np.ndarray:
+    """g for each unitary of an (n, |A|, |A|) stack."""
+    z_op = np.eye(inst.channel.z_dim) if w.povm is None else w.povm
+    kraus = np.kron(w.omega3_inv_quarter, z_op) @ inst.channel.v0
+    return _draw_norms(inst, us, kraus, w.rho_tilde,
+                       np.kron(w.omega_tilde_b, w.rho_tilde_r),
+                       lambda d: np.linalg.norm(d, axis=(-2, -1)))
+
+
+def _chunk_draws(inst: DecouplingInstance) -> int:
+    """Draws per chunk: BATCH_BYTES over the bytes one draw's intermediates take."""
+    da, db, ds = inst.a_dim, inst.channel.b_dim, inst.r_dim
+    k = db * inst.channel.z_dim
+    per_draw = 16 * (2 * k * da + 2 * k * ds * ds * da + 3 * (db * ds) ** 2)
+    return max(1, BATCH_BYTES // per_draw)
+
+
+def _draw_norms(inst: DecouplingInstance, us: np.ndarray, kraus: np.ndarray,
+                state: np.ndarray, offset: np.ndarray, norm) -> np.ndarray:
+    """norm(Tr_Z[(K U (x) I_R) state (K U (x) I_R)^dag] - offset) for each U.
+
+    K maps A to B (x) Z. Draws are evaluated in chunks whose intermediates
+    fit in BATCH_BYTES, with two GEMMs and one batched norm per chunk.
+    """
+    us = np.asarray(us, dtype=complex)
+    step = _chunk_draws(inst)
+    out = np.empty(len(us))
+    for lo in range(0, len(us), step):
+        y = quantum.conjugate_trace_z(kraus @ us[lo:lo + step], state,
+                                      inst.channel.b_dim)
+        out[lo:lo + len(y)] = norm(y - offset)
+    return out
 
 
 @dataclass(frozen=True)
@@ -214,16 +250,19 @@ def haar_expected_g_squared(inst: DecouplingInstance, w: Weights) -> HaarMoments
     )
 
 
-def dupuis_expectation_bound(inst: DecouplingInstance) -> float:
+def dupuis_expectation_bound(inst: DecouplingInstance,
+                             choi: DensitySystem | None = None) -> float:
     """Upper bound on the Haar mean of f from the two collision entropies.
 
     Evaluated at epsilon = 0 with fixed marginal weights; those certified
-    values can only enlarge the bound, so it stays valid.
+    values can only enlarge the bound, so it stays valid. choi, the
+    channel's Choi state on (B, Ap), is computed when omitted.
     """
     cfg0 = SmoothingConfig(epsilon=0.0, delta=0.0)
     h2_in = entropy.h2_conditional(inst.rho, cfg0, "fixed_marginal",
                                    given=list(inst.r_labels))
-    choi = quantum.choi_state(inst.channel, labels=("B", "Ap"))
+    if choi is None:
+        choi = quantum.choi_state(inst.channel, labels=("B", "Ap"))
     h2_ch = entropy.h2_conditional(choi, cfg0, "fixed_marginal", given="B")
     return 2.0 ** (-0.5 * h2_in - 0.5 * h2_ch)
 
@@ -319,11 +358,12 @@ def mu_squared_clause(a: float, e_g2: float, da: int, hmax_prime_val: float,
 
 def fqsw_instance(a1: int, a2: int, r: int, rho: DensitySystem | None = None,
                   cfg: SmoothingConfig | None = None,
-                  seed: int = 0) -> tuple[DecouplingInstance, dict]:
+                  seed: int = 0) -> tuple[DecouplingInstance, Weights, dict]:
     """Mother-protocol specialisation: trace out A2 from A = A1 (x) A2.
 
-    Returns the instance plus a report with the closed-form Haar moment
-    coefficients and the promise inequalities (reported, not enforced).
+    Returns the instance, its prepared weights, and a report with the
+    closed-form Haar moment coefficients and the promise inequalities
+    (reported, not enforced).
     """
     if a1 < 2 or a2 < 2:
         raise DomainError("both subsystem dimensions must be at least 2")
@@ -364,7 +404,7 @@ def fqsw_instance(a1: int, a2: int, r: int, rho: DensitySystem | None = None,
             ),
         },
     }
-    return inst, report
+    return inst, w, report
 
 
 def fqsw_lambda_sandwich(a1: int, a2: int, h2: float, t: float) -> tuple[float, float]:
@@ -402,10 +442,8 @@ def thermalization_check(rho: DensitySystem, s_dim: int, e_dim: int,
                               a_labels=(omega_label,))
     w = prepare(inst)
     moments = haar_expected_g_squared(inst, w)
-    choi_b = w.choi.marginal(["B"]).matrix
-    distances = np.array([
-        f_value(inst, ensemble.sample(i), choi_b=choi_b) for i in range(samples)
-    ])
+    distances = f_values(inst, ensemble.sample_batch(range(samples)),
+                         w.choi.marginal(["B"]).matrix)
     fraction = float((distances <= kappa).mean())
     mu = moments.mu_upper
     tail = None

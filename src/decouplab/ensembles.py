@@ -3,7 +3,9 @@ moment operators, with tensor-product-expander diagnostics.
 
 Sampling is counter-based: each draw seeds its own generator from
 (root seed, stream index), so runs are reproducible regardless of order
-and safe to parallelise.
+and safe to parallelise. The same contract holds for stacked draws:
+`sample_batch(streams)` equals stacking `sample(i)` for i in streams,
+bit for bit, however the streams are split into batches.
 """
 
 from __future__ import annotations
@@ -21,13 +23,6 @@ from .errors import CapError, DomainError
 MOMENT_DIM_CAP = 4096  # largest dim**(2t), the superoperator dimension
 ITERATED_ENUM_CAP = 200_000
 CACHE_VERSION = 1
-
-
-def haar_sample(dim: int, rng) -> np.ndarray:
-    """One Haar-distributed unitary; rng is a Generator or an integer seed."""
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
-    return linalg.random_unitary(dim, rng)
 
 
 def _strip_phase(m: np.ndarray, tol: float = 1e-8) -> np.ndarray:
@@ -167,6 +162,16 @@ class UnitaryEnsemble:
         for j in range(self.iterations):
             u = self.base.sample(stream * self.iterations + j) @ u
         return u
+
+    def sample_batch(self, streams) -> np.ndarray:
+        """The draws of `streams`, in order, as an (n, dim, dim) stack."""
+        streams = list(streams)
+        if not streams:
+            return np.empty((0, self.dim, self.dim), dtype=complex)
+        if self.kind == "haar":
+            return linalg.random_unitaries(
+                self.dim, [np.random.default_rng((self.seed, i)) for i in streams])
+        return np.stack([self.sample(i) for i in streams])
 
 
 def enumerated_ensemble(members, seed: int = 0, name: str = "") -> UnitaryEnsemble:

@@ -30,15 +30,12 @@ class SmoothingConfig:
 
     delta below 1/3 is required by the tail-bound arithmetic; that is
     enforced where the tail parameters are assembled, not here.
-    The seed is reserved for randomised search strategies; the default
-    Nelder-Mead polish is deterministic and ignores it.
     """
 
     epsilon: float = 0.0
     delta: float = 0.0
     minimizer_iterations: int = 200
     minimizer_tolerance: float = 1e-8
-    seed: int = 0
 
     def __post_init__(self):
         if self.epsilon < 0 or self.delta < 0:

@@ -131,34 +131,18 @@ class ChannelStinespring:
         shp: SystemShape,
         block: tuple[str, ...] | None = None,
         out_label: str = "B",
-        z_povm: np.ndarray | None = None,
     ) -> tuple[np.ndarray, SystemShape]:
         """Apply to the named block of an arbitrary matrix on shp.
 
         The output label comes first, followed by the untouched labels in
-        their original order. z_povm, when given, is sandwiched on Z before
-        the partial trace (used for measured dilations).
+        their original order.
         """
         block = _resolve_block(shp, self.a_dim, block)
         rest = [n for n in shp.names if n not in block]
         ordered = linalg.permute_systems(m, shp, list(block) + rest)
-        da, dc, db, dz = self.a_dim, self.c_dim, self.b_dim, self.z_dim
-        ds = shp.dim // da
-        # insert the |0><0| ancilla on C between the block and the rest
-        x = ordered.reshape(da, ds, da, ds)
-        y = np.zeros((da, dc, ds, da, dc, ds), dtype=complex)
-        y[:, 0, :, :, 0, :] = x
-        y = y.reshape(da * dc * ds, da * dc * ds)
-        w = np.kron(np.asarray(self.v, dtype=complex), np.eye(ds))
-        y = w @ y @ w.conj().T  # now on B (x) Z (x) rest
-        if z_povm is not None:
-            p = np.kron(np.kron(np.eye(db), np.asarray(z_povm, dtype=complex)), np.eye(ds))
-            y = p @ y @ p.conj().T
-        mid = SystemShape(
-            ((out_label, db), ("__z__", dz)) + tuple((n, shp.dim_of(n)) for n in rest)
-        )
-        out = linalg.partial_trace(y, mid, ["__z__"])
-        return out, mid.drop(["__z__"])
+        out = conjugate_trace_z(self.v0[None], ordered, self.b_dim)[0]
+        labels = ((out_label, self.b_dim),) + tuple((n, shp.dim_of(n)) for n in rest)
+        return out, SystemShape(labels)
 
     def apply(self, state: DensitySystem, block=None, out_label: str = "B") -> DensitySystem:
         out, new_shape = self.apply_matrix(state.matrix, state.shape, block, out_label)
@@ -175,19 +159,35 @@ class ChannelStinespring:
         block = _resolve_block(shp, self.b_dim, block)
         rest = [n for n in shp.names if n not in block]
         ordered = linalg.permute_systems(m, shp, list(block) + rest)
-        da, dc, db, dz = self.a_dim, self.c_dim, self.b_dim, self.z_dim
-        ds = shp.dim // db
-        x = ordered.reshape(db, ds, db, ds)
-        y = np.zeros((db, dz, ds, db, dz, ds), dtype=complex)
-        for z in range(dz):
-            y[:, z, :, :, z, :] = x
-        y = y.reshape(db * dz * ds, db * dz * ds)
-        w = np.kron(np.asarray(self.v, dtype=complex), np.eye(ds))
-        y = w.conj().T @ y @ w  # now on A (x) C (x) rest
-        y = y.reshape(da, dc, ds, da, dc, ds)[:, 0, :, :, 0, :]
-        out = y.reshape(da * ds, da * ds)
+        # the Kraus operators K_z = <z| v0 taken as one map B -> A (x) Z, daggered
+        da, db, dz = self.a_dim, self.b_dim, self.z_dim
+        w = self.v0.reshape(db, dz, da).transpose(2, 1, 0).conj().reshape(da * dz, db)
+        out = conjugate_trace_z(w[None], ordered, da)[0]
         labels = ((out_label, da),) + tuple((n, shp.dim_of(n)) for n in rest)
         return out, SystemShape(labels)
+
+    @property
+    def v0(self) -> np.ndarray:
+        """The dilation on the |0> ancilla, v (I_A (x) |0>^C): |B||Z| x |A|."""
+        v = np.asarray(self.v, dtype=complex)
+        return v.reshape(v.shape[0], self.a_dim, self.c_dim)[:, :, 0]
+
+
+def conjugate_trace_z(ms: np.ndarray, x: np.ndarray, b_dim: int) -> np.ndarray:
+    """Tr_Z[(M (x) I_S) x (M (x) I_S)^dag] for each M: A -> B (x) Z of a stack.
+
+    ms has shape (n, |B||Z|, |A|) and x is an operator on A (x) S; the n
+    results are on B (x) S. Two GEMMs for the whole stack, no kron embedding.
+    """
+    n, k, da = ms.shape
+    dz, ds = k // b_dim, x.shape[0] // da
+    # (M (x) I) x with rows (b, z) and columns (s, s', a'), for every M at once
+    x = x.reshape(da, ds, da, ds).transpose(0, 1, 3, 2).reshape(da, ds * ds * da)
+    t = (ms.reshape(n * k, da) @ x).reshape(n, b_dim, dz, ds * ds, da)
+    t = t.transpose(0, 1, 3, 2, 4).reshape(n, b_dim * ds * ds, dz * da)
+    mh = ms.reshape(n, b_dim, dz * da).conj().transpose(0, 2, 1)
+    y = (t @ mh).reshape(n, b_dim, ds, ds, b_dim)
+    return y.transpose(0, 1, 2, 4, 3).reshape(n, b_dim * ds, b_dim * ds)
 
 
 def _resolve_block(shp: SystemShape, in_dim: int, block) -> tuple[str, ...]:
@@ -210,11 +210,6 @@ def _resolve_block(shp: SystemShape, in_dim: int, block) -> tuple[str, ...]:
     raise DimensionError(
         f"no label prefix of {shp.names} matches channel input dimension {in_dim}"
     )
-
-
-def apply_channel(t: ChannelStinespring, state: DensitySystem,
-                  block=None, out_label: str = "B") -> DensitySystem:
-    return t.apply(state, block=block, out_label=out_label)
 
 
 def choi_state(t: ChannelStinespring, labels: tuple[str, str] = ("B", "Ap")) -> DensitySystem:

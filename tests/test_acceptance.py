@@ -38,17 +38,12 @@ def fqsw_runs():
     """Three FQSW instances with 2000 Haar draws of f and g each."""
     runs = []
     for a1, a2, r, seed in ((2, 4, 2, 21), (2, 8, 2, 22), (2, 8, 2, 23)):
-        inst, report = decoupling.fqsw_instance(a1, a2, r, seed=seed)
-        w = decoupling.prepare(inst)
+        inst, w, report = decoupling.fqsw_instance(a1, a2, r, seed=seed)
         ens = ensembles.haar_ensemble(inst.a_dim, seed=seed)
-        choi_b = w.choi.marginal(["B"]).matrix
-        f = np.empty(2000)
-        g = np.empty(2000)
         t0 = time.perf_counter()
-        for i in range(2000):
-            u = ens.sample(i)
-            f[i] = decoupling.f_value(inst, u, choi_b=choi_b)
-            g[i] = decoupling.g_value(inst, u, w)
+        us = ens.sample_batch(range(2000))
+        f = decoupling.f_values(inst, us, w.choi.marginal(["B"]).matrix)
+        g = decoupling.g_values(inst, us, w)
         elapsed = time.perf_counter() - t0
         runs.append({
             "a1": a1, "a2": a2, "seed": seed, "inst": inst, "w": w,
@@ -67,22 +62,14 @@ def pointwise_run():
         cfg=SmoothingConfig(),
     )
     w = decoupling.prepare(inst)
-    ens = ensembles.haar_ensemble(4, seed=31)
-    f = np.empty(1000)
-    g = np.empty(1000)
-    for i in range(1000):
-        u = ens.sample(i)
-        f[i] = decoupling.f_value(inst, u)
-        g[i] = decoupling.g_value(inst, u, w)
-    pair_ens = ensembles.haar_ensemble(4, seed=32)
-    pair_gap = np.empty(1000)
-    pair_dist = np.empty(1000)
-    for i in range(1000):
-        u = pair_ens.sample(2 * i)
-        v = pair_ens.sample(2 * i + 1)
-        pair_gap[i] = abs(decoupling.g_value(inst, u, w)
-                          - decoupling.g_value(inst, v, w))
-        pair_dist[i] = linalg.schatten_norm(u - v, 2)
+    us = ensembles.haar_ensemble(4, seed=31).sample_batch(range(1000))
+    f = decoupling.f_values(inst, us, w.choi.marginal(["B"]).matrix)
+    g = decoupling.g_values(inst, us, w)
+    # pair i is (draw 2i, draw 2i + 1)
+    pairs = ensembles.haar_ensemble(4, seed=32).sample_batch(range(2000))
+    g_pairs = decoupling.g_values(inst, pairs, w)
+    pair_gap = np.abs(g_pairs[0::2] - g_pairs[1::2])
+    pair_dist = np.linalg.norm(pairs[0::2] - pairs[1::2], axis=(1, 2))
     return {"inst": inst, "w": w, "f": f, "g": g,
             "pair_gap": pair_gap, "pair_dist": pair_dist}
 
@@ -351,8 +338,7 @@ def test_criterion_07_tail_machinery(pointwise_run):
 def test_criterion_08_parameter_regressions():
     flat = DensitySystem(np.eye(16, dtype=complex) / 16.0,
                          shape(("A1", 2), ("A2", 4), ("R", 2)))
-    inst, report = decoupling.fqsw_instance(2, 4, 2, rho=flat)
-    w = decoupling.prepare(inst)
+    inst, w, report = decoupling.fqsw_instance(2, 4, 2, rho=flat)
     m = decoupling.haar_expected_g_squared(inst, w)
     # h2(A|R) = log2 16 - log2 2 = 3 exactly, so a = 4 * 2^(3-9) = 1/16
     a_ok = (abs(w.h2_eps - 3.0) <= 1e-12

@@ -211,6 +211,31 @@ class TestDeterminism:
         assert digests[0] != digests[1]
 
 
+class TestSharedWork:
+    @pytest.mark.parametrize("payload, prepares", [
+        ({"experiment": "fqsw", "dims": {"a1": 2, "a2": 4, "r": 2}}, 1),
+        ({"experiment": "decouple-expect", "dims": {"a": 4, "r": 2, "b": 2}}, 0),
+    ], ids=["fqsw", "decouple-expect"])
+    def test_prepare_and_choi_once(self, tmp_path, monkeypatch, payload, prepares):
+        from decouplab import decoupling, quantum
+        calls = {"prepare": 0, "choi_state": 0}
+
+        def counted(module, name):
+            orig = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return orig(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(decoupling, "prepare")
+        counted(quantum, "choi_state")
+        p = write_config(tmp_path, samples=5, seed=3,
+                         output_dir=str(tmp_path / "out"), **payload)
+        assert cli.main(["run", str(p)]) == 0
+        assert calls == {"prepare": prepares, "choi_state": 1}
+
+
 class TestConsoleEntry:
     def test_installed_script_runs(self, tmp_path):
         p = write_config(tmp_path, experiment="typicality", n=4)

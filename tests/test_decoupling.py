@@ -172,8 +172,7 @@ class TestHaarMoments:
 
     def test_clifford_two_design_matches_exactly(self):
         # uniform average over an exact 2-design equals the Haar closed form
-        inst, _ = decoupling.fqsw_instance(2, 2, 2, seed=1)
-        w = decoupling.prepare(inst)
+        inst, w, _ = decoupling.fqsw_instance(2, 2, 2, seed=1)
         members = ensembles.clifford_group(2)
         acc = 0.0
         for u in members:
@@ -225,15 +224,13 @@ class TestExpectationBound:
 
 class TestTailParameters:
     def test_fqsw_a_identity(self):
-        inst, report = decoupling.fqsw_instance(2, 4, 2, seed=0)
-        w = decoupling.prepare(inst)
+        inst, w, report = decoupling.fqsw_instance(2, 4, 2, seed=0)
         m = decoupling.haar_expected_g_squared(inst, w)
         tail = decoupling.tail_parameters(inst, w, kappa=0.5, mu=m.mu_upper)
         assert tail.a == pytest.approx(report["tail_a"], rel=1e-12)
 
     def test_t_is_ceiling(self):
-        inst, _ = decoupling.fqsw_instance(2, 4, 2, seed=0)
-        w = decoupling.prepare(inst)
+        inst, w, _ = decoupling.fqsw_instance(2, 4, 2, seed=0)
         m = decoupling.haar_expected_g_squared(inst, w)
         for kappa in (0.3, 0.5, 0.9):
             tail = decoupling.tail_parameters(inst, w, kappa, m.mu_upper)
@@ -267,8 +264,7 @@ class TestTailParameters:
             decoupling.tail_parameters(inst, w, kappa=0.5, mu=0.5)
 
     def test_vacuous_flag(self):
-        inst, _ = decoupling.fqsw_instance(2, 4, 2, seed=0)
-        w = decoupling.prepare(inst)
+        inst, w, _ = decoupling.fqsw_instance(2, 4, 2, seed=0)
         m = decoupling.haar_expected_g_squared(inst, w)
         tail = decoupling.tail_parameters(inst, w, kappa=0.1, mu=m.mu_upper)
         assert tail.vacuous == (tail.a * 0.01 < math.log2(5.0))
@@ -285,8 +281,7 @@ class TestTailParameters:
 class TestFqsw:
     def test_closed_coefficients_match_general(self):
         for a1, a2 in ((2, 2), (2, 4)):
-            inst, report = decoupling.fqsw_instance(a1, a2, 2, seed=3)
-            w = decoupling.prepare(inst)
+            inst, w, report = decoupling.fqsw_instance(a1, a2, 2, seed=3)
             m = decoupling.haar_expected_g_squared(inst, w)
             assert m.alpha == pytest.approx(report["alpha_closed"], rel=1e-10)
             assert m.beta == pytest.approx(report["beta_closed"], rel=1e-10)
@@ -298,15 +293,13 @@ class TestFqsw:
     def test_channel_weights_are_flat(self):
         # tracing out A2 from the maximally entangled input leaves the flat
         # subsystem weights: hmax'(B) = log a1 and h2' = log(a2/a1)
-        inst, _ = decoupling.fqsw_instance(2, 8, 2, seed=4)
-        w = decoupling.prepare(inst)
+        inst, w, _ = decoupling.fqsw_instance(2, 8, 2, seed=4)
         assert w.hmax_prime_val == pytest.approx(1.0, abs=1e-9)
         assert w.h2_prime_val == pytest.approx(-math.log2(2 / 8), abs=1e-9)
         assert w.n_ab == pytest.approx(2 / 8, rel=1e-9)
 
     def test_second_moment_window_under_promises(self):
-        inst, report = decoupling.fqsw_instance(2, 8, 2, seed=5)
-        w = decoupling.prepare(inst)
+        inst, w, report = decoupling.fqsw_instance(2, 8, 2, seed=5)
         m = decoupling.haar_expected_g_squared(inst, w)
         lo, hi = report["second_moment_window"]
         if report["promises"]["reference_norm_ratio"]:

@@ -75,6 +75,23 @@ class TestSampling:
         with pytest.raises(DomainError):
             ensembles.UnitaryEnsemble(kind="magic", dim=2)
 
+    @pytest.mark.parametrize("e", [
+        ensembles.haar_ensemble(5, seed=11),
+        ensembles.random_circuit_ensemble(2, 3, seed=12),
+        ensembles.enumerated_ensemble(ensembles.pauli_group(1), seed=13),
+        ensembles.iterate_ensemble(
+            ensembles.enumerated_ensemble([HADAMARD, PHASE], seed=14), 3),
+    ], ids=["haar", "circuit", "enumerated", "iterated"])
+    def test_batch_equals_stacked_single_draws(self, e):
+        a, b = 4, 17
+        whole = e.sample_batch(range(a, b))
+        assert whole.shape == (b - a, e.dim, e.dim)
+        np.testing.assert_array_equal(
+            whole, np.stack([e.sample(i) for i in range(a, b)]))
+        for cut in range(a, b + 1):
+            parts = [e.sample_batch(range(a, cut)), e.sample_batch(range(cut, b))]
+            np.testing.assert_array_equal(np.concatenate(parts), whole)
+
 
 class TestMomentOperator:
     def test_cap_enforced(self):
