@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import decoupling, ensembles, entropy, linalg, quantum, stats, typicality
+from . import __version__, decoupling, ensembles, entropy, linalg, quantum, stats, typicality
 from .entropy import SmoothingConfig
 from .errors import ConfigError, DecouplabError
 
@@ -63,8 +63,19 @@ class ExperimentConfig:
                 f"unknown experiment {self.experiment!r}; pick one of "
                 f"{', '.join(EXPERIMENTS)}", field="experiment",
             )
+        # bool is an int subclass, so JSON true would otherwise pass as 1
+        for name in ("samples", "seed", "t", "n"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, int):
+                raise ConfigError(f"{name} must be an integer, got {v!r}", field=name)
+        for name in ("epsilon", "delta", "kappa"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, (int, float)):
+                raise ConfigError(f"{name} must be a number, got {v!r}", field=name)
         if self.samples < 1:
             raise ConfigError("samples must be a positive integer", field="samples")
+        if self.seed < 0:
+            raise ConfigError("seed must be nonnegative", field="seed")
         if self.epsilon < 0 or self.delta < 0:
             raise ConfigError("epsilon and delta must be nonnegative",
                               field="epsilon" if self.epsilon < 0 else "delta")
@@ -74,8 +85,10 @@ class ExperimentConfig:
             raise ConfigError("moment order t must be at least 1", field="t")
         if self.n < 1:
             raise ConfigError("copy count n must be at least 1", field="n")
+        if not isinstance(self.dims, dict):
+            raise ConfigError("dims must be an object", field="dims")
         for k, v in self.dims.items():
-            if not isinstance(v, int) or v < 1:
+            if isinstance(v, bool) or not isinstance(v, int) or v < 1:
                 raise ConfigError(f"dims[{k!r}] must be a positive integer",
                                   field="dims")
 
@@ -119,10 +132,26 @@ def _dim(cfg: ExperimentConfig, key: str, default: int | None = None) -> int:
     return default
 
 
+def _parse_ensemble(desc) -> ensembles.UnitaryEnsemble:
+    """The ensemble a config describes; a malformed descriptor is a ConfigError."""
+    inner = desc
+    while isinstance(inner, dict) and inner.get("kind") == "iterated":
+        inner = inner.get("base")
+    try:
+        if not isinstance(inner, dict) or inner.get("kind") not in ensembles.KINDS:
+            raise ValueError(f"kind must be one of {', '.join(ensembles.KINDS)}")
+        return ensembles.ensemble_from_json(desc)
+    except DecouplabError:
+        raise
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed ensemble descriptor: {exc!r}",
+                          field="ensemble") from exc
+
+
 def _ensemble(cfg: ExperimentConfig, dim: int) -> ensembles.UnitaryEnsemble:
     if cfg.ensemble is None:
         return ensembles.haar_ensemble(dim, seed=cfg.seed)
-    e = ensembles.ensemble_from_json(cfg.ensemble)
+    e = _parse_ensemble(cfg.ensemble)
     if e.dim != dim:
         raise ConfigError(
             f"ensemble dimension {e.dim} does not match the instance dimension {dim}",
@@ -299,7 +328,7 @@ def run_design_verify(cfg: ExperimentConfig):
     if cfg.ensemble is None:
         raise ConfigError("design-verify needs an ensemble descriptor",
                           field="ensemble")
-    ens = ensembles.ensemble_from_json(cfg.ensemble)
+    ens = _parse_ensemble(cfg.ensemble)
     report = ensembles.qtpe_lambda(ens, cfg.t, samples=cfg.samples,
                                    seed=cfg.seed or 12345)
     summary = {
@@ -538,7 +567,8 @@ def _config_echo(cfg: ExperimentConfig) -> dict:
 
 def _write_manifest(out: Path, cfg: ExperimentConfig, status: str,
                     error: str | None = None):
-    manifest = {"config": _config_echo(cfg), "status": status}
+    manifest = {"config": _config_echo(cfg), "status": status,
+                "version": __version__}
     if error is not None:
         manifest["error"] = error
     out.joinpath("manifest.json").write_text(

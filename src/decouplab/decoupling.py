@@ -123,7 +123,9 @@ def prepare(inst: DecouplingInstance, weight_mode: str = "fixed_marginal") -> We
 
     povm = None
     if cfg.epsilon > 0:
-        povm = _environment_povm(inst.channel, eta_ds.matrix)
+        # the measurement P on Z with (measured channel (x) id)(EPR) = eta
+        povm = quantum.povm_completion(quantum.choi_amplitudes(inst.channel),
+                                       eta_ds.matrix)
 
     omega3_iq = linalg.pseudo_inverse_power(omega3.matrix, -0.25)
     w_b = entropy.embed_on_labels(omega3_iq, choi.shape, ["B"])
@@ -146,17 +148,6 @@ def prepare(inst: DecouplingInstance, weight_mode: str = "fixed_marginal") -> We
         h2_eps=h2_eps, h2_prime_val=h2_prime_val, hmax_prime_val=hmax_prime_val,
         n_r=n_r, n_ar=n_ar, n_b=n_b, n_ab=n_ab, warnings=warns,
     )
-
-
-def _environment_povm(channel: ChannelStinespring, eta: np.ndarray) -> np.ndarray:
-    """The measurement P on Z with (measured channel (x) id)(EPR) = eta."""
-    da, db, dz = channel.a_dim, channel.b_dim, channel.z_dim
-    # (v (x) I)(|0>^C (x) |Phi>) has amplitude v0[(b, z), a] / sqrt(|A|);
-    # psi lists it in the order (B, Ap, Z)
-    psi = channel.v0.reshape(db, dz, da).transpose(0, 2, 1).reshape(-1) / math.sqrt(da)
-    shp = linalg.shape(("X", db * da), ("Z", dz))
-    psi_ds = DensitySystem.from_matrix(np.outer(psi, psi.conj()), shp)
-    return quantum.povm_completion(psi_ds, eta)
 
 
 def f_value(inst: DecouplingInstance, u: np.ndarray,

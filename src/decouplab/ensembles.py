@@ -20,8 +20,10 @@ import numpy as np
 from . import linalg
 from .errors import CapError, DomainError
 
+KINDS = ("enumerated", "haar", "circuit", "iterated")
 MOMENT_DIM_CAP = 4096  # largest dim**(2t), the superoperator dimension
-ITERATED_ENUM_CAP = 200_000
+# working memory for one stack of flattened U^(x)t in moment_operator
+MOMENT_BATCH_BYTES = 1 << 21
 CACHE_VERSION = 1
 
 
@@ -143,7 +145,7 @@ class UnitaryEnsemble:
     iterations: int = 1
 
     def __post_init__(self):
-        if self.kind not in ("enumerated", "haar", "circuit", "iterated"):
+        if self.kind not in KINDS:
             raise DomainError(f"unknown ensemble kind {self.kind!r}")
         if self.kind == "enumerated" and not self.members:
             raise DomainError("enumerated ensemble needs members")
@@ -232,13 +234,6 @@ def iterate_ensemble(e: UnitaryEnsemble, k: int) -> UnitaryEnsemble:
                            base=e, iterations=k, name=f"{e.name}^{k}")
 
 
-def _kron_power(u: np.ndarray, t: int) -> np.ndarray:
-    w = u
-    for _ in range(t - 1):
-        w = np.kron(w, u)
-    return w
-
-
 def _check_moment_cap(dim: int, t: int):
     if dim ** (2 * t) > MOMENT_DIM_CAP:
         raise CapError(
@@ -246,44 +241,46 @@ def _check_moment_cap(dim: int, t: int):
         )
 
 
-def _moment_terms(e: UnitaryEnsemble, samples: int):
-    """Yield (unitary, weight) pairs; exact for enumerable ensembles."""
-    if e.kind == "enumerated":
-        w = 1.0 / len(e.members)
-        for m in e.members:
-            yield m, w
-        return
-    if e.kind == "iterated" and e.base is not None and e.base.kind == "enumerated":
-        base = e.base.members
-        count = len(base) ** e.iterations
-        if count <= ITERATED_ENUM_CAP:
-            w = 1.0 / count
-            for combo in itertools.product(base, repeat=e.iterations):
-                u = np.eye(e.dim, dtype=complex)
-                for g in combo:
-                    u = g @ u
-                yield u, w
-            return
-    w = 1.0 / samples
-    for i in range(samples):
-        yield e.sample(i), w
+def _tensor_powers(us: np.ndarray, t: int) -> np.ndarray:
+    """U^(x)t for each U of an (n, d, d) stack."""
+    n, d, _ = us.shape
+    w = us
+    for _ in range(t - 1):
+        w = (w[:, :, None, :, None] * us[:, None, :, None, :]).reshape(
+            n, w.shape[1] * d, w.shape[2] * d)
+    return w
 
 
 def moment_operator(e: UnitaryEnsemble, t: int, samples: int = 2000) -> np.ndarray:
     """The averaged t-fold twirl as a matrix on vectorised operators.
 
-    Acts on column-stacked M as G vec(M) = E[ vec(U^t M U^-t) ]; exact when
-    the ensemble is enumerable, Monte Carlo with `samples` draws otherwise.
+    Acts on column-stacked M as G vec(M) = E[ vec(U^t M U^-t) ]; exact for
+    enumerated ensembles and their iterates, Monte Carlo with `samples` draws
+    otherwise.
+    G = E[kron(conj W, W)] with W = U^(x)t is one Gram matrix: with the rows
+    of Y the flattened W, conj(Y)^T Y holds conj W[a, c] W[b, d] at
+    ((a, c), (b, d)), which a transpose regroups to ((a, b), (c, d)).
     """
     if t < 1:
         raise DomainError("moment order t must be at least 1")
     _check_moment_cap(e.dim, t)
+    if e.kind == "iterated" and e.base.kind == "enumerated":
+        # a product of independent draws twirls by the product of their twirls
+        return np.linalg.matrix_power(moment_operator(e.base, t), e.iterations)
+    if e.kind == "enumerated":
+        members = np.stack(e.members)
+        count, draw = len(members), lambda lo, hi: members[lo:hi]
+    else:
+        count, draw = samples, lambda lo, hi: e.sample_batch(range(lo, hi))
     d_t = e.dim**t
-    g = np.zeros((d_t * d_t, d_t * d_t), dtype=complex)
-    for u, wgt in _moment_terms(e, samples):
-        w = _kron_power(u, t)
-        g += wgt * np.kron(w.conj(), w)
-    return g
+    step = max(1, MOMENT_BATCH_BYTES // (16 * d_t * d_t))
+    gram = np.zeros((d_t * d_t, d_t * d_t), dtype=complex)
+    for lo in range(0, count, step):
+        y = _tensor_powers(draw(lo, min(lo + step, count)), t).reshape(-1, d_t * d_t)
+        gram += y.conj().T @ y
+    gram /= count
+    return gram.reshape(d_t, d_t, d_t, d_t).transpose(0, 2, 1, 3).reshape(
+        d_t * d_t, d_t * d_t)
 
 
 def haar_moment_projector(dim: int, t: int) -> np.ndarray:
@@ -295,32 +292,18 @@ def haar_moment_projector(dim: int, t: int) -> np.ndarray:
     if t < 1:
         raise DomainError("moment order t must be at least 1")
     _check_moment_cap(dim, t)
-    perms = list(itertools.permutations(range(t)))
     d_t = dim**t
-    ops = []
-    for pi in perms:
-        p = np.zeros((d_t, d_t), dtype=complex)
-        for idx in itertools.product(range(dim), repeat=t):
-            src = _flat(idx, dim)
-            dst = _flat(tuple(idx[pi[k]] for k in range(t)), dim)
-            p[dst, src] = 1.0
-        ops.append(p)
-    vecs = [op.ravel(order="F") for op in ops]
-    gram = np.array([[float(np.real(np.vdot(a, b))) for b in vecs] for a in vecs])
-    ginv = np.linalg.pinv(gram)
-    proj = np.zeros((d_t * d_t, d_t * d_t), dtype=complex)
-    for i, vi in enumerate(vecs):
-        for j, vj in enumerate(vecs):
-            if abs(ginv[i, j]) > 1e-14:
-                proj += ginv[i, j] * np.outer(vi, vj.conj())
-    return proj
-
-
-def _flat(idx: tuple[int, ...], dim: int) -> int:
-    out = 0
-    for i in idx:
-        out = out * dim + i
-    return out
+    # P_pi |i_1 .. i_t> = |i_pi(1) .. i_pi(t)> is the identity with its input
+    # axes permuted; rows are vec(P_pi), and the projector is
+    # sum_ij ginv[i, j] |v_i><v_j| with ginv the inverse Gram matrix
+    eye = np.eye(d_t, dtype=complex).reshape((dim,) * (2 * t))
+    vecs = np.array([
+        eye.transpose(list(range(t)) + [t + k for k in np.argsort(pi)])
+        .reshape(d_t, d_t).ravel(order="F")
+        for pi in itertools.permutations(range(t))
+    ])
+    ginv = np.linalg.pinv((vecs.conj() @ vecs.T).real)
+    return vecs.T @ ginv @ vecs.conj()
 
 
 @dataclass(frozen=True)

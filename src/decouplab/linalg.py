@@ -304,15 +304,3 @@ def _haar_from_ginibre(z: np.ndarray) -> np.ndarray:
     d = np.diagonal(r, axis1=-2, axis2=-1)
     return q * (d / np.abs(d))[..., None, :]
 
-
-def polar_decompose(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Left polar split m = V Q with V unitary and Q = (m^dag m)^(1/2) PSD.
-
-    The unitary factor on the null space of m is completed from the SVD, so
-    rank-deficient inputs still return a genuine unitary.
-    """
-    m = as_matrix(m)
-    u, s, vh = np.linalg.svd(m)
-    unitary = u @ vh
-    psd = (vh.conj().T * s) @ vh
-    return unitary, psd

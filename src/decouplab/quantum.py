@@ -5,6 +5,10 @@ v on A (x) C -> B (x) Z together with the four dimensions. Applying the
 channel appends the fixed ancilla |0><0| on C, conjugates by v, and traces
 out Z. Completely positive trace-non-increasing maps carry a contraction
 instead of a unitary.
+
+A pure state on X (x) Z is passed around as its |X| x |Z| amplitude
+matrix m, with |psi> = sum m[x, z] |x>|z>: `choi_amplitudes` returns the
+channel's purified Choi state in this form, and `povm_completion` takes it.
 """
 
 from __future__ import annotations
@@ -87,9 +91,7 @@ def epr_state(d: int, labels: tuple[str, str] = ("A", "Ap")) -> DensitySystem:
     """Maximally entangled state (1/sqrt d) sum_a |aa> as a density operator."""
     if d < 1:
         raise DimensionError(f"dimension must be positive, got {d}")
-    v = np.zeros(d * d, dtype=complex)
-    for a in range(d):
-        v[a * d + a] = 1.0 / np.sqrt(d)
+    v = np.eye(d, dtype=complex).reshape(-1) / np.sqrt(d)
     shp = linalg.shape((labels[0], d), (labels[1], d))
     return DensitySystem(np.outer(v, v.conj()), shp)
 
@@ -212,10 +214,22 @@ def _resolve_block(shp: SystemShape, in_dim: int, block) -> tuple[str, ...]:
     )
 
 
+def choi_amplitudes(t: ChannelStinespring) -> np.ndarray:
+    """The (|B||A'|) x |Z| amplitude matrix m of (v (x) I)(|0>^C (x) |Phi>).
+
+    |Phi> is the normalised maximally entangled state on A (x) A', so
+    m[(b, a'), z] = v0[(b, z), a'] / sqrt(|A|), and the Choi state is m m^dag
+    (Watrous, The Theory of Quantum Information, ch. 2).
+    """
+    da, db, dz = t.a_dim, t.b_dim, t.z_dim
+    return t.v0.reshape(db, dz, da).transpose(0, 2, 1).reshape(db * da, dz) / np.sqrt(da)
+
+
 def choi_state(t: ChannelStinespring, labels: tuple[str, str] = ("B", "Ap")) -> DensitySystem:
     """(T (x) id) applied to the maximally entangled state; output label first."""
-    phi = epr_state(t.a_dim, labels=("A", labels[1]))
-    return t.apply(phi, block=("A",), out_label=labels[0])
+    m = choi_amplitudes(t)
+    return DensitySystem.from_matrix(
+        m @ m.conj().T, linalg.shape((labels[0], t.b_dim), (labels[1], t.a_dim)))
 
 
 def identity_channel(d: int) -> ChannelStinespring:
@@ -243,17 +257,12 @@ def isometry_channel(w: np.ndarray, b_dim: int, z_dim: int) -> ChannelStinesprin
     c_dim = (b_dim * z_dim) // a_dim
     if a_dim * c_dim != b_dim * z_dim:
         raise DimensionError("isometry dimensions do not embed into a unitary dilation")
-    # reorder columns so that column (a, c=0) carries w[:, a]
-    full = np.zeros_like(v)
-    extra = [j for j in range(v.shape[1]) if j >= a_dim]
-    k = 0
-    for a in range(a_dim):
-        full[:, a * c_dim] = v[:, a]
-        for c in range(1, c_dim):
-            full[:, a * c_dim + c] = v[:, extra[k]]
-            k += 1
-    return ChannelStinespring(v=full, a_dim=a_dim, c_dim=c_dim, b_dim=b_dim,
-                              z_dim=z_dim, trace_preserving=True)
+    # reorder columns so that column (a, c=0) carries w[:, a] and the
+    # completing columns fill (a, c >= 1) in order
+    full = np.concatenate([v[:, :a_dim, None],
+                           v[:, a_dim:].reshape(-1, a_dim, c_dim - 1)], axis=2)
+    return ChannelStinespring(v=full.reshape(-1, a_dim * c_dim), a_dim=a_dim,
+                              c_dim=c_dim, b_dim=b_dim, z_dim=z_dim, trace_preserving=True)
 
 
 def complete_isometry(cols: np.ndarray) -> np.ndarray:
@@ -299,120 +308,39 @@ def purification_vector(rho: np.ndarray, env_dim: int | None = None) -> np.ndarr
     d = rho.shape[0]
     env_dim = d if env_dim is None else env_dim
     lmax = float(spec.values.max(initial=0.0))
-    keep = [i for i, lv in enumerate(spec.values) if lv > 1e-14 * max(lmax, 1.0)]
-    if len(keep) > env_dim:
-        raise DimensionError(f"rank {len(keep)} state cannot purify into dimension {env_dim}")
-    v = np.zeros(d * env_dim, dtype=complex)
-    for slot, i in enumerate(keep):
-        v += np.sqrt(spec.values[i]) * np.kron(spec.vectors[:, i], _basis(env_dim, slot))
-    return v
+    # eigenvalues come sorted descending, so the kept ones lead
+    rank = int((spec.values > 1e-14 * max(lmax, 1.0)).sum())
+    if rank > env_dim:
+        raise DimensionError(f"rank {rank} state cannot purify into dimension {env_dim}")
+    m = np.zeros((d, env_dim), dtype=complex)
+    m[:, :rank] = spec.vectors[:, :rank] * np.sqrt(spec.values[:rank])
+    return m.reshape(-1)
 
 
-def _basis(d: int, i: int) -> np.ndarray:
-    e = np.zeros(d, dtype=complex)
-    e[i] = 1.0
-    return e
+def povm_completion(m: np.ndarray, rho_target: np.ndarray) -> np.ndarray:
+    """Measurement operator P on Z steering the pure state with amplitudes m.
 
-
-def unitary_relating_purifications(
-    psi0: np.ndarray, theta: np.ndarray, x_dim: int, y_dim: int
-) -> np.ndarray:
-    """Find U on Y with theta = (I_X (x) U) psi0 for equal X-marginal purifications.
-
-    Both vectors live on X (x) Y. The construction runs through the shared
-    eigenbasis of the X marginal and completes unitarily on the complement,
-    which keeps degenerate marginals well defined.
+    m is the |X| x |Z| amplitude matrix of |psi> = sum m[x, z] |x>|z>, so
+    psi^X = m m^dag. For rho_target <= psi^X, the returned P satisfies
+    0 <= P <= I and Tr_Z[(I (x) P) psi (I (x) P)] = m (P^T)^2 m^dag =
+    rho_target. The closed form is P = (Q^T)^(1/2) with Q = m^+ rho m^+dag,
+    which lies between 0 and the projector m^+ m because rho <= m m^dag.
     """
-    m0 = np.asarray(psi0, dtype=complex).reshape(x_dim, y_dim)
-    mt = np.asarray(theta, dtype=complex).reshape(x_dim, y_dim)
-    marg0, margt = m0 @ m0.conj().T, mt @ mt.conj().T
-    if float(np.abs(marg0 - margt).max()) > 1e-9:
-        raise DomainError("the two vectors do not share an X marginal")
-    spec = linalg.spectral(marg0)
-    lmax = float(spec.values.max(initial=0.0))
-    ks, ls = [], []
-    for i, lv in enumerate(spec.values):
-        if lv <= 1e-12 * max(lmax, 1.0):
-            continue
-        u_i = spec.vectors[:, i]
-        ks.append(m0.conj().T @ u_i.conj() / np.sqrt(lv))
-        ls.append(mt.conj().T @ u_i.conj() / np.sqrt(lv))
-    k_mat = np.array(ks, dtype=complex).T if ks else np.zeros((y_dim, 0), dtype=complex)
-    l_mat = np.array(ls, dtype=complex).T if ls else np.zeros((y_dim, 0), dtype=complex)
-    k_full = complete_isometry(_reorthonormalize(k_mat))
-    l_full = complete_isometry(_reorthonormalize(l_mat))
-    w = l_full @ k_full.conj().T  # maps k_i -> l_i, complement -> complement
-    u = w.conj()
-    check = (np.kron(np.eye(x_dim), u) @ np.asarray(psi0, dtype=complex))
-    err = float(np.linalg.norm(check - np.asarray(theta, dtype=complex)))
-    if err > 1e-8 * max(1.0, float(np.linalg.norm(theta))):
-        raise ComputationError(f"purification-joining unitary failed, residual {err:.2e}")
-    return u
-
-
-def _reorthonormalize(cols: np.ndarray) -> np.ndarray:
-    if cols.shape[1] == 0:
-        return cols
-    q, r = np.linalg.qr(cols)
-    d = np.diagonal(r)
-    phase = np.where(np.abs(d) > 1e-14, d / np.abs(np.where(d == 0, 1, d)), 1.0)
-    return q * phase.conj()
-
-
-def povm_completion(psi: DensitySystem, rho_target: np.ndarray) -> np.ndarray:
-    """Measurement operator P on the second factor steering psi's first marginal.
-
-    psi must be pure on X (x) Z with rho_target <= psi^X; the returned P
-    satisfies 0 <= P <= I and Tr_Z[(I (x) P) psi (I (x) P)] = rho_target
-    to about 1e-8. The route: purify rho_target and the remainder into the
-    same space, join the two purifications of psi^X by a unitary on Z plus
-    a qubit flag, then cut out the flag block and take its positive polar part.
-    """
-    if len(psi.shape.labels) != 2:
-        raise DimensionError("povm_completion expects a bipartite pure state")
-    dx, dz = psi.shape.dims
-    spec = linalg.spectral(psi.matrix)
-    if spec.values[0] <= 0 or (psi.mass - spec.values[0]) > 1e-9:
-        raise DomainError("povm_completion needs a pure input state")
-    psi_vec = spec.vectors[:, 0] * np.sqrt(spec.values[0])
-    psi_x = linalg.partial_trace(psi.matrix, psi.shape, [psi.shape.names[1]])
-    sigma = psi_x - np.asarray(rho_target, dtype=complex)
-    low = float(np.linalg.eigvalsh(linalg.hermitianize(sigma)).min())
+    m = np.asarray(m, dtype=complex)
+    rho_target = np.asarray(rho_target, dtype=complex)
+    gap = linalg.hermitianize(m @ m.conj().T - rho_target)
+    low = float(np.linalg.eigvalsh(gap).min())
     if low < -1e-9:
         raise DomainError(f"target is not dominated by the marginal, gap {low:.3e}")
-    rho_vec = purification_vector(_clip_psd(rho_target), env_dim=dz)
-    sigma_vec = purification_vector(_clip_psd(sigma), env_dim=dz)
-    # theta on X (x) (Z (x) Q), Q a qubit flag
-    theta = _attach_flag(rho_vec, dx, dz, 0) + _attach_flag(sigma_vec, dx, dz, 1)
-    psi0 = _attach_flag(psi_vec, dx, dz, 0)
-    u = unitary_relating_purifications(psi0, theta, x_dim=dx, y_dim=2 * dz)
-    m = u.reshape(dz, 2, dz, 2)[:, 0, :, 0]
-    if linalg.schatten_norm(m, np.inf) > 1.0 + 1e-8:
-        raise ComputationError("extracted block is not a contraction")
-    _, p = linalg.polar_decompose(m)
-    achieved = _steered_marginal(psi.matrix, psi.shape, p)
-    err = float(np.abs(achieved - rho_target).max())
+    m_inv = np.linalg.pinv(m)
+    q = linalg.hermitianize(m_inv @ rho_target @ m_inv.conj().T)
+    p = linalg.pseudo_inverse_power(q.T, 0.5)
+    if linalg.schatten_norm(p, np.inf) > 1.0 + 1e-8:
+        raise ComputationError("steering operator is not a contraction")
+    err = float(np.abs(m @ (p.T @ p.T) @ m.conj().T - rho_target).max())
     if err > 1e-7:
         raise ComputationError(f"povm completion missed the target by {err:.2e}")
     return p
-
-
-def _clip_psd(m: np.ndarray) -> np.ndarray:
-    spec = linalg.spectral(np.asarray(m, dtype=complex))
-    vals = np.clip(spec.values, 0.0, None)
-    return (spec.vectors * vals) @ spec.vectors.conj().T
-
-
-def _attach_flag(vec: np.ndarray, dx: int, dz: int, flag: int) -> np.ndarray:
-    t = np.zeros((dx, dz, 2), dtype=complex)
-    t[:, :, flag] = np.asarray(vec, dtype=complex).reshape(dx, dz)
-    return t.reshape(dx * dz * 2)
-
-
-def _steered_marginal(psi_m: np.ndarray, shp: SystemShape, p: np.ndarray) -> np.ndarray:
-    dx, dz = shp.dims
-    op = np.kron(np.eye(dx), p)
-    return linalg.partial_trace(op @ psi_m @ op.conj().T, shp, [shp.names[1]])
 
 
 def random_psd(dim: int, rng: np.random.Generator, rank: int | None = None) -> np.ndarray:

@@ -168,7 +168,7 @@ def test_criterion_01_exact_identities():
         spec = linalg.spectral(psi.marginal(["X"]).matrix)
         scale = rng.uniform(0.2, 0.9, size=dx)
         target = (spec.vectors * (spec.values * scale)) @ spec.vectors.conj().T
-        p = quantum.povm_completion(psi, target)
+        p = quantum.povm_completion(vec.reshape(dx, dz), target)
         op = np.kron(np.eye(dx), p)
         steered = linalg.partial_trace(op @ psi.matrix @ op.conj().T,
                                        psi.shape, ["Z"])

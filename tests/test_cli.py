@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+import decouplab
 from decouplab import cli
 from decouplab.errors import ConfigError
 
@@ -124,6 +125,7 @@ class TestRunArtifacts:
         assert manifest["status"] == "complete"
         assert manifest["config"]["experiment"] == "decouple-expect"
         assert manifest["config"]["seed"] == 7
+        assert manifest["version"] == decouplab.__version__
         summary = json.loads((out / "summary.json").read_text())
         assert summary["bound_holds"] is True
         assert summary["mean_f"] <= summary["expectation_bound"] + 1e-6
@@ -163,6 +165,25 @@ class TestRunArtifacts:
         assert manifest["status"] == "failed"
         assert "DomainError" in manifest["error"]
         assert not (out / "summary.json").exists()
+
+    @pytest.mark.parametrize("overrides", [
+        {"samples": 2.5},
+        {"samples": "10"},
+        {"seed": -1},
+        {"experiment": "design-verify", "ensemble": {"kind": "haar"}},
+        {"experiment": "design-verify", "ensemble": {"kind": "nonsense", "dim": 2}},
+        {"seed": True},
+        {"samples": True},
+    ], ids=["float-samples", "string-samples", "negative-seed", "haar-without-dim",
+            "unknown-kind", "bool-seed", "bool-samples"])
+    def test_malformed_config_exits_two(self, tmp_path, capsys, overrides):
+        payload = {"experiment": "decouple-expect", "dims": {"a": 2, "r": 2},
+                   "samples": 4, "t": 1, "output_dir": str(tmp_path / "out")}
+        payload.update(overrides)
+        p = write_config(tmp_path, **payload)
+        assert cli.main(["run", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and "Traceback" not in err
 
     def test_config_error_in_driver_exits_two(self, tmp_path, capsys):
         out = tmp_path / "run4"

@@ -466,3 +466,55 @@ class TestPrepare:
         w1 = decoupling.prepare(inst1)
         assert w1.povm is not None
         assert linalg.schatten_norm(w1.povm, np.inf) <= 1.0 + 1e-8
+
+
+def random_channel_instance(seed, da=3, db=2, dr=2, cfg=None):
+    rng = np.random.default_rng(seed)
+    rho = quantum.random_state(shape(("A", da), ("R", dr)), rng)
+    return decoupling.DecouplingInstance(rho=rho, channel=quantum.random_channel(da, db, rng),
+                                         cfg=cfg or SmoothingConfig())
+
+
+# g at Haar draws 0..3 (seed 7), recorded from the purification-joining
+# construction of the POVM that the closed form replaced
+PINNED_G = {
+    "trace-out": (lambda: random_instance(6, cfg=SmoothingConfig(epsilon=0.01, delta=0.2)),
+                  [0.5171223095125115, 0.4000806304735419,
+                   0.4481407836974612, 0.5514160733919289]),
+    "random-channel": (lambda: random_channel_instance(
+        31, cfg=SmoothingConfig(epsilon=0.05, delta=0.1)),
+        [0.39993503583190343, 0.4348161473920419,
+         0.44979459401064825, 0.5311303733903955]),
+    "trace-out-8": (lambda: random_instance(4, da=8, cfg=SmoothingConfig(epsilon=0.02,
+                                                                         delta=0.1)),
+                    [0.2238746905227084, 0.26294230011506514,
+                     0.19676154522852615, 0.16476390708563776]),
+}
+
+
+class TestSteeringPovmOfPrepare:
+    @pytest.mark.parametrize("name", sorted(PINNED_G))
+    def test_steers_choi_to_eta(self, name):
+        inst = PINNED_G[name][0]()
+        w = decoupling.prepare(inst)
+        p = w.povm
+        eigs = np.linalg.eigvalsh(linalg.hermitianize(p))
+        assert eigs.min() >= -1e-10 and eigs.max() <= 1.0 + 1e-10
+        # measure Z of the dense purified Choi vector (v0 (x) I_Ap)|Phi> on (B, Z, Ap)
+        ch = inst.channel
+        da, db, dz = ch.a_dim, ch.b_dim, ch.z_dim
+        phi = np.eye(da, dtype=complex).reshape(-1) / np.sqrt(da)
+        psi = np.kron(ch.v0, np.eye(da)) @ phi
+        psi = np.kron(np.kron(np.eye(db), p), np.eye(da)) @ psi
+        steered = linalg.partial_trace(np.outer(psi, psi.conj()),
+                                       shape(("B", db), ("Z", dz), ("Ap", da)), ["Z"])
+        np.testing.assert_allclose(steered, w.eta, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("name", sorted(PINNED_G))
+    def test_g_matches_recorded_values(self, name):
+        make, want = PINNED_G[name]
+        inst = make()
+        w = decoupling.prepare(inst)
+        us = ensembles.haar_ensemble(inst.a_dim, seed=7).sample_batch(range(4))
+        np.testing.assert_allclose(decoupling.g_values(inst, us, w), want,
+                                   rtol=1e-10, atol=0)

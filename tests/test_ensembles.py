@@ -1,5 +1,7 @@
 """Unitary ensembles, moment operators, and expander diagnostics."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -131,6 +133,54 @@ class TestMomentOperator:
         g1 = ensembles.moment_operator(base, 1)
         g3 = ensembles.moment_operator(ensembles.iterate_ensemble(base, 3), 1)
         np.testing.assert_allclose(g3, np.linalg.matrix_power(g1, 3), atol=1e-12)
+
+
+def kron_moment_reference(e, t, samples):
+    """The per-term sum of kron(conj W, W), W = U^(x)t, that the Gram form replaced."""
+    if e.kind == "enumerated":
+        terms = [(u, 1.0 / len(e.members)) for u in e.members]
+    elif e.kind == "iterated" and e.base.kind == "enumerated":
+        combos = list(itertools.product(e.base.members, repeat=e.iterations))
+        terms = []
+        for combo in combos:
+            u = np.eye(e.dim, dtype=complex)
+            for g in combo:
+                u = g @ u
+            terms.append((u, 1.0 / len(combos)))
+    else:
+        terms = [(e.sample(i), 1.0 / samples) for i in range(samples)]
+    d2t = e.dim ** (2 * t)
+    g = np.zeros((d2t, d2t), dtype=complex)
+    for u, wgt in terms:
+        w = u
+        for _ in range(t - 1):
+            w = np.kron(w, u)
+        g += wgt * np.kron(w.conj(), w)
+    return g
+
+
+MOMENT_CASES = {
+    "pauli": (lambda: ensembles.enumerated_ensemble(ensembles.pauli_group(1)), (1, 2, 3)),
+    "iterated": (lambda: ensembles.iterate_ensemble(
+        ensembles.enumerated_ensemble([HADAMARD, PHASE]), 3), (1, 2, 3)),
+    "haar-2": (lambda: ensembles.haar_ensemble(2, seed=3), (1, 2, 3)),
+    "haar-3": (lambda: ensembles.haar_ensemble(3, seed=4), (1, 2)),
+    "circuit": (lambda: ensembles.random_circuit_ensemble(2, 2, seed=5), (1, 2)),
+}
+
+
+class TestMomentGram:
+    @pytest.mark.parametrize("name, t", [(n, t) for n, (_, ts) in MOMENT_CASES.items()
+                                          for t in ts])
+    def test_matches_kron_sum(self, name, t, monkeypatch):
+        e = MOMENT_CASES[name][0]()
+        want = kron_moment_reference(e, t, samples=25)
+        np.testing.assert_allclose(ensembles.moment_operator(e, t, samples=25), want,
+                                   rtol=0, atol=1e-12)
+        # seven draws per stack: 25 samples and 8 products end mid-stack
+        monkeypatch.setattr(ensembles, "MOMENT_BATCH_BYTES", 7 * 16 * e.dim ** (2 * t))
+        np.testing.assert_allclose(ensembles.moment_operator(e, t, samples=25), want,
+                                   rtol=0, atol=1e-12)
 
 
 class TestHaarProjector:

@@ -227,22 +227,6 @@ class TestUnitaryAndPolar:
         u = linalg.random_unitary(d, np.random.default_rng(seed))
         np.testing.assert_allclose(u @ u.conj().T, np.eye(d), atol=1e-10)
 
-    def test_polar_reconstruction(self):
-        rng = np.random.default_rng(11)
-        m = random_complex(rng, 4)
-        v, q = linalg.polar_decompose(m)
-        np.testing.assert_allclose(v @ q, m, atol=1e-10)
-        np.testing.assert_allclose(v @ v.conj().T, np.eye(4), atol=1e-10)
-        vals = np.linalg.eigvalsh(linalg.hermitianize(q))
-        assert vals.min() >= -1e-10
-
-    def test_polar_rank_deficient(self):
-        m = np.zeros((3, 3), dtype=complex)
-        m[0, 0] = 2.0
-        v, q = linalg.polar_decompose(m)
-        np.testing.assert_allclose(v @ q, m, atol=1e-12)
-        np.testing.assert_allclose(v @ v.conj().T, np.eye(3), atol=1e-12)
-
 
 class TestSerialization:
     def test_round_trip(self):

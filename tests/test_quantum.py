@@ -124,6 +124,27 @@ class TestChannelStinespring:
         )
         assert choi.shape.names == ("B", "Ap")
 
+    @pytest.mark.parametrize("make", [
+        lambda rng: quantum.identity_channel(3),
+        lambda rng: quantum.trace_out_channel(2, 3),
+        lambda rng: quantum.random_channel(3, 2, rng),
+        lambda rng: quantum.random_channel(2, 3, rng, trace_preserving=False),
+        lambda rng: quantum.channel_from_kraus(
+            [np.diag([1, np.sqrt(0.7)]).astype(complex),
+             np.array([[0, np.sqrt(0.3)], [0, 0]], dtype=complex)], a_dim=2, b_dim=2),
+        lambda rng: quantum.isometry_channel(linalg.random_unitary(6, rng)[:, :2],
+                                             b_dim=3, z_dim=2),
+    ], ids=["identity", "trace-out", "random", "contraction", "kraus", "isometry"])
+    def test_choi_state_matches_channel_on_epr(self, make):
+        # oracle: push the dense EPR state through the channel
+        t = make(np.random.default_rng(12))
+        want = t.apply(quantum.epr_state(t.a_dim, labels=("A", "Ap")),
+                       block=("A",), out_label="B")
+        choi = quantum.choi_state(t)
+        assert choi.shape == want.shape
+        assert choi.mass == pytest.approx(want.mass, abs=1e-12)
+        np.testing.assert_allclose(choi.matrix, want.matrix, rtol=0, atol=1e-12)
+
     def test_choi_b_marginal_is_channel_on_mixed(self):
         rng = np.random.default_rng(5)
         t = quantum.random_channel(3, 2, rng)
@@ -183,24 +204,6 @@ class TestPurification:
         with pytest.raises(DimensionError):
             quantum.purification_vector(rho, env_dim=2)
 
-    @pytest.mark.parametrize("seed", range(5))
-    def test_unitary_relating_purifications(self, seed):
-        rng = np.random.default_rng(seed)
-        rho = quantum.random_density(3, rng, rank=2)
-        v1 = quantum.purification_vector(rho, env_dim=4)
-        u_y = linalg.random_unitary(4, rng)
-        v2 = (np.kron(np.eye(3), u_y) @ v1)
-        u = quantum.unitary_relating_purifications(v1, v2, x_dim=3, y_dim=4)
-        np.testing.assert_allclose(np.kron(np.eye(3), u) @ v1, v2, atol=1e-8)
-        np.testing.assert_allclose(u @ u.conj().T, np.eye(4), atol=1e-9)
-
-    def test_unrelated_marginals_rejected(self):
-        rng = np.random.default_rng(10)
-        v1 = quantum.random_pure_vector(6, rng)
-        v2 = quantum.random_pure_vector(6, rng)
-        with pytest.raises(DomainError):
-            quantum.unitary_relating_purifications(v1, v2, x_dim=2, y_dim=3)
-
 
 class TestSteeringPovm:
     @pytest.mark.parametrize("seed", range(8))
@@ -215,7 +218,7 @@ class TestSteeringPovm:
         spec = linalg.spectral(psi_x)
         scale = rng.uniform(0.2, 0.9, size=dx)
         target = (spec.vectors * (spec.values * scale)) @ spec.vectors.conj().T
-        p = quantum.povm_completion(psi, target)
+        p = quantum.povm_completion(vec.reshape(dx, dz), target)
         assert linalg.schatten_norm(p, np.inf) <= 1.0 + 1e-8
         eigs = np.linalg.eigvalsh(linalg.hermitianize(p))
         assert eigs.min() >= -1e-8
@@ -231,7 +234,7 @@ class TestSteeringPovm:
                                         shape(("X", 2), ("Z", 2)))
         too_big = psi.marginal(["X"]).matrix + 0.5 * np.eye(2)
         with pytest.raises(DomainError):
-            quantum.povm_completion(psi, too_big)
+            quantum.povm_completion(vec.reshape(2, 2), too_big)
 
 
 class TestOperatorFacts:
