@@ -91,10 +91,28 @@ class ExperimentConfig:
             if isinstance(v, bool) or not isinstance(v, int) or v < 1:
                 raise ConfigError(f"dims[{k!r}] must be a positive integer",
                                   field="dims")
+        if self.probs is not None:
+            object.__setattr__(self, "probs", _distribution(self.probs))
 
     @property
     def out_path(self) -> Path:
         return Path(self.output_dir or f"runs/{self.experiment}")
+
+
+def _distribution(probs) -> tuple[float, ...]:
+    """`probs` as floats; a ConfigError unless it is a list of nonnegative
+    numbers summing to 1 within 1e-9, the tolerance of `TypicalSpec`."""
+    if isinstance(probs, (list, tuple)) and all(
+            isinstance(p, (int, float)) and not isinstance(p, bool) for p in probs):
+        try:
+            p = np.asarray(probs, dtype=float)
+        except OverflowError:  # an integer too large for a float
+            pass
+        else:
+            if (p >= 0).all() and abs(p.sum() - 1.0) <= 1e-9:
+                return tuple(float(x) for x in p)
+    raise ConfigError(f"probs must be a list of nonnegative numbers summing to 1, "
+                      f"got {probs!r}", field="probs")
 
 
 def load_config(path) -> ExperimentConfig:
@@ -117,9 +135,6 @@ def load_config(path) -> ExperimentConfig:
     if "experiment" not in raw:
         raise ConfigError(f"{path}: missing required key 'experiment'",
                           field="experiment")
-    if "probs" in raw and raw["probs"] is not None:
-        raw = dict(raw)
-        raw["probs"] = tuple(float(p) for p in raw["probs"])
     return ExperimentConfig(**raw)
 
 

@@ -92,9 +92,15 @@ def embed_on_labels(op: np.ndarray, shp: SystemShape, labels) -> np.ndarray:
     labels = [labels] if isinstance(labels, str) else list(labels)
     rest = [n for n in shp.names if n not in labels]
     d_rest = shp.dim_of_all(rest)
+    op = linalg.as_matrix(op)
     if op.shape[0] != shp.dim_of_all(labels):
         raise DimensionError("embedded operator does not match the label dimensions")
-    big = np.kron(np.eye(d_rest, dtype=complex), np.asarray(op, dtype=complex))
+    # kron(I, op) as np.kron computes it: the same products, without its set-up
+    d = d_rest * op.shape[0]
+    eye = np.eye(d_rest, dtype=complex)
+    big = (eye[:, None, :, None] * op[None, :, None, :]).reshape(d, d)
+    if rest + labels == list(shp.names):
+        return big
     big_shape = SystemShape(
         tuple((n, shp.dim_of(n)) for n in rest) + tuple((n, shp.dim_of(n)) for n in labels)
     )
@@ -114,36 +120,35 @@ def tilde_conjugate(state: DensitySystem, weight: np.ndarray, which) -> DensityS
     return DensitySystem.from_matrix(out, state.shape)
 
 
-def _support_projector(weight: np.ndarray) -> np.ndarray:
-    spec = linalg.spectral(weight)
+def _support_projector(spec: linalg.Spectrum) -> np.ndarray:
     lmax = float(spec.values.max(initial=0.0))
     keep = spec.values > RANK_FLOOR * max(lmax, 1.0)
     cols = spec.vectors[:, keep]
     return cols @ cols.conj().T
 
 
-def _collision_value(sigma: np.ndarray, shp: SystemShape, weight: np.ndarray,
-                     given) -> float | None:
-    """-2 log2 of the weighted 2-norm, or None when the point leaks support."""
-    given = [given] if isinstance(given, str) else list(given)
-    marg = linalg.partial_trace(sigma, shp, [n for n in shp.names if n not in given])
-    proj = _support_projector(weight)
+def _collision_value(sigma: np.ndarray, marg: np.ndarray, proj: np.ndarray,
+                     w: np.ndarray) -> float | None:
+    """-2 log2 of the weighted 2-norm, or None when the point leaks support.
+
+    `marg` is sigma's marginal on the conditioning labels, `proj` the
+    weight's support projector there, and `w` the weight's -1/4 power
+    embedded on the full space.
+    """
     leak = float(np.real(np.trace(marg))) - float(np.real(np.trace(proj @ marg)))
     if leak > 1e-10:
         return None
-    norm = linalg.schatten_norm(
-        conj_by_inverse_quarter(sigma, shp, weight, given), 2
-    )
+    norm = linalg.schatten_norm(w @ sigma @ w, 2)
     if norm <= 0:
         return None
     return float(-2.0 * math.log2(norm))
 
 
-def _truncation_candidates(rho: DensitySystem, eps: float) -> list[tuple[np.ndarray, float]]:
+def _truncation_candidates(rho: DensitySystem, eps: float) -> list[np.ndarray]:
     """Subnormalised spectral truncations within the ball: drop k smallest."""
     spec = linalg.spectral(rho.matrix)
     order = np.argsort(spec.values)  # ascending
-    out = [(rho.matrix, 0.0)]
+    out = [rho.matrix]
     if eps <= 0:
         return out
     dropped = 0.0
@@ -157,7 +162,7 @@ def _truncation_candidates(rho: DensitySystem, eps: float) -> list[tuple[np.ndar
         dropped += spec.values[idx]
         mask[idx] = False
         vals = np.where(mask, spec.values, 0.0)
-        out.append(((spec.vectors * vals) @ spec.vectors.conj().T, dropped))
+        out.append((spec.vectors * vals) @ spec.vectors.conj().T)
     return out
 
 
@@ -189,22 +194,28 @@ def h2_with_witness(
                         "weights restricted to its support")
     basis = marg_spec.vectors[:, support]
 
-    sigmas = _truncation_candidates(rho, cfg.epsilon)
+    # the truncations and their marginals do not depend on the weight
+    traced = [n for n in rho.shape.names if n not in given_list]
+    sigmas = [(sig, linalg.partial_trace(sig, rho.shape, traced))
+              for sig in _truncation_candidates(rho, cfg.epsilon)]
 
     def best_over_sigmas(weight: np.ndarray) -> tuple[float, np.ndarray] | None:
+        spec = linalg.spectral(weight)
+        proj = _support_projector(spec)
+        w = embed_on_labels(spec.power(-0.25), rho.shape, given_list)
         best = None
-        for sig, dist in sigmas:
-            val = _collision_value(sig, rho.shape, weight, given_list)
+        for sig, sig_marg in sigmas:
+            val = _collision_value(sig, sig_marg, proj, w)
             if val is None:
                 continue
             if best is None or val > best[0]:
                 best = (val, sig)
         if cfg.epsilon > 0:
-            proj = _support_projector(weight)
             op = embed_on_labels(proj, rho.shape, given_list)
             sig = op @ rho.matrix @ op
             if linalg.schatten_norm(rho.matrix - sig, 1) <= cfg.epsilon + 1e-12:
-                val = _collision_value(sig, rho.shape, weight, given_list)
+                sig_marg = linalg.partial_trace(sig, rho.shape, traced)
+                val = _collision_value(sig, sig_marg, proj, w)
                 if val is not None and (best is None or val > best[0]):
                     best = (val, sig)
         return best
@@ -384,8 +395,8 @@ def h2_prime(omega: DensitySystem, eps: float, delta: float,
     """
     omega_b = omega.marginal([given])
     w3 = omega_triple_prime(omega_b, eps, delta)
-    proj = _support_projector(w3.matrix)
-    proj_full = embed_on_labels(proj, omega.shape, [given])
+    w3_spec = linalg.spectral(w3.matrix)
+    proj_full = embed_on_labels(_support_projector(w3_spec), omega.shape, [given])
 
     spec = linalg.spectral(omega.matrix)
     lmax = float(spec.values.max(initial=0.0))
@@ -413,10 +424,8 @@ def h2_prime(omega: DensitySystem, eps: float, delta: float,
     vals = np.zeros_like(spec.values)
     vals[keep] = spec.values[keep]
     eta = (spec.vectors * vals) @ spec.vectors.conj().T
-    norm = linalg.schatten_norm(
-        conj_by_inverse_quarter(eta, omega.shape, w3.matrix, [given]), 2
-    )
-    value = float(-2.0 * math.log2(norm))
+    w = embed_on_labels(w3_spec.power(-0.25), omega.shape, [given])
+    value = float(-2.0 * math.log2(linalg.schatten_norm(w @ eta @ w, 2)))
     return value, DensitySystem.from_matrix(eta, omega.shape)
 
 

@@ -139,6 +139,26 @@ class Spectrum:
     def reconstruct(self) -> np.ndarray:
         return (self.vectors * self.values) @ self.vectors.conj().T
 
+    def power(self, exponent: float, cutoff: float = EIG_CUTOFF) -> np.ndarray:
+        """Spectral power of a PSD matrix, inverting only above the relative cutoff.
+
+        Eigenvalues at or below cutoff * lambda_max are mapped to zero. Negative
+        eigenvalues beyond -1e-9 * lambda_max are rejected.
+        """
+        lmax = float(self.values.max(initial=0.0))
+        if lmax <= 0.0:
+            if float(self.values.min(initial=0.0)) < -1e-9:
+                raise DomainError("matrix is not positive semidefinite")
+            return np.zeros_like(self.vectors)
+        if float(self.values.min()) < -1e-9 * lmax:
+            raise DomainError(
+                f"matrix has negative eigenvalue {self.values.min():.3e}, not PSD"
+            )
+        mask = self.values > cutoff * lmax
+        powered = np.zeros_like(self.values)
+        powered[mask] = self.values[mask] ** float(exponent)
+        return (self.vectors * powered) @ self.vectors.conj().T
+
 
 def _pin_phases(vectors: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     out = vectors.copy()
@@ -231,25 +251,8 @@ def schatten_norm(m: np.ndarray, p: float) -> float:
 def pseudo_inverse_power(
     m: np.ndarray, exponent: float, cutoff: float = EIG_CUTOFF
 ) -> np.ndarray:
-    """Spectral power of a PSD matrix, inverting only above the relative cutoff.
-
-    Eigenvalues at or below cutoff * lambda_max are mapped to zero. Negative
-    eigenvalues beyond -1e-9 * lambda_max are rejected.
-    """
-    spec = spectral(m)
-    lmax = float(spec.values.max(initial=0.0))
-    if lmax <= 0.0:
-        if float(spec.values.min(initial=0.0)) < -1e-9:
-            raise DomainError("matrix is not positive semidefinite")
-        return np.zeros_like(np.asarray(m, dtype=complex))
-    if float(spec.values.min()) < -1e-9 * lmax:
-        raise DomainError(
-            f"matrix has negative eigenvalue {spec.values.min():.3e}, not PSD"
-        )
-    mask = spec.values > cutoff * lmax
-    powered = np.zeros_like(spec.values)
-    powered[mask] = spec.values[mask] ** float(exponent)
-    return (spec.vectors * powered) @ spec.vectors.conj().T
+    """`Spectrum.power` of the decomposition of m."""
+    return spectral(m).power(exponent, cutoff)
 
 
 def vec_inverse(v: np.ndarray, shp: SystemShape) -> np.ndarray:

@@ -174,8 +174,13 @@ class TestRunArtifacts:
         {"experiment": "design-verify", "ensemble": {"kind": "nonsense", "dim": 2}},
         {"seed": True},
         {"samples": True},
+        {"experiment": "typicality", "probs": ["x"]},
+        {"experiment": "typicality", "probs": 5},
+        {"experiment": "typicality", "probs": [0.5, 0.6]},
+        {"experiment": "typicality", "probs": [-0.5, 1.5]},
     ], ids=["float-samples", "string-samples", "negative-seed", "haar-without-dim",
-            "unknown-kind", "bool-seed", "bool-samples"])
+            "unknown-kind", "bool-seed", "bool-samples", "string-probs",
+            "scalar-probs", "probs-over-one", "negative-probs"])
     def test_malformed_config_exits_two(self, tmp_path, capsys, overrides):
         payload = {"experiment": "decouple-expect", "dims": {"a": 2, "r": 2},
                    "samples": 4, "t": 1, "output_dir": str(tmp_path / "out")}

@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 from decouplab import entropy, linalg, quantum
 from decouplab.entropy import SmoothingConfig
@@ -299,7 +300,33 @@ class TestTildeMachinery:
         op = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         got = entropy.embed_on_labels(op, shp, ["B"])
         want = np.kron(np.kron(np.eye(2), op), np.eye(2))
-        np.testing.assert_allclose(got, want, atol=1e-12)
+        np.testing.assert_array_equal(got, want)
+
+    def test_embed_in_label_order_is_kron(self):
+        rng = np.random.default_rng(13)
+        shp = shape(("A", 2), ("B", 3), ("C", 2))
+        op = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+        got = entropy.embed_on_labels(op, shp, ["B", "C"])
+        np.testing.assert_array_equal(got, np.kron(np.eye(2), op))
+
+    def test_embed_permutes_reversed_labels(self):
+        # op acts on C (x) A; entry ((a,b,c),(a',b',c')) is
+        # delta(b,b') op[(c,a),(c',a')]
+        rng = np.random.default_rng(14)
+        shp = shape(("A", 2), ("B", 3), ("C", 2))
+        op = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        got = entropy.embed_on_labels(op, shp, ["C", "A"])
+        want = np.zeros((12, 12), dtype=complex)
+        for a, b, c, a2, c2 in np.ndindex(2, 3, 2, 2, 2):
+            want[(a * 3 + b) * 2 + c, (a2 * 3 + b) * 2 + c2] = op[c * 2 + a, c2 * 2 + a2]
+        np.testing.assert_array_equal(got, want)
+
+    def test_non_psd_weight_rejected(self):
+        rho = quantum.random_state(shape(("A", 2), ("B", 2)),
+                                   np.random.default_rng(15))
+        weight = np.diag([1.0, -2e-9])  # below -1e-9 * lambda_max
+        with pytest.raises(DomainError):
+            entropy.conj_by_inverse_quarter(rho.matrix, rho.shape, weight, ["B"])
 
     def test_tilde_conjugate_product(self):
         rng = np.random.default_rng(12)
@@ -310,6 +337,167 @@ class TestTildeMachinery:
         want = np.kron(a, linalg.pseudo_inverse_power(b, -0.25) @ b
                        @ linalg.pseudo_inverse_power(b, -0.25))
         np.testing.assert_allclose(out.matrix, want, atol=1e-10)
+
+
+def _per_sigma_support_projector(weight):
+    spec = linalg.spectral(weight)
+    lmax = float(spec.values.max(initial=0.0))
+    cols = spec.vectors[:, spec.values > entropy.RANK_FLOOR * max(lmax, 1.0)]
+    return cols @ cols.conj().T
+
+
+def _kron_embed(op, shp, labels):
+    rest = [n for n in shp.names if n not in labels]
+    big = np.kron(np.eye(shp.dim_of_all(rest), dtype=complex), op)
+    big_shape = linalg.SystemShape(
+        tuple((n, shp.dim_of(n)) for n in rest + labels)
+    )
+    return linalg.permute_systems(big, big_shape, list(shp.names))
+
+
+def _per_sigma_collision_value(sigma, shp, weight, given):
+    marg = linalg.partial_trace(sigma, shp, [n for n in shp.names if n not in given])
+    proj = _per_sigma_support_projector(weight)
+    leak = float(np.real(np.trace(marg))) - float(np.real(np.trace(proj @ marg)))
+    if leak > 1e-10:
+        return None
+    w = _kron_embed(linalg.pseudo_inverse_power(weight, -0.25), shp, given)
+    norm = linalg.schatten_norm(w @ sigma @ w, 2)
+    if norm <= 0:
+        return None
+    return float(-2.0 * math.log2(norm))
+
+
+def per_sigma_h2_with_witness(rho, cfg, weight_mode, given):
+    """The search as first written: every candidate sigma re-derives the
+    weight's support projector, its -1/4 power and its own marginal."""
+    given = [given] if isinstance(given, str) else list(given)
+    warnings = []
+    marg = rho.marginal(given).matrix
+    marg_spec = linalg.spectral(marg)
+    lmax = float(marg_spec.values.max(initial=0.0))
+    support = marg_spec.values > entropy.RANK_FLOOR * max(lmax, 1.0)
+    rank = int(support.sum())
+    if rank < marg.shape[0]:
+        warnings.append("conditioning marginal is rank deficient; "
+                        "weights restricted to its support")
+    basis = marg_spec.vectors[:, support]
+    sigmas = entropy._truncation_candidates(rho, cfg.epsilon)
+
+    def best_over_sigmas(weight):
+        best = None
+        for sig in sigmas:
+            val = _per_sigma_collision_value(sig, rho.shape, weight, given)
+            if val is not None and (best is None or val > best[0]):
+                best = (val, sig)
+        if cfg.epsilon > 0:
+            op = _kron_embed(_per_sigma_support_projector(weight), rho.shape, given)
+            sig = op @ rho.matrix @ op
+            if linalg.schatten_norm(rho.matrix - sig, 1) <= cfg.epsilon + 1e-12:
+                val = _per_sigma_collision_value(sig, rho.shape, weight, given)
+                if val is not None and (best is None or val > best[0]):
+                    best = (val, sig)
+        return best
+
+    candidates = []
+
+    def consider(weight):
+        got = best_over_sigmas(weight)
+        if got is not None:
+            candidates.append((got[0], got[1], weight))
+
+    def objective(x):
+        got = best_over_sigmas(entropy._simplex_weight(basis, np.asarray(x)))
+        return -(-1e6 if got is None else got[0])
+
+    consider(marg)
+    if weight_mode == "minimized":
+        sup_vals = marg_spec.values[support]
+        for start in (np.log(np.clip(sup_vals, 1e-12, None)), np.zeros(rank)):
+            consider(entropy._simplex_weight(basis, start))
+            if rank > 1:
+                res = minimize(objective, start, method="Nelder-Mead", options={
+                    "maxiter": cfg.minimizer_iterations,
+                    "fatol": cfg.minimizer_tolerance,
+                    "xatol": cfg.minimizer_tolerance,
+                })
+                consider(entropy._simplex_weight(basis, res.x))
+        asc = np.argsort(sup_vals)
+        for k in range(1, rank):
+            kept = np.delete(np.arange(rank), asc[:k])
+            w = ((basis[:, kept] * (sup_vals[kept] / sup_vals[kept].sum()))
+                 @ basis[:, kept].conj().T)
+            consider(w)
+    if not candidates:
+        raise DomainError("no feasible smoothing point found inside the ball")
+    value, sigma, weight = max(candidates, key=lambda c: c[0])
+    return value, sigma, weight, tuple(warnings)
+
+
+def _pinned_instance(name):
+    if name == "random-AB":
+        return quantum.random_state(shape(("A", 3), ("B", 2)),
+                                    np.random.default_rng(21)), "B"
+    if name == "rank-deficient":
+        vec = np.kron(np.array([1.0, 0.0]), np.array([1.0, 0.0]))
+        return DensitySystem(np.outer(vec, vec), shape(("A", 2), ("B", 2))), "B"
+    # conditioning on the middle label makes embed_on_labels permute
+    return quantum.random_state(shape(("A", 2), ("B", 3), ("C", 2)),
+                                np.random.default_rng(23)), "B"
+
+
+class TestSearchMatchesPerSigmaRoute:
+    @pytest.mark.parametrize("eps", [0.0, 0.05, 0.2])
+    @pytest.mark.parametrize("mode", ["fixed_marginal", "minimized"])
+    @pytest.mark.parametrize("name", ["random-AB", "rank-deficient", "middle-label"])
+    def test_bit_identical(self, name, mode, eps):
+        rho, given = _pinned_instance(name)
+        cfg = SmoothingConfig(epsilon=eps)
+        value, sigma, weight, warns = entropy.h2_with_witness(rho, cfg, mode, given)
+        o_value, o_sigma, o_weight, o_warns = per_sigma_h2_with_witness(
+            rho, cfg, mode, given)
+        assert value == o_value
+        np.testing.assert_array_equal(sigma, o_sigma)
+        np.testing.assert_array_equal(weight, o_weight)
+        assert warns == o_warns
+
+    def test_one_weight_decomposition_per_evaluation(self, monkeypatch):
+        rho = quantum.random_state(shape(("A", 4), ("B", 2)),
+                                   np.random.default_rng(24))
+        cfg = SmoothingConfig(epsilon=0.05)
+        n_sigmas = len(entropy._truncation_candidates(rho, cfg.epsilon))
+        assert n_sigmas >= 3  # a per-sigma decomposition would show
+        counts = {"spectral": 0, "partial_trace": 0}
+        nfev = []
+
+        def counted(name):
+            real = getattr(linalg, name)
+
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return real(*args, **kwargs)
+            return wrapper
+
+        real_minimize = entropy.minimize
+
+        def counted_minimize(*args, **kwargs):
+            res = real_minimize(*args, **kwargs)
+            nfev.append(res.nfev)
+            return res
+
+        for name in counts:
+            monkeypatch.setattr(linalg, name, counted(name))
+        monkeypatch.setattr(entropy, "minimize", counted_minimize)
+        entropy.h2_with_witness(rho, cfg, "minimized", "B")
+        assert len(nfev) == 2
+        # outside the Nelder-Mead evaluations: the marginal, the truncations
+        # and six more weights (the marginal, two starts, two optima and one
+        # truncated start at rank 2)
+        evaluations = sum(nfev) + 6
+        assert counts["spectral"] <= evaluations + 2
+        # sigma-candidate marginals once per call; only the projected
+        # candidate op rho op takes one per evaluation
+        assert counts["partial_trace"] <= evaluations + n_sigmas + 1
 
 
 class TestReports:

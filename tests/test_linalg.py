@@ -192,6 +192,16 @@ class TestPseudoInversePower:
         with pytest.raises(DomainError):
             linalg.pseudo_inverse_power(np.diag([1.0, -0.5]), -1.0)
 
+    def test_spectrum_power_rejects_negative_eigenvalues(self):
+        # below -1e-9 * lambda_max, and below -1e-9 when nothing is positive
+        with pytest.raises(DomainError):
+            linalg.spectral(np.diag([1.0, -2e-9])).power(-0.25)
+        with pytest.raises(DomainError):
+            linalg.spectral(np.diag([0.0, -1e-3])).power(-0.25)
+        np.testing.assert_array_equal(
+            linalg.spectral(np.zeros((2, 2))).power(-0.25), np.zeros((2, 2))
+        )
+
 
 class TestVecAndSwap:
     def test_vec_inverse_indexing(self):
