@@ -150,7 +150,16 @@ def _dim(cfg: ExperimentConfig, key: str, default: int | None = None) -> int:
 def _parse_ensemble(desc) -> ensembles.UnitaryEnsemble:
     """The ensemble a config describes; a malformed descriptor is a ConfigError."""
     inner = desc
-    while isinstance(inner, dict) and inner.get("kind") == "iterated":
+    while isinstance(inner, dict):
+        for key in ("dim", "n_qubits", "depth", "iterations", "seed"):
+            v = inner.get(key, 0)
+            if isinstance(v, bool) or not isinstance(v, int):
+                raise ConfigError(f"ensemble {key} must be an integer, got {v!r}",
+                                  field="ensemble")
+        if inner.get("seed", 0) < 0:
+            raise ConfigError("ensemble seed must be nonnegative", field="ensemble")
+        if inner.get("kind") != "iterated":
+            break
         inner = inner.get("base")
     try:
         if not isinstance(inner, dict) or inner.get("kind") not in ensembles.KINDS:

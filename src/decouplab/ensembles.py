@@ -3,15 +3,15 @@ moment operators, with tensor-product-expander diagnostics.
 
 Sampling is counter-based: each draw seeds its own generator from
 (root seed, stream index), so runs are reproducible regardless of order
-and safe to parallelise. The same contract holds for stacked draws:
-`sample_batch(streams)` equals stacking `sample(i)` for i in streams,
-bit for bit, however the streams are split into batches.
+and safe to parallelise. `sample_batch(streams)` is the one sampler; a
+draw depends only on its stream, so the stack is the same, bit for bit,
+however the streams are split into batches, and `sample(i)` is the
+batch of one.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 
@@ -24,7 +24,6 @@ KINDS = ("enumerated", "haar", "circuit", "iterated")
 MOMENT_DIM_CAP = 4096  # largest dim**(2t), the superoperator dimension
 # working memory for one stack of flattened U^(x)t in moment_operator
 MOMENT_BATCH_BYTES = 1 << 21
-CACHE_VERSION = 1
 
 
 def _strip_phase(m: np.ndarray, tol: float = 1e-8) -> np.ndarray:
@@ -58,19 +57,14 @@ def _canonical_key(m: np.ndarray) -> bytes:
     return (np.round(stripped, 9) + 0.0).tobytes()
 
 
-def clifford_group(n_qubits: int, cache_path=None) -> list[np.ndarray]:
+def clifford_group(n_qubits: int) -> list[np.ndarray]:
     """Closure of the standard generators modulo global phase.
 
     Sizes are 24 for one qubit and 11520 for two. Closure is a breadth-first
-    multiplication sweep with phase-canonical dedup keys; pass cache_path to
-    persist or reuse the member list as a binary fixture.
+    multiplication sweep with phase-canonical dedup keys.
     """
     if n_qubits not in (1, 2):
         raise DomainError("clifford_group supports 1 or 2 qubits")
-    if cache_path is not None:
-        cached = _load_cache(cache_path, f"clifford{n_qubits}")
-        if cached is not None:
-            return cached
     h = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
     s = np.array([[1, 0], [0, 1j]], dtype=complex)
     if n_qubits == 1:
@@ -97,37 +91,7 @@ def clifford_group(n_qubits: int, cache_path=None) -> list[np.ndarray]:
     expected = {1: 24, 2: 11520}[n_qubits]
     if len(members) != expected:
         raise DomainError(f"clifford closure found {len(members)} members, expected {expected}")
-    if cache_path is not None:
-        _save_cache(cache_path, f"clifford{n_qubits}", members)
     return members
-
-
-def _save_cache(path, tag: str, members: list[np.ndarray]):
-    data = np.stack(members).astype(complex)
-    header = json.dumps({"tag": tag, "count": data.shape[0], "dim": data.shape[1]})
-    with open(path, "wb") as fh:
-        fh.write(bytes([CACHE_VERSION]))
-        hb = header.encode()
-        fh.write(len(hb).to_bytes(4, "little"))
-        fh.write(hb)
-        fh.write(data.tobytes())
-
-
-def _load_cache(path, tag: str):
-    try:
-        with open(path, "rb") as fh:
-            blob = fh.read()
-    except FileNotFoundError:
-        return None
-    if not blob or blob[0] != CACHE_VERSION:
-        return None
-    hlen = int.from_bytes(blob[1:5], "little")
-    header = json.loads(blob[5 : 5 + hlen].decode())
-    if header.get("tag") != tag:
-        return None
-    count, dim = header["count"], header["dim"]
-    data = np.frombuffer(blob[5 + hlen :], dtype=complex).reshape(count, dim, dim)
-    return [data[i].copy() for i in range(count)]
 
 
 @dataclass(frozen=True)
@@ -149,36 +113,60 @@ class UnitaryEnsemble:
             raise DomainError(f"unknown ensemble kind {self.kind!r}")
         if self.kind == "enumerated" and not self.members:
             raise DomainError("enumerated ensemble needs members")
-        if self.kind == "iterated" and self.base is None:
-            raise DomainError("iterated ensemble needs a base")
+        if self.dim < 1:
+            raise DomainError(f"ensemble dimension must be positive, got {self.dim}")
+        if self.kind == "enumerated":
+            if any(np.shape(m) != (self.dim, self.dim) for m in self.members):
+                raise DomainError(f"enumerated members must all be {self.dim}x{self.dim}")
+            us = np.stack(self.members)
+            gap = np.abs(us @ us.conj().transpose(0, 2, 1) - np.eye(self.dim)).max()
+            if not gap <= 1e-9:
+                raise DomainError(f"enumerated members must be unitary, |U U^dag - I| = {gap:.3g}")
+        if self.kind == "circuit":
+            if self.n_qubits < 2:
+                raise DomainError("circuit ensembles need at least two qubits")
+            if self.dim != 2**self.n_qubits:
+                raise DomainError(f"a {self.n_qubits}-qubit circuit has dimension "
+                                  f"{2**self.n_qubits}, not {self.dim}")
+            if self.circuit_depth < 0:
+                raise DomainError("depth must be nonnegative")
+        if self.kind == "iterated":
+            if self.base is None:
+                raise DomainError("iterated ensemble needs a base")
+            if self.base.dim != self.dim:
+                raise DomainError(f"iterated ensemble of dimension {self.dim} has a "
+                                  f"base of dimension {self.base.dim}")
+            if self.iterations < 1:
+                raise DomainError("iteration count must be at least 1")
 
     def sample(self, stream: int) -> np.ndarray:
-        rng = np.random.default_rng((self.seed, stream))
-        if self.kind == "enumerated":
-            return self.members[int(rng.integers(len(self.members)))]
-        if self.kind == "haar":
-            return linalg.random_unitary(self.dim, rng)
-        if self.kind == "circuit":
-            return _circuit_unitary(self.n_qubits, self.circuit_depth, rng)
-        u = np.eye(self.dim, dtype=complex)
-        for j in range(self.iterations):
-            u = self.base.sample(stream * self.iterations + j) @ u
-        return u
+        return self.sample_batch([stream])[0]
 
     def sample_batch(self, streams) -> np.ndarray:
         """The draws of `streams`, in order, as an (n, dim, dim) stack."""
         streams = list(streams)
         if not streams:
             return np.empty((0, self.dim, self.dim), dtype=complex)
+        if self.kind == "iterated":
+            # draw s is the product of base draws s*k .. s*k + k - 1, latest on the left
+            k = self.iterations
+            draws = self.base.sample_batch([s * k + j for s in streams for j in range(k)])
+            u = np.eye(self.dim, dtype=complex)
+            for j in range(k):
+                u = draws[j::k] @ u
+            return u
+        rngs = [np.random.default_rng((self.seed, s)) for s in streams]
+        if self.kind == "enumerated":
+            return np.stack([self.members[int(rng.integers(len(self.members)))]
+                             for rng in rngs])
         if self.kind == "haar":
-            return linalg.random_unitaries(
-                self.dim, [np.random.default_rng((self.seed, i)) for i in streams])
-        return np.stack([self.sample(i) for i in streams])
+            return linalg.random_unitaries(self.dim, rngs)
+        return _circuit_unitaries(self.n_qubits, self.circuit_depth, rngs)
 
 
 def enumerated_ensemble(members, seed: int = 0, name: str = "") -> UnitaryEnsemble:
     members = tuple(np.asarray(m, dtype=complex) for m in members)
-    return UnitaryEnsemble(kind="enumerated", dim=members[0].shape[0],
+    return UnitaryEnsemble(kind="enumerated", dim=members[0].shape[0] if members else 0,
                            seed=seed, members=members, name=name)
 
 
@@ -188,10 +176,6 @@ def haar_ensemble(dim: int, seed: int = 0) -> UnitaryEnsemble:
 
 def random_circuit_ensemble(n_qubits: int, depth: int, seed: int = 0) -> UnitaryEnsemble:
     """Alternating brickwork of Haar two-qubit gates on a ring of qubits."""
-    if n_qubits < 2:
-        raise DomainError("circuit ensembles need at least two qubits")
-    if depth < 0:
-        raise DomainError("depth must be nonnegative")
     return UnitaryEnsemble(kind="circuit", dim=2**n_qubits, seed=seed,
                            n_qubits=n_qubits, circuit_depth=depth, name="circuit")
 
@@ -204,32 +188,30 @@ def _ring_pairs(n: int, layer: int) -> list[tuple[int, int]]:
     return pairs
 
 
-def _circuit_unitary(n: int, depth: int, rng: np.random.Generator) -> np.ndarray:
-    dim = 2**n
-    u = np.eye(dim, dtype=complex)
-    qubit_shape = linalg.SystemShape(tuple((f"q{i}", 2) for i in range(n)))
-    for layer in range(depth):
-        for a, b in _ring_pairs(n, layer):
-            gate = linalg.random_unitary(4, rng)
-            u = _embed_two_qubit(gate, qubit_shape, a, b) @ u
-    return u
+def _circuit_unitaries(n: int, depth: int, rngs) -> np.ndarray:
+    """One brickwork circuit per generator, as an (len(rngs), 2**n, 2**n) stack.
 
-
-def _embed_two_qubit(gate: np.ndarray, qshape: linalg.SystemShape,
-                     a: int, b: int) -> np.ndarray:
-    n = len(qshape.labels)
-    rest = [f"q{i}" for i in range(n) if i not in (a, b)]
-    big = np.kron(gate, np.eye(2 ** (n - 2), dtype=complex))
-    big_shape = linalg.SystemShape(
-        ((f"q{a}", 2), (f"q{b}", 2)) + tuple((r, 2) for r in rest)
-    )
-    return linalg.permute_systems(big, big_shape, [f"q{i}" for i in range(n)])
+    Each generator draws its gates' Ginibre matrices in gate order. A gate on
+    qubits (a, b) acts on the whole stack by one batched matmul over the row
+    axes a and b of the (m, 2, ..., 2, 2**n) tensor, with a first.
+    """
+    m, dim = len(rngs), 2**n
+    u = np.tile(np.eye(dim, dtype=complex), (m, 1, 1))
+    pairs = [p for layer in range(depth) for p in _ring_pairs(n, layer)]
+    if not pairs:
+        return u
+    gates = linalg.random_unitaries(4, [rng for rng in rngs for _ in pairs])
+    gates = gates.reshape(m, len(pairs), 4, 4)
+    u = u.reshape((m,) + (2,) * n + (dim,))
+    for k, (a, b) in enumerate(pairs):
+        v = np.moveaxis(u, (1 + a, 1 + b), (1, 2))
+        v = (gates[:, k] @ v.reshape(m, 4, -1)).reshape(v.shape)
+        u = np.moveaxis(v, (1, 2), (1 + a, 1 + b))
+    return u.reshape(m, dim, dim)
 
 
 def iterate_ensemble(e: UnitaryEnsemble, k: int) -> UnitaryEnsemble:
     """Products of k independent draws; moment operators compose as powers."""
-    if k < 1:
-        raise DomainError("iteration count must be at least 1")
     return UnitaryEnsemble(kind="iterated", dim=e.dim, seed=e.seed,
                            base=e, iterations=k, name=f"{e.name}^{k}")
 

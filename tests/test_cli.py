@@ -178,9 +178,22 @@ class TestRunArtifacts:
         {"experiment": "typicality", "probs": 5},
         {"experiment": "typicality", "probs": [0.5, 0.6]},
         {"experiment": "typicality", "probs": [-0.5, 1.5]},
+        {"ensemble": {"kind": "haar", "dim": 2, "seed": -1}},
+        {"experiment": "design-verify", "ensemble": {"kind": "haar", "dim": True}},
+        {"experiment": "design-verify", "ensemble": {
+            "kind": "iterated", "iterations": 2.9, "base": {"kind": "haar", "dim": 2}}},
+        {"experiment": "design-verify", "ensemble": {
+            "kind": "iterated", "iterations": 2, "base": {"kind": "haar", "dim": 2,
+                                                          "seed": -3}}},
+        {"experiment": "design-verify", "ensemble": {
+            "kind": "circuit", "n_qubits": 2, "depth": "1"}},
+        {"experiment": "design-verify", "ensemble": {
+            "kind": "enumerated", "name": "pauli", "n_qubits": 1.0}},
     ], ids=["float-samples", "string-samples", "negative-seed", "haar-without-dim",
             "unknown-kind", "bool-seed", "bool-samples", "string-probs",
-            "scalar-probs", "probs-over-one", "negative-probs"])
+            "scalar-probs", "probs-over-one", "negative-probs",
+            "ensemble-negative-seed", "ensemble-bool-dim", "ensemble-float-iterations",
+            "base-negative-seed", "ensemble-string-depth", "ensemble-float-qubits"])
     def test_malformed_config_exits_two(self, tmp_path, capsys, overrides):
         payload = {"experiment": "decouple-expect", "dims": {"a": 2, "r": 2},
                    "samples": 4, "t": 1, "output_dir": str(tmp_path / "out")}
@@ -189,6 +202,23 @@ class TestRunArtifacts:
         assert cli.main(["run", str(p)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error") and "Traceback" not in err
+
+    @pytest.mark.parametrize("ensemble", [
+        {"kind": "enumerated", "members": []},
+        {"kind": "enumerated", "members": [
+            {"rows": 1, "cols": 1, "re": [1], "im": [0]},
+            {"rows": 2, "cols": 2, "re": [1, 0, 0, 1], "im": [0, 0, 0, 0]}]},
+        {"kind": "enumerated", "members": [
+            {"rows": 2, "cols": 2, "re": [2, 0, 0, 1], "im": [0, 0, 0, 0]}]},
+        {"kind": "circuit", "n_qubits": 1, "depth": 2},
+        {"kind": "haar", "dim": 0},
+    ], ids=["no-members", "mixed-sizes", "non-unitary", "one-qubit-circuit", "dim-0"])
+    def test_invalid_ensemble_exits_three(self, tmp_path, capsys, ensemble):
+        p = write_config(tmp_path, experiment="decouple-expect", dims={"a": 2, "r": 2},
+                         samples=4, ensemble=ensemble, output_dir=str(tmp_path / "out"))
+        assert cli.main(["run", str(p)]) == 3
+        err = capsys.readouterr().err
+        assert "computation error: DomainError" in err and "Traceback" not in err
 
     def test_config_error_in_driver_exits_two(self, tmp_path, capsys):
         out = tmp_path / "run4"

@@ -39,20 +39,36 @@ class TestGroups:
     def test_clifford_two_qubit_size(self):
         assert len(ensembles.clifford_group(2)) == 11520
 
-    def test_clifford_cache_round_trip(self, tmp_path):
-        path = tmp_path / "c1.bin"
-        first = ensembles.clifford_group(1, cache_path=path)
-        assert path.exists()
-        second = ensembles.clifford_group(1, cache_path=path)
-        assert len(second) == 24
-        assert all(np.array_equal(a, b) for a, b in zip(first, second))
 
-    def test_cache_tag_mismatch_recomputes(self, tmp_path):
-        path = tmp_path / "c.bin"
-        ensembles.clifford_group(1, cache_path=path)
-        # same file requested for a different group: tag check must reject it
-        two = ensembles.clifford_group(2, cache_path=path)
-        assert len(two) == 11520
+
+def old_circuit_unitary(n, depth, rng):
+    """The per-draw circuit that stacked gate contraction replaced: one
+    `random_unitary(4, rng)` per gate, embedded as kron(gate, I) and permuted."""
+    names = [f"q{i}" for i in range(n)]
+    u = np.eye(2**n, dtype=complex)
+    for layer in range(depth):
+        for a, b in ensembles._ring_pairs(n, layer):
+            gate = linalg.random_unitary(4, rng)
+            rest = [q for i, q in enumerate(names) if i not in (a, b)]
+            big = np.kron(gate, np.eye(2 ** (n - 2), dtype=complex))
+            shp = linalg.SystemShape(tuple((q, 2) for q in [names[a], names[b]] + rest))
+            u = linalg.permute_systems(big, shp, names) @ u
+    return u
+
+
+def old_sample(e, stream):
+    """The per-kind draw body that `sample_batch` replaced."""
+    rng = np.random.default_rng((e.seed, stream))
+    if e.kind == "enumerated":
+        return e.members[int(rng.integers(len(e.members)))]
+    if e.kind == "haar":
+        return linalg.random_unitary(e.dim, rng)
+    if e.kind == "circuit":
+        return old_circuit_unitary(e.n_qubits, e.circuit_depth, rng)
+    u = np.eye(e.dim, dtype=complex)
+    for j in range(e.iterations):
+        u = old_sample(e.base, stream * e.iterations + j) @ u
+    return u
 
 
 class TestSampling:
@@ -83,7 +99,9 @@ class TestSampling:
         ensembles.enumerated_ensemble(ensembles.pauli_group(1), seed=13),
         ensembles.iterate_ensemble(
             ensembles.enumerated_ensemble([HADAMARD, PHASE], seed=14), 3),
-    ], ids=["haar", "circuit", "enumerated", "iterated"])
+        ensembles.random_circuit_ensemble(3, 2, seed=15),
+        ensembles.random_circuit_ensemble(2, 0, seed=16),
+    ], ids=["haar", "circuit", "enumerated", "iterated", "circuit-3q", "circuit-depth-0"])
     def test_batch_equals_stacked_single_draws(self, e):
         a, b = 4, 17
         whole = e.sample_batch(range(a, b))
@@ -93,6 +111,58 @@ class TestSampling:
         for cut in range(a, b + 1):
             parts = [e.sample_batch(range(a, cut)), e.sample_batch(range(cut, b))]
             np.testing.assert_array_equal(np.concatenate(parts), whole)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("depth", [0, 1, 2, 3])
+    def test_circuit_matches_kron_oracle(self, n, depth):
+        e = ensembles.random_circuit_ensemble(n, depth, seed=n * 10 + depth)
+        want = np.stack([old_sample(e, i) for i in range(6)])
+        np.testing.assert_allclose(e.sample_batch(range(6)), want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("e", [
+        ensembles.haar_ensemble(1, seed=2),
+        ensembles.haar_ensemble(4, seed=3),
+        ensembles.enumerated_ensemble(ensembles.clifford_group(1), seed=4),
+        ensembles.iterate_ensemble(
+            ensembles.enumerated_ensemble([HADAMARD, PHASE], seed=5), 3),
+        ensembles.iterate_ensemble(ensembles.haar_ensemble(3, seed=6), 2),
+        ensembles.iterate_ensemble(
+            ensembles.iterate_ensemble(ensembles.haar_ensemble(2, seed=7), 2), 3),
+    ], ids=["haar-1", "haar-4", "enumerated", "iterated-enumerated",
+            "iterated-haar", "iterated-iterated"])
+    def test_draws_equal_old_sample(self, e):
+        want = np.stack([old_sample(e, i) for i in range(12)])
+        np.testing.assert_array_equal(e.sample_batch(range(12)), want)
+
+
+class TestConstruction:
+    @pytest.mark.parametrize("make", [
+        lambda: ensembles.enumerated_ensemble([]),
+        lambda: ensembles.enumerated_ensemble([np.eye(2), np.eye(4)]),
+        lambda: ensembles.enumerated_ensemble([np.eye(2), np.diag([2.0, 1.0])]),
+        lambda: ensembles.enumerated_ensemble([np.full((2, 2), np.nan)]),
+        lambda: ensembles.enumerated_ensemble([np.ones((1, 2))]),
+        lambda: ensembles.enumerated_ensemble([np.eye(0)]),
+        lambda: ensembles.haar_ensemble(0),
+        lambda: ensembles.UnitaryEnsemble(kind="circuit", dim=4),
+        lambda: ensembles.UnitaryEnsemble(kind="circuit", dim=4, n_qubits=3),
+        lambda: ensembles.random_circuit_ensemble(1, 2),
+        lambda: ensembles.random_circuit_ensemble(2, -1),
+        lambda: ensembles.UnitaryEnsemble(kind="iterated", dim=2),
+        lambda: ensembles.UnitaryEnsemble(kind="iterated", dim=4,
+                                          base=ensembles.haar_ensemble(2)),
+        lambda: ensembles.iterate_ensemble(ensembles.haar_ensemble(2), 0),
+    ], ids=["no-members", "mixed-sizes", "non-unitary", "nan-member", "non-square",
+            "empty-member", "haar-dim-0", "circuit-no-qubits", "circuit-wrong-dim",
+            "circuit-one-qubit", "circuit-negative-depth", "iterated-no-base",
+            "iterated-wrong-dim", "iterated-zero"])
+    def test_invalid_ensemble_rejected(self, make):
+        with pytest.raises(DomainError):
+            make()
+
+    def test_unitary_tolerance(self):
+        near = np.diag([1.0, np.exp(1e-11j) * (1 + 1e-11)])
+        assert ensembles.enumerated_ensemble([near]).dim == 2
 
 
 class TestMomentOperator:
