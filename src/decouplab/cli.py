@@ -148,7 +148,9 @@ def _dim(cfg: ExperimentConfig, key: str, default: int | None = None) -> int:
 
 
 def _parse_ensemble(desc) -> ensembles.UnitaryEnsemble:
-    """The ensemble a config describes; a malformed descriptor is a ConfigError."""
+    """The ensemble a config describes; a malformed descriptor is a ConfigError,
+    and so is a level with a key that `ensemble_to_json` does not write for the
+    ensemble built, or with a `dim` other than that ensemble's."""
     inner = desc
     while isinstance(inner, dict):
         for key in ("dim", "n_qubits", "depth", "iterations", "seed"):
@@ -164,12 +166,25 @@ def _parse_ensemble(desc) -> ensembles.UnitaryEnsemble:
     try:
         if not isinstance(inner, dict) or inner.get("kind") not in ensembles.KINDS:
             raise ValueError(f"kind must be one of {', '.join(ensembles.KINDS)}")
-        return ensembles.ensemble_from_json(desc)
+        built = ensembles.ensemble_from_json(desc)
     except DecouplabError:
         raise
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed ensemble descriptor: {exc!r}",
                           field="ensemble") from exc
+    level, echo = desc, ensembles.ensemble_to_json(built)
+    while True:
+        unread = sorted(set(level) - set(echo))
+        if unread:
+            raise ConfigError(f"{echo['kind']} ensemble descriptor has keys it does "
+                              f"not read: {', '.join(unread)}", field="ensemble")
+        if level.get("dim", echo["dim"]) != echo["dim"]:
+            raise ConfigError(f"ensemble dim {level['dim']} does not match its "
+                              f"{echo['dim']}-dimensional {echo['kind']} ensemble",
+                              field="ensemble")
+        if echo["kind"] != "iterated":
+            return built
+        level, echo = level["base"], echo["base"]
 
 
 def _ensemble(cfg: ExperimentConfig, dim: int) -> ensembles.UnitaryEnsemble:

@@ -108,42 +108,29 @@ class Weights:
 
 def prepare(inst: DecouplingInstance, weight_mode: str = "fixed_marginal") -> Weights:
     cfg = inst.cfg
-    r_labels = list(inst.r_labels)
-    h2_eps, rho_s, xi, warns = entropy.h2_with_witness(
-        inst.rho, cfg, weight_mode=weight_mode, given=r_labels
+    h2_eps, rho_s, xi, rho_tilde, warns = entropy._h2_witness(
+        inst.rho, cfg, weight_mode, list(inst.r_labels)
     )
-    rho_tilde = entropy.conj_by_inverse_quarter(rho_s, inst.rho.shape, xi, r_labels)
     rho_tilde_r = linalg.partial_trace(rho_tilde, inst.rho.shape, list(inst.a_labels))
 
     choi = quantum.choi_state(inst.channel, labels=("B", "Ap"))
-    choi_b = choi.marginal(["B"])
-    hmax_prime_val, _ = entropy.hmax_prime(choi_b, cfg.epsilon)
-    omega3 = entropy.omega_triple_prime(choi_b, cfg.epsilon, cfg.delta)
-    h2_prime_val, eta_ds = entropy.h2_prime(choi, cfg.epsilon, cfg.delta, given="B")
+    h2_prime_val, hmax_prime_val, eta, omega3, omega3_iq, omega_tilde = entropy._h2_prime(
+        choi, cfg.epsilon, cfg.delta, "B")
 
     povm = None
     if cfg.epsilon > 0:
         # the measurement P on Z with (measured channel (x) id)(EPR) = eta
-        povm = quantum.povm_completion(quantum.choi_amplitudes(inst.channel),
-                                       eta_ds.matrix)
+        povm = quantum.povm_completion(quantum.choi_amplitudes(inst.channel), eta)
 
-    omega3_iq = linalg.pseudo_inverse_power(omega3.matrix, -0.25)
-    w_b = entropy.embed_on_labels(omega3_iq, choi.shape, ["B"])
-    omega_tilde = w_b @ eta_ds.matrix @ w_b
     omega_tilde_b = linalg.partial_trace(omega_tilde, choi.shape, ["Ap"])
 
     n_r = linalg.schatten_norm(rho_tilde_r, 2) ** 2
     n_ar = linalg.schatten_norm(rho_tilde, 2) ** 2
     n_b = linalg.schatten_norm(omega_tilde_b, 2) ** 2
     n_ab = linalg.schatten_norm(omega_tilde, 2) ** 2
-    if abs(2.0 ** (-h2_eps) - n_ar) > 1e-8 * max(1.0, n_ar):
-        raise ComputationError("witness norm does not match its entropy value")
-    if abs(2.0 ** (-h2_prime_val) - n_ab) > 1e-8 * max(1.0, n_ab):
-        raise ComputationError("channel witness norm does not match its entropy value")
     return Weights(
         rho_s=rho_s, xi=xi, rho_tilde=rho_tilde, rho_tilde_r=rho_tilde_r,
-        choi=choi, eta=eta_ds.matrix, omega3=omega3.matrix,
-        omega3_inv_quarter=omega3_iq, povm=povm,
+        choi=choi, eta=eta, omega3=omega3, omega3_inv_quarter=omega3_iq, povm=povm,
         omega_tilde=omega_tilde, omega_tilde_b=omega_tilde_b,
         h2_eps=h2_eps, h2_prime_val=h2_prime_val, hmax_prime_val=hmax_prime_val,
         n_r=n_r, n_ar=n_ar, n_b=n_b, n_ab=n_ab, warnings=warns,

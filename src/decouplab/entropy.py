@@ -107,19 +107,6 @@ def embed_on_labels(op: np.ndarray, shp: SystemShape, labels) -> np.ndarray:
     return linalg.permute_systems(big, big_shape, list(shp.names))
 
 
-def conj_by_inverse_quarter(
-    m: np.ndarray, shp: SystemShape, weight: np.ndarray, labels
-) -> np.ndarray:
-    w = embed_on_labels(linalg.pseudo_inverse_power(weight, -0.25), shp, labels)
-    return w @ m @ w
-
-
-def tilde_conjugate(state: DensitySystem, weight: np.ndarray, which) -> DensitySystem:
-    """The weighted state w^(-1/4) m w^(-1/4) with w embedded on `which`."""
-    out = conj_by_inverse_quarter(state.matrix, state.shape, weight, which)
-    return DensitySystem.from_matrix(out, state.shape)
-
-
 def _support_projector(spec: linalg.Spectrum) -> np.ndarray:
     lmax = float(spec.values.max(initial=0.0))
     keep = spec.values > RANK_FLOOR * max(lmax, 1.0)
@@ -128,8 +115,9 @@ def _support_projector(spec: linalg.Spectrum) -> np.ndarray:
 
 
 def _collision_value(sigma: np.ndarray, marg: np.ndarray, proj: np.ndarray,
-                     w: np.ndarray) -> float | None:
-    """-2 log2 of the weighted 2-norm, or None when the point leaks support.
+                     w: np.ndarray) -> tuple[float, np.ndarray] | None:
+    """-2 log2 of the weighted 2-norm and the weighted point w sigma w, or
+    None when the point leaks support.
 
     `marg` is sigma's marginal on the conditioning labels, `proj` the
     weight's support projector there, and `w` the weight's -1/4 power
@@ -138,30 +126,37 @@ def _collision_value(sigma: np.ndarray, marg: np.ndarray, proj: np.ndarray,
     leak = float(np.real(np.trace(marg))) - float(np.real(np.trace(proj @ marg)))
     if leak > 1e-10:
         return None
-    norm = linalg.schatten_norm(w @ sigma @ w, 2)
+    tilde = w @ sigma @ w
+    norm = linalg.schatten_norm(tilde, 2)
     if norm <= 0:
         return None
-    return float(-2.0 * math.log2(norm))
+    return float(-2.0 * math.log2(norm)), tilde
+
+
+def _drop_smallest(values: np.ndarray, limit: float, spent: float = 0.0) -> np.ndarray:
+    """Running dropped mass, from `spent`, after each of `values` that goes
+    while it stays at or below `limit`; its length is the number dropped.
+
+    `values` is nonnegative and in drop order (the caller's order, tie-break
+    and filter). np.cumsum adds left to right, so every total, and with it
+    the cut, is the plain running sum.
+    """
+    totals = np.cumsum(np.concatenate(([spent], values)))[1:]
+    return totals[:np.searchsorted(totals, limit, side="right")]
 
 
 def _truncation_candidates(rho: DensitySystem, eps: float) -> list[np.ndarray]:
-    """Subnormalised spectral truncations within the ball: drop k smallest."""
-    spec = linalg.spectral(rho.matrix)
-    order = np.argsort(spec.values)  # ascending
+    """rho and its subnormalised spectral truncations within the ball: drop
+    the k smallest positive eigenvalues (and every nonpositive one)."""
     out = [rho.matrix]
     if eps <= 0:
         return out
-    dropped = 0.0
-    mask = np.ones(spec.values.size, dtype=bool)
-    for idx in order:
-        if spec.values[idx] <= 0:
-            mask[idx] = False
-            continue
-        if dropped + spec.values[idx] > eps + 1e-15:
-            break
-        dropped += spec.values[idx]
-        mask[idx] = False
-        vals = np.where(mask, spec.values, 0.0)
+    spec = linalg.spectral(rho.matrix)
+    order = np.argsort(spec.values)  # ascending
+    positive = order[spec.values[order] > 0]
+    vals = np.where(spec.values > 0, spec.values, 0.0)
+    for idx in positive[:_drop_smallest(spec.values[positive], eps + 1e-15).size]:
+        vals[idx] = 0.0
         out.append((spec.vectors * vals) @ spec.vectors.conj().T)
     return out
 
@@ -178,6 +173,13 @@ def h2_with_witness(
     epsilon-ball around rho, weight is the conditioning operator actually
     used, and value_bits = -2 log2 || (I (x) w^{-1/4}) sigma (same) ||_2.
     """
+    value, sigma, weight, _, warnings = _h2_witness(rho, cfg, weight_mode, given)
+    return value, sigma, weight, warnings
+
+
+def _h2_witness(rho: DensitySystem, cfg: SmoothingConfig, weight_mode: str, given
+                ) -> tuple[float, np.ndarray, np.ndarray, np.ndarray, tuple[str, ...]]:
+    """`h2_with_witness` with tilde = (I (x) w^{-1/4}) sigma (same) before the warnings."""
     if weight_mode not in ("fixed_marginal", "minimized"):
         raise DomainError(f"unknown weight mode {weight_mode!r}")
     given = rho.shape.names[-1] if given is None else given
@@ -199,35 +201,34 @@ def h2_with_witness(
     sigmas = [(sig, linalg.partial_trace(sig, rho.shape, traced))
               for sig in _truncation_candidates(rho, cfg.epsilon)]
 
-    def best_over_sigmas(weight: np.ndarray) -> tuple[float, np.ndarray] | None:
-        spec = linalg.spectral(weight)
+    def best_over_sigmas(spec: linalg.Spectrum
+                         ) -> tuple[float, np.ndarray, np.ndarray] | None:
+        """(value, sigma, tilde) at the best feasible sigma for the weight
+        with this spectrum. rho projected onto the weight's support is tried
+        last, so a tie keeps the truncation."""
         proj = _support_projector(spec)
         w = embed_on_labels(spec.power(-0.25), rho.shape, given_list)
-        best = None
-        for sig, sig_marg in sigmas:
-            val = _collision_value(sig, sig_marg, proj, w)
-            if val is None:
-                continue
-            if best is None or val > best[0]:
-                best = (val, sig)
+        points = sigmas
         if cfg.epsilon > 0:
             op = embed_on_labels(proj, rho.shape, given_list)
             sig = op @ rho.matrix @ op
             if linalg.schatten_norm(rho.matrix - sig, 1) <= cfg.epsilon + 1e-12:
-                sig_marg = linalg.partial_trace(sig, rho.shape, traced)
-                val = _collision_value(sig, sig_marg, proj, w)
-                if val is not None and (best is None or val > best[0]):
-                    best = (val, sig)
+                points = sigmas + [(sig, linalg.partial_trace(sig, rho.shape, traced))]
+        best = None
+        for sig, sig_marg in points:
+            got = _collision_value(sig, sig_marg, proj, w)
+            if got is not None and (best is None or got[0] > best[0]):
+                best = (got[0], sig, got[1])
         return best
 
-    candidates: list[tuple[float, np.ndarray, np.ndarray]] = []
+    candidates: list[tuple[float, np.ndarray, np.ndarray, np.ndarray]] = []
 
-    def consider(weight: np.ndarray):
-        got = best_over_sigmas(weight)
+    def consider(weight: np.ndarray, spec: linalg.Spectrum | None = None):
+        got = best_over_sigmas(linalg.spectral(weight) if spec is None else spec)
         if got is not None:
-            candidates.append((got[0], got[1], weight))
+            candidates.append((got[0], got[1], weight, got[2]))
 
-    consider(marg)
+    consider(marg, marg_spec)
 
     if weight_mode == "minimized":
         sup_vals = marg_spec.values[support]
@@ -254,8 +255,8 @@ def h2_with_witness(
 
     if not candidates:
         raise DomainError("no feasible smoothing point found inside the ball")
-    value, sigma, weight = max(candidates, key=lambda c: c[0])
-    return value, sigma, weight, tuple(warnings)
+    value, sigma, weight, tilde = max(candidates, key=lambda c: c[0])
+    return value, sigma, weight, tilde, tuple(warnings)
 
 
 def _simplex_weight(basis: np.ndarray, logits: np.ndarray) -> np.ndarray:
@@ -267,7 +268,7 @@ def _simplex_weight(basis: np.ndarray, logits: np.ndarray) -> np.ndarray:
 
 
 def _weight_objective(logits, basis, best_over_sigmas) -> float:
-    got = best_over_sigmas(_simplex_weight(basis, np.asarray(logits)))
+    got = best_over_sigmas(linalg.spectral(_simplex_weight(basis, np.asarray(logits))))
     return -1e6 if got is None else got[0]
 
 
@@ -290,19 +291,12 @@ def hmax_smooth(x, eps: float) -> float:
     if vals.size == 0:
         raise DomainError("state has no mass above the rank floor")
     asc = np.sort(vals)
-    best = None
-    dropped = 0.0
-    for k in range(asc.size):
-        if k > 0:
-            dropped += asc[k - 1]
-        if 2.0 * dropped > eps + 1e-15 or dropped >= 1.0 - 1e-12:
-            break
-        kept = asc[k:]
-        val = 2.0 * math.log2(float(np.sqrt(kept).sum()) / math.sqrt(1.0 - dropped))
-        best = val if best is None else min(best, val)
-    if best is None:
-        raise DomainError("no feasible renormalised truncation")
-    return best
+    # drop k = 0, 1, ... of the smallest while 2 * dropped <= eps + 1e-15 and
+    # dropped < 1 - 1e-12 (at most the float below it), always keeping one
+    limit = min(np.nextafter(1.0 - 1e-12, 0.0), (eps + 1e-15) / 2.0)
+    dropped = np.concatenate(([0.0], _drop_smallest(asc[:-1], limit)))
+    return min(2.0 * math.log2(float(np.sqrt(asc[k:]).sum()) / math.sqrt(1.0 - d))
+               for k, d in enumerate(dropped))
 
 
 def hmin_smooth(x, eps: float) -> float:
@@ -346,18 +340,10 @@ def hmax_prime_values(values: np.ndarray, eps: float) -> tuple[float, np.ndarray
     lmax = float(vals.max(initial=0.0))
     if lmax <= 0:
         raise DomainError("spectrum has no positive mass")
-    keep = np.ones(vals.size, dtype=bool)
+    keep = vals > RANK_FLOOR * lmax
     order = np.lexsort((np.arange(vals.size), vals))
-    budget = 0.0
-    for idx in order:
-        v = vals[idx]
-        if v <= RANK_FLOOR * lmax:
-            keep[idx] = False
-            continue
-        if budget + v > eps + 1e-15:
-            break
-        budget += v
-        keep[idx] = False
+    live = order[keep[order]]
+    keep[live[:_drop_smallest(vals[live], eps + 1e-15).size]] = False
     if not keep.any():
         raise DomainError("smoothing removed every eigenvalue")
     smallest = float(vals[keep].min())
@@ -374,14 +360,19 @@ def hmax_prime(state: DensitySystem, eps: float) -> tuple[float, DensitySystem]:
 
 def omega_triple_prime(state: DensitySystem, eps: float, delta: float) -> DensitySystem:
     """Zero out eigenvalues below 2^(-(1+delta) * alternate max-entropy)."""
+    _, out = _omega_triple_prime(linalg.spectral(state.matrix), eps, delta)
+    return DensitySystem.from_matrix(out, state.shape)
+
+
+def _omega_triple_prime(spec: linalg.Spectrum, eps: float, delta: float
+                        ) -> tuple[float, np.ndarray]:
+    """The alternate max-entropy of a spectrum and omega''' rebuilt from it."""
     if delta < 0:
         raise DomainError("delta must be nonnegative")
-    spec = linalg.spectral(state.matrix)
     value, _ = hmax_prime_values(spec.values, eps)
     tau = 2.0 ** (-(1.0 + delta) * value)
     vals = np.where(spec.values >= tau * (1.0 - 1e-9), spec.values, 0.0)
-    out = (spec.vectors * vals) @ spec.vectors.conj().T
-    return DensitySystem.from_matrix(out, state.shape)
+    return value, (spec.vectors * vals) @ spec.vectors.conj().T
 
 
 def h2_prime(omega: DensitySystem, eps: float, delta: float,
@@ -393,22 +384,28 @@ def h2_prime(omega: DensitySystem, eps: float, delta: float,
     offenders first and then the smallest eigenvalues while the removed
     mass stays within eps.
     """
-    omega_b = omega.marginal([given])
-    w3 = omega_triple_prime(omega_b, eps, delta)
-    w3_spec = linalg.spectral(w3.matrix)
+    value, _, eta, _, _, _ = _h2_prime(omega, eps, delta, given)
+    return value, DensitySystem.from_matrix(eta, omega.shape)
+
+
+def _h2_prime(omega: DensitySystem, eps: float, delta: float, given: str
+              ) -> tuple[float, float, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """h2' with what it derives on the way, as (h2', hmax' of omega's
+    marginal, eta, omega''', omega'''^(-1/4), eta conjugated by it embedded)."""
+    b_spec = linalg.spectral(omega.marginal([given]).matrix)
+    hmax_value, omega3 = _omega_triple_prime(b_spec, eps, delta)
+    w3_spec = linalg.spectral(omega3)
     proj_full = embed_on_labels(_support_projector(w3_spec), omega.shape, [given])
 
     spec = linalg.spectral(omega.matrix)
     lmax = float(spec.values.max(initial=0.0))
     removed = 0.0
     keep = []
-    forced_out = []
     for i, v in enumerate(spec.values):
         if v <= RANK_FLOOR * lmax:
             continue
         overlap = float(np.real(spec.vectors[:, i].conj() @ (proj_full @ spec.vectors[:, i])))
         if overlap < 1.0 - eps - 1e-12:
-            forced_out.append(i)
             removed += v
         else:
             keep.append(i)
@@ -417,16 +414,17 @@ def h2_prime(omega: DensitySystem, eps: float, delta: float,
             f"support condition forces out mass {removed:.3e} beyond epsilon {eps}"
         )
     keep.sort(key=lambda i: (spec.values[i], i))
-    while keep and removed + spec.values[keep[0]] <= eps + 1e-15:
-        removed += spec.values[keep.pop(0)]
+    keep = keep[_drop_smallest(spec.values[keep], eps + 1e-15, removed).size:]
     if not keep:
         raise DomainError("smoothing removed every eigenvector")
     vals = np.zeros_like(spec.values)
     vals[keep] = spec.values[keep]
     eta = (spec.vectors * vals) @ spec.vectors.conj().T
-    w = embed_on_labels(w3_spec.power(-0.25), omega.shape, [given])
-    value = float(-2.0 * math.log2(linalg.schatten_norm(w @ eta @ w, 2)))
-    return value, DensitySystem.from_matrix(eta, omega.shape)
+    w3_iq = w3_spec.power(-0.25)
+    w = embed_on_labels(w3_iq, omega.shape, [given])
+    tilde = w @ eta @ w
+    value = float(-2.0 * math.log2(linalg.schatten_norm(tilde, 2)))
+    return value, hmax_value, eta, omega3, w3_iq, tilde
 
 
 def h2_upper_bound_check(rho: DensitySystem, cfg: SmoothingConfig,

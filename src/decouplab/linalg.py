@@ -161,14 +161,13 @@ class Spectrum:
 
 
 def _pin_phases(vectors: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-    out = vectors.copy()
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        idx = np.flatnonzero(np.abs(col) > tol)
-        if idx.size:
-            pivot = col[idx[0]]
-            out[:, j] = col * (abs(pivot) / pivot)
-    return out
+    above = np.abs(vectors) > tol
+    pivot = vectors[above.argmax(axis=0), np.arange(vectors.shape[1])]
+    # a column with no entry above tol keeps its phase
+    pivot = np.where(above.any(axis=0), pivot, 1.0)
+    # hypot rounds as abs() of one complex scalar does; np.abs on an array
+    # may differ in the last bit, which would move every pinned phase
+    return vectors * (np.hypot(pivot.real, pivot.imag) / pivot)
 
 
 def spectral(m: np.ndarray, check_tol: float = 1e-9) -> Spectrum:

@@ -1,0 +1,204 @@
+"""Earlier constructions, kept as oracles for the code that replaced them.
+
+Each one is the plain, step-by-step form: a loop that drops one eigenvalue
+at a time, or a pipeline that decomposes every operator where it needs it.
+Tests compare the library against these bit for bit.
+"""
+
+import math
+
+import numpy as np
+
+from decouplab import decoupling, entropy, linalg, quantum
+from decouplab.errors import ComputationError, DomainError
+from decouplab.quantum import DensitySystem
+
+
+def conj_by_inverse_quarter(m, shp, weight, labels):
+    """w^(-1/4) m w^(-1/4), with the weight's power embedded on `labels`."""
+    w = entropy.embed_on_labels(linalg.pseudo_inverse_power(weight, -0.25), shp, labels)
+    return w @ m @ w
+
+
+def truncation_candidates(rho, eps):
+    """rho, then its spectral truncations dropping one more of the smallest
+    positive eigenvalues each, while their mass stays within eps."""
+    spec = linalg.spectral(rho.matrix)
+    order = np.argsort(spec.values)  # ascending
+    out = [rho.matrix]
+    if eps <= 0:
+        return out
+    dropped = 0.0
+    mask = np.ones(spec.values.size, dtype=bool)
+    for idx in order:
+        if spec.values[idx] <= 0:
+            mask[idx] = False
+            continue
+        if dropped + spec.values[idx] > eps + 1e-15:
+            break
+        dropped += spec.values[idx]
+        mask[idx] = False
+        vals = np.where(mask, spec.values, 0.0)
+        out.append((spec.vectors * vals) @ spec.vectors.conj().T)
+    return out
+
+
+def hmax_smooth(x, eps):
+    if eps < 0:
+        raise DomainError("epsilon must be nonnegative")
+    vals = entropy._eigenvalues(x)
+    vals = vals[vals > entropy.RANK_FLOOR * max(float(vals.max(initial=0.0)), 1.0)]
+    if vals.size == 0:
+        raise DomainError("state has no mass above the rank floor")
+    asc = np.sort(vals)
+    best = None
+    dropped = 0.0
+    for k in range(asc.size):
+        if k > 0:
+            dropped += asc[k - 1]
+        if 2.0 * dropped > eps + 1e-15 or dropped >= 1.0 - 1e-12:
+            break
+        kept = asc[k:]
+        val = 2.0 * math.log2(float(np.sqrt(kept).sum()) / math.sqrt(1.0 - dropped))
+        best = val if best is None else min(best, val)
+    if best is None:
+        raise DomainError("no feasible renormalised truncation")
+    return best
+
+
+def hmax_prime_values(values, eps):
+    if not 0 <= eps < 1:
+        raise DomainError(f"epsilon must sit in [0, 1), got {eps}")
+    vals = np.asarray(values, dtype=float)
+    lmax = float(vals.max(initial=0.0))
+    if lmax <= 0:
+        raise DomainError("spectrum has no positive mass")
+    keep = np.ones(vals.size, dtype=bool)
+    order = np.lexsort((np.arange(vals.size), vals))
+    budget = 0.0
+    for idx in order:
+        v = vals[idx]
+        if v <= entropy.RANK_FLOOR * lmax:
+            keep[idx] = False
+            continue
+        if budget + v > eps + 1e-15:
+            break
+        budget += v
+        keep[idx] = False
+    if not keep.any():
+        raise DomainError("smoothing removed every eigenvalue")
+    smallest = float(vals[keep].min())
+    return float(-math.log2(smallest)), keep
+
+
+def hmax_prime(state, eps):
+    spec = linalg.spectral(state.matrix)
+    value, keep = hmax_prime_values(spec.values, eps)
+    vals = np.where(keep, spec.values, 0.0)
+    omega2 = (spec.vectors * vals) @ spec.vectors.conj().T
+    return value, DensitySystem.from_matrix(omega2, state.shape)
+
+
+def omega_triple_prime(state, eps, delta):
+    if delta < 0:
+        raise DomainError("delta must be nonnegative")
+    spec = linalg.spectral(state.matrix)
+    value, _ = hmax_prime_values(spec.values, eps)
+    tau = 2.0 ** (-(1.0 + delta) * value)
+    vals = np.where(spec.values >= tau * (1.0 - 1e-9), spec.values, 0.0)
+    out = (spec.vectors * vals) @ spec.vectors.conj().T
+    return DensitySystem.from_matrix(out, state.shape)
+
+
+def h2_prime(omega, eps, delta, given="B"):
+    omega_b = omega.marginal([given])
+    w3 = omega_triple_prime(omega_b, eps, delta)
+    w3_spec = linalg.spectral(w3.matrix)
+    lmax3 = float(w3_spec.values.max(initial=0.0))
+    cols = w3_spec.vectors[:, w3_spec.values > entropy.RANK_FLOOR * max(lmax3, 1.0)]
+    proj_full = entropy.embed_on_labels(cols @ cols.conj().T, omega.shape, [given])
+
+    spec = linalg.spectral(omega.matrix)
+    lmax = float(spec.values.max(initial=0.0))
+    removed = 0.0
+    keep = []
+    for i, v in enumerate(spec.values):
+        if v <= entropy.RANK_FLOOR * lmax:
+            continue
+        overlap = float(np.real(spec.vectors[:, i].conj() @ (proj_full @ spec.vectors[:, i])))
+        if overlap < 1.0 - eps - 1e-12:
+            removed += v
+        else:
+            keep.append(i)
+    if removed > eps + 1e-12:
+        raise DomainError(
+            f"support condition forces out mass {removed:.3e} beyond epsilon {eps}"
+        )
+    keep.sort(key=lambda i: (spec.values[i], i))
+    while keep and removed + spec.values[keep[0]] <= eps + 1e-15:
+        removed += spec.values[keep.pop(0)]
+    if not keep:
+        raise DomainError("smoothing removed every eigenvector")
+    vals = np.zeros_like(spec.values)
+    vals[keep] = spec.values[keep]
+    eta = (spec.vectors * vals) @ spec.vectors.conj().T
+    w = entropy.embed_on_labels(w3_spec.power(-0.25), omega.shape, [given])
+    value = float(-2.0 * math.log2(linalg.schatten_norm(w @ eta @ w, 2)))
+    return value, DensitySystem.from_matrix(eta, omega.shape)
+
+
+def prepare(inst, weight_mode="fixed_marginal"):
+    """`decoupling.prepare` as a pipeline of the public entropy steps, each
+    decomposing what it needs, with the weighted operators rebuilt after."""
+    cfg = inst.cfg
+    r_labels = list(inst.r_labels)
+    h2_eps, rho_s, xi, warns = entropy.h2_with_witness(
+        inst.rho, cfg, weight_mode=weight_mode, given=r_labels
+    )
+    rho_tilde = conj_by_inverse_quarter(rho_s, inst.rho.shape, xi, r_labels)
+    rho_tilde_r = linalg.partial_trace(rho_tilde, inst.rho.shape, list(inst.a_labels))
+
+    choi = quantum.choi_state(inst.channel, labels=("B", "Ap"))
+    choi_b = choi.marginal(["B"])
+    hmax_prime_val, _ = entropy.hmax_prime(choi_b, cfg.epsilon)
+    omega3 = entropy.omega_triple_prime(choi_b, cfg.epsilon, cfg.delta)
+    h2_prime_val, eta_ds = entropy.h2_prime(choi, cfg.epsilon, cfg.delta, given="B")
+
+    povm = None
+    if cfg.epsilon > 0:
+        povm = quantum.povm_completion(quantum.choi_amplitudes(inst.channel),
+                                       eta_ds.matrix)
+
+    omega3_iq = linalg.pseudo_inverse_power(omega3.matrix, -0.25)
+    w_b = entropy.embed_on_labels(omega3_iq, choi.shape, ["B"])
+    omega_tilde = w_b @ eta_ds.matrix @ w_b
+    omega_tilde_b = linalg.partial_trace(omega_tilde, choi.shape, ["Ap"])
+
+    n_r = linalg.schatten_norm(rho_tilde_r, 2) ** 2
+    n_ar = linalg.schatten_norm(rho_tilde, 2) ** 2
+    n_b = linalg.schatten_norm(omega_tilde_b, 2) ** 2
+    n_ab = linalg.schatten_norm(omega_tilde, 2) ** 2
+    if abs(2.0 ** (-h2_eps) - n_ar) > 1e-8 * max(1.0, n_ar):
+        raise ComputationError("witness norm does not match its entropy value")
+    if abs(2.0 ** (-h2_prime_val) - n_ab) > 1e-8 * max(1.0, n_ab):
+        raise ComputationError("channel witness norm does not match its entropy value")
+    return decoupling.Weights(
+        rho_s=rho_s, xi=xi, rho_tilde=rho_tilde, rho_tilde_r=rho_tilde_r,
+        choi=choi, eta=eta_ds.matrix, omega3=omega3.matrix,
+        omega3_inv_quarter=omega3_iq, povm=povm,
+        omega_tilde=omega_tilde, omega_tilde_b=omega_tilde_b,
+        h2_eps=h2_eps, h2_prime_val=h2_prime_val, hmax_prime_val=hmax_prime_val,
+        n_r=n_r, n_ar=n_ar, n_b=n_b, n_ab=n_ab, warnings=warns,
+    )
+
+
+def pin_phases(vectors, tol=1e-9):
+    """Column by column: scale so the first entry above tol is real, positive."""
+    out = vectors.copy()
+    for j in range(out.shape[1]):
+        col = out[:, j]
+        idx = np.flatnonzero(np.abs(col) > tol)
+        if idx.size:
+            pivot = col[idx[0]]
+            out[:, j] = col * (abs(pivot) / pivot)
+    return out

@@ -8,9 +8,11 @@ The reference below is the dense per-draw path: embed U (x) I_R, append the
 import numpy as np
 import pytest
 
-from decouplab import decoupling, ensembles, entropy, linalg, quantum
+from decouplab import decoupling, ensembles, linalg, quantum
 from decouplab.entropy import SmoothingConfig
 from decouplab.linalg import shape
+
+from oracles import conj_by_inverse_quarter
 
 TOL = 1e-12
 
@@ -54,7 +56,7 @@ def f_reference(inst, u, choi_b):
 
 def g_reference(inst, u, w):
     y, yshape = _dense_channel(inst.channel, _evolved(inst, w.rho_tilde, u), w.povm)
-    y = entropy.conj_by_inverse_quarter(y, yshape, w.omega3, ["B"])
+    y = conj_by_inverse_quarter(y, yshape, w.omega3, ["B"])
     return linalg.schatten_norm(y - np.kron(w.omega_tilde_b, w.rho_tilde_r), 2)
 
 

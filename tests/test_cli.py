@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import decouplab
-from decouplab import cli
+from decouplab import cli, ensembles
 from decouplab.errors import ConfigError
 
 
@@ -189,11 +189,26 @@ class TestRunArtifacts:
             "kind": "circuit", "n_qubits": 2, "depth": "1"}},
         {"experiment": "design-verify", "ensemble": {
             "kind": "enumerated", "name": "pauli", "n_qubits": 1.0}},
+        {"experiment": "design-verify", "ensemble": {
+            "kind": "circuit", "n_qubits": 2, "depth": 1, "dim": 8}},
+        {"experiment": "design-verify", "ensemble": {
+            "kind": "enumerated", "name": "clifford", "n_qubits": 1, "dim": 4}},
+        {"experiment": "design-verify", "ensemble": {
+            "kind": "iterated", "iterations": 2, "base": {"kind": "circuit", "n_qubits": 2,
+                                                          "depth": 1, "dim": 2}}},
+        {"experiment": "design-verify", "ensemble": {
+            "kind": "enumerated", "name": "pauli", "n_qubits": 1, "members": []}},
+        {"experiment": "design-verify", "ensemble": {"kind": "haar", "dim": 4, "bogus": 1}},
+        {"experiment": "design-verify", "ensemble": {
+            "kind": "iterated", "iterations": 2, "base": {"kind": "haar", "dim": 2,
+                                                          "depth": 3}}},
     ], ids=["float-samples", "string-samples", "negative-seed", "haar-without-dim",
             "unknown-kind", "bool-seed", "bool-samples", "string-probs",
             "scalar-probs", "probs-over-one", "negative-probs",
             "ensemble-negative-seed", "ensemble-bool-dim", "ensemble-float-iterations",
-            "base-negative-seed", "ensemble-string-depth", "ensemble-float-qubits"])
+            "base-negative-seed", "ensemble-string-depth", "ensemble-float-qubits",
+            "circuit-dim-mismatch", "clifford-dim-mismatch", "base-dim-mismatch",
+            "members-on-pauli", "unread-key", "unread-key-in-base"])
     def test_malformed_config_exits_two(self, tmp_path, capsys, overrides):
         payload = {"experiment": "decouple-expect", "dims": {"a": 2, "r": 2},
                    "samples": 4, "t": 1, "output_dir": str(tmp_path / "out")}
@@ -202,6 +217,19 @@ class TestRunArtifacts:
         assert cli.main(["run", str(p)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error") and "Traceback" not in err
+
+    @pytest.mark.parametrize("make", [
+        lambda: ensembles.haar_ensemble(4, seed=3),
+        lambda: ensembles.random_circuit_ensemble(2, 2, seed=1),
+        lambda: ensembles.enumerated_ensemble(ensembles.pauli_group(1), name="pauli"),
+        lambda: ensembles.enumerated_ensemble(ensembles.pauli_group(1), name="custom"),
+        lambda: ensembles.iterate_ensemble(
+            ensembles.enumerated_ensemble(ensembles.clifford_group(1), name="clifford"), 2),
+    ], ids=["haar", "circuit", "pauli", "custom", "iterated"])
+    def test_echoed_descriptor_loads(self, make):
+        # every key ensemble_to_json writes, name included, is accepted back
+        desc = json.loads(json.dumps(ensembles.ensemble_to_json(make())))
+        assert ensembles.ensemble_to_json(cli._parse_ensemble(desc)) == desc
 
     @pytest.mark.parametrize("ensemble", [
         {"kind": "enumerated", "members": []},

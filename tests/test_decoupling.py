@@ -1,5 +1,6 @@
 """Decoupling functionals: pointwise dominations, closed moments, tails."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,6 +10,9 @@ from decouplab import decoupling, ensembles, linalg, quantum
 from decouplab.entropy import SmoothingConfig
 from decouplab.errors import ComputationError, DimensionError, DomainError
 from decouplab.linalg import shape
+from decouplab.quantum import DensitySystem
+
+import oracles
 
 
 def epr_instance(d=2, cfg=None):
@@ -518,3 +522,72 @@ class TestSteeringPovmOfPrepare:
         us = ensembles.haar_ensemble(inst.a_dim, seed=7).sample_batch(range(4))
         np.testing.assert_allclose(decoupling.g_values(inst, us, w), want,
                                    rtol=1e-10, atol=0)
+
+
+def rank_deficient_instance(seed, cfg=None):
+    # rank two on (A, R) = (4, 2), supported on R = |0>: the R marginal has rank one
+    rng = np.random.default_rng(seed)
+    vecs = rng.standard_normal((8, 2)) + 1j * rng.standard_normal((8, 2))
+    vecs[1::2] = 0.0
+    m = vecs @ vecs.conj().T
+    rho = DensitySystem.from_matrix(m / np.trace(m).real, shape(("A", 4), ("R", 2)))
+    return decoupling.DecouplingInstance(rho=rho, channel=quantum.trace_out_channel(2, 2),
+                                         cfg=cfg or SmoothingConfig())
+
+
+def fqsw_two_label_instance(cfg):
+    inst = decoupling.fqsw_instance(2, 4, 2, seed=0)[0]
+    return dataclasses.replace(inst, cfg=cfg)
+
+
+# (instance builder taking a SmoothingConfig, weight mode)
+PREPARE_CASES = {
+    "trace-out": (lambda cfg: random_instance(6, cfg=cfg), "fixed_marginal"),
+    "random-channel": (lambda cfg: random_channel_instance(31, cfg=cfg), "fixed_marginal"),
+    "fqsw-two-label": (fqsw_two_label_instance, "fixed_marginal"),
+    "rank-deficient": (lambda cfg: rank_deficient_instance(8, cfg=cfg), "fixed_marginal"),
+    "minimized": (lambda cfg: random_instance(9, da=2, cfg=cfg), "minimized"),
+}
+
+
+class TestPrepareMatchesSequence:
+    """prepare against the pipeline of public entropy steps it replaced,
+    which decomposed the weights, choi_B and omega''' where each step
+    needed them."""
+
+    @pytest.mark.parametrize("cfg", [SmoothingConfig(),
+                                     SmoothingConfig(epsilon=0.05, delta=0.1)],
+                             ids=["eps0", "smoothed"])
+    @pytest.mark.parametrize("name", sorted(PREPARE_CASES))
+    def test_bit_identical(self, name, cfg):
+        make, mode = PREPARE_CASES[name]
+        inst = make(cfg)
+        got = decoupling.prepare(inst, mode)
+        want = oracles.prepare(inst, mode)
+        for f in dataclasses.fields(decoupling.Weights):
+            a, b = getattr(got, f.name), getattr(want, f.name)
+            if isinstance(a, DensitySystem):
+                a, b = a.matrix, b.matrix
+            if isinstance(b, np.ndarray):
+                assert np.array_equal(a, b), f.name
+            else:
+                assert a == b, f.name
+        if name == "rank-deficient":
+            assert got.warnings
+
+    @pytest.mark.parametrize("cfg,calls", [(SmoothingConfig(), 4),
+                                           (SmoothingConfig(epsilon=0.05, delta=0.1), 6)],
+                             ids=["eps0", "smoothed"])
+    def test_one_decomposition_per_operator(self, monkeypatch, cfg, calls):
+        # the R marginal (the weight), rho (only when smoothing), choi_B,
+        # omega''', the Choi state, and Q for the POVM (only when smoothing)
+        counted = []
+        real = linalg.spectral
+
+        def spectral(m, *args, **kwargs):
+            counted.append(m.shape)
+            return real(m, *args, **kwargs)
+
+        monkeypatch.setattr(linalg, "spectral", spectral)
+        decoupling.prepare(random_instance(6, da=16, db=4, dr=4, cfg=cfg))
+        assert len(counted) == calls

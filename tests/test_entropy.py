@@ -6,6 +6,7 @@ elsewhere, and never tightness.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ from decouplab.entropy import SmoothingConfig
 from decouplab.errors import DomainError
 from decouplab.linalg import shape
 from decouplab.quantum import DensitySystem
+
+import oracles
 
 
 def classical_state(probs, labels):
@@ -72,7 +75,7 @@ class TestCollisionEntropy:
         val, sigma, xi, _ = entropy.h2_with_witness(
             rho, SmoothingConfig(), given="B"
         )
-        tilde = entropy.conj_by_inverse_quarter(sigma, rho.shape, xi, ["B"])
+        tilde = oracles.conj_by_inverse_quarter(sigma, rho.shape, xi, ["B"])
         assert 2.0 ** (-val) == pytest.approx(
             linalg.schatten_norm(tilde, 2) ** 2, rel=1e-9
         )
@@ -266,7 +269,7 @@ class TestH2Prime:
         eps, delta = 0.02, 0.1
         val, eta = entropy.h2_prime(omega, eps, delta, given="B")
         w3 = entropy.omega_triple_prime(omega.marginal(["B"]), eps, delta)
-        tilde = entropy.conj_by_inverse_quarter(eta.matrix, omega.shape,
+        tilde = oracles.conj_by_inverse_quarter(eta.matrix, omega.shape,
                                                 w3.matrix, ["B"])
         assert 2.0 ** (-val) == pytest.approx(
             linalg.schatten_norm(tilde, 2) ** 2, rel=1e-9
@@ -326,17 +329,7 @@ class TestTildeMachinery:
                                    np.random.default_rng(15))
         weight = np.diag([1.0, -2e-9])  # below -1e-9 * lambda_max
         with pytest.raises(DomainError):
-            entropy.conj_by_inverse_quarter(rho.matrix, rho.shape, weight, ["B"])
-
-    def test_tilde_conjugate_product(self):
-        rng = np.random.default_rng(12)
-        a = quantum.random_density(2, rng)
-        b = quantum.random_density(3, rng)
-        rho = DensitySystem(np.kron(a, b), shape(("A", 2), ("B", 3)))
-        out = entropy.tilde_conjugate(rho, b, ["B"])
-        want = np.kron(a, linalg.pseudo_inverse_power(b, -0.25) @ b
-                       @ linalg.pseudo_inverse_power(b, -0.25))
-        np.testing.assert_allclose(out.matrix, want, atol=1e-10)
+            oracles.conj_by_inverse_quarter(rho.matrix, rho.shape, weight, ["B"])
 
 
 def _per_sigma_support_projector(weight):
@@ -382,7 +375,7 @@ def per_sigma_h2_with_witness(rho, cfg, weight_mode, given):
         warnings.append("conditioning marginal is rank deficient; "
                         "weights restricted to its support")
     basis = marg_spec.vectors[:, support]
-    sigmas = entropy._truncation_candidates(rho, cfg.epsilon)
+    sigmas = oracles.truncation_candidates(rho, cfg.epsilon)
 
     def best_over_sigmas(weight):
         best = None
@@ -441,6 +434,15 @@ def _pinned_instance(name):
     if name == "rank-deficient":
         vec = np.kron(np.array([1.0, 0.0]), np.array([1.0, 0.0]))
         return DensitySystem(np.outer(vec, vec), shape(("A", 2), ("B", 2))), "B"
+    if name == "leaky-support":
+        # little weight on B = |1>: once a minimized weight drops that
+        # direction, the projection of rho onto its support wins
+        rng = np.random.default_rng(6)
+        v = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
+        v[1::2] *= rng.uniform(0.02, 0.3)
+        m = v @ v.conj().T
+        return DensitySystem.from_matrix(m / np.trace(m).real,
+                                         shape(("A", 2), ("B", 2))), "B"
     # conditioning on the middle label makes embed_on_labels permute
     return quantum.random_state(shape(("A", 2), ("B", 3), ("C", 2)),
                                 np.random.default_rng(23)), "B"
@@ -449,7 +451,8 @@ def _pinned_instance(name):
 class TestSearchMatchesPerSigmaRoute:
     @pytest.mark.parametrize("eps", [0.0, 0.05, 0.2])
     @pytest.mark.parametrize("mode", ["fixed_marginal", "minimized"])
-    @pytest.mark.parametrize("name", ["random-AB", "rank-deficient", "middle-label"])
+    @pytest.mark.parametrize("name", ["random-AB", "rank-deficient", "middle-label",
+                                      "leaky-support"])
     def test_bit_identical(self, name, mode, eps):
         rho, given = _pinned_instance(name)
         cfg = SmoothingConfig(epsilon=eps)
@@ -498,6 +501,99 @@ class TestSearchMatchesPerSigmaRoute:
         # sigma-candidate marginals once per call; only the projected
         # candidate op rho op takes one per evaluation
         assert counts["partial_trace"] <= evaluations + n_sigmas + 1
+
+
+def _random_spectra(seed, count):
+    """Spectra with ties, exact zeros, entries near the rank floor and
+    unnormalised mass, each with budgets at its prefix sums and at a prefix
+    sum less the 1e-15 slack, where the limit often equals the sum."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        d = int(rng.integers(1, 10))
+        v = rng.dirichlet(np.ones(d))
+        kind = i % 5
+        if kind == 1:
+            v = np.round(v, 1)  # ties
+        elif kind == 2:
+            v[rng.random(d) < 0.4] = 0.0
+        elif kind == 3:
+            v = np.repeat(v, 2) / 2  # every value twice
+        elif kind == 4:
+            v = v * rng.uniform(0.5, 1.5)
+            v[rng.random(v.size) < 0.3] = 1e-14
+        if not v.any():
+            v[0] = 1.0
+        prefix = np.cumsum(np.sort(v))
+        cut = float(rng.choice(prefix))
+        budgets = [0.0, float(rng.uniform(0, 0.6)), cut, max(cut - 1e-15, 0.0),
+                   float(prefix[0]), 0.999]
+        yield v, budgets
+
+
+def _same_outcome(call_new, call_old):
+    """Both raise the same error, or both return exactly the same."""
+    try:
+        want = call_old()
+    except DomainError as exc:
+        with pytest.raises(DomainError, match=re.escape(str(exc))):
+            call_new()
+        return None, None
+    return call_new(), want
+
+
+class TestTruncationRuleMatchesLoops:
+    """One cumsum-and-searchsorted rule against the four loops it replaced."""
+
+    def test_hmax_prime_values(self):
+        for v, budgets in _random_spectra(30, 600):
+            for eps in budgets:
+                got, want = _same_outcome(lambda: entropy.hmax_prime_values(v, eps),
+                                          lambda: oracles.hmax_prime_values(v, eps))
+                if want is not None:
+                    assert got[0] == want[0]
+                    np.testing.assert_array_equal(got[1], want[1])
+
+    def test_hmax_smooth(self):
+        for v, budgets in _random_spectra(31, 600):
+            # 2 * dropped is charged, and past eps = 2 the mass guard binds
+            for eps in budgets + [max(2.0 * b - 1e-15, 0.0) for b in budgets] + [2.5, 5.0]:
+                got, want = _same_outcome(lambda: entropy.hmax_smooth(v, eps),
+                                          lambda: oracles.hmax_smooth(v, eps))
+                assert got == want
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_truncation_candidates(self, seed):
+        rng = np.random.default_rng(seed)
+        rho = quantum.random_state(shape(("A", 3), ("B", 2)), rng)
+        if seed % 2:  # rank two: zero eigenvalues are dropped uncharged
+            vecs = rng.standard_normal((6, 2)) + 1j * rng.standard_normal((6, 2))
+            m = vecs @ vecs.conj().T
+            rho = DensitySystem.from_matrix(m / np.trace(m).real, rho.shape)
+        prefix = np.cumsum(np.sort(np.linalg.eigvalsh(rho.matrix)))
+        for eps in (0.0, 0.05, 0.3, float(prefix[2]), float(prefix[-2])):
+            got = entropy._truncation_candidates(rho, eps)
+            want = oracles.truncation_candidates(rho, eps)
+            assert len(got) == len(want)
+            for a, b in zip(got, want):
+                np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_channel_side(self, seed):
+        rng = np.random.default_rng(seed)
+        omega = quantum.random_state(shape(("B", 3), ("Ap", 2)), rng)
+        b = omega.marginal(["B"])
+        for eps, delta in ((0.0, 0.0), (0.01, 0.2), (0.05, 0.1), (0.3, 0.5)):
+            got, want = _same_outcome(lambda: entropy.h2_prime(omega, eps, delta, "B"),
+                                      lambda: oracles.h2_prime(omega, eps, delta, "B"))
+            if want is not None:
+                assert got[0] == want[0]
+                np.testing.assert_array_equal(got[1].matrix, want[1].matrix)
+            got, want = entropy.hmax_prime(b, eps), oracles.hmax_prime(b, eps)
+            assert got[0] == want[0]
+            np.testing.assert_array_equal(got[1].matrix, want[1].matrix)
+            np.testing.assert_array_equal(
+                entropy.omega_triple_prime(b, eps, delta).matrix,
+                oracles.omega_triple_prime(b, eps, delta).matrix)
 
 
 class TestReports:

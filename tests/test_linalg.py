@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from decouplab import linalg
 from decouplab.errors import DimensionError, DomainError
 
+import oracles
+
 
 def random_complex(rng, rows, cols=None):
     cols = rows if cols is None else cols
@@ -142,6 +144,24 @@ class TestSpectral:
             col = s1.vectors[:, j]
             pivot = col[np.abs(col) > 1e-9][0]
             assert pivot.real > 0 and abs(pivot.imag) < 1e-12
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_phase_pinning_matches_column_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        u = linalg.random_unitary(8, rng)
+        mats = [random_herm(rng, d) for d in (1, 2, 5, 12)] + [
+            (u * rng.integers(0, 3, 8)) @ u.conj().T,  # degenerate eigenvalues
+            np.kron(np.eye(3), random_herm(rng, 3)),  # degenerate, block sparse
+            np.diag(rng.integers(0, 2, 6)).astype(complex),  # many exact zeros
+        ]
+        for h in mats:
+            vecs = np.linalg.eigh(h)[1]
+            np.testing.assert_array_equal(linalg._pin_phases(vecs), oracles.pin_phases(vecs))
+        # a column with nothing above the tolerance keeps its phase
+        z = np.zeros((3, 2), dtype=complex)
+        z[1, 1] = 1j
+        z[2, 0] = 1e-12j
+        np.testing.assert_array_equal(linalg._pin_phases(z), oracles.pin_phases(z))
 
 
 class TestNorms:
