@@ -36,9 +36,8 @@ direct = t.apply(quantum.maximally_mixed(3, "A")).matrix
 print("choi B-marginal equals channel(pi):",
       np.allclose(choi.marginal(["B"]).matrix, direct, atol=1e-12))
 
-# The same channel as Kraus operators, recovered from the dilation columns.
-v = np.asarray(t.v)
-kraus = [v.reshape(2, 3, 3, 2)[:, z, :, 0] for z in range(3)]
+# The same channel as Kraus operators K_z = (I_B (x) <z|) v, read off the isometry.
+kraus = [t.v.reshape(2, 3, 3)[:, z, :] for z in range(3)]
 applied = sum(k @ rho.marginal(["A"]).matrix @ k.conj().T for k in kraus)
 print("kraus action matches dilation:",
       np.allclose(applied, t.apply(rho.marginal(["A"])).matrix, atol=1e-10))

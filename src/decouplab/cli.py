@@ -36,12 +36,6 @@ EXPERIMENTS = (
     "moments",
 )
 
-ALLOWED_KEYS = {
-    "experiment", "dims", "ensemble", "samples", "seed", "epsilon", "delta",
-    "kappa", "output_dir", "t", "n", "probs",
-}
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     experiment: str
@@ -97,6 +91,9 @@ class ExperimentConfig:
     @property
     def out_path(self) -> Path:
         return Path(self.output_dir or f"runs/{self.experiment}")
+
+
+ALLOWED_KEYS = {f.name for f in dataclasses.fields(ExperimentConfig)}
 
 
 def _distribution(probs) -> tuple[float, ...]:
@@ -368,8 +365,7 @@ def run_design_verify(cfg: ExperimentConfig):
         raise ConfigError("design-verify needs an ensemble descriptor",
                           field="ensemble")
     ens = _parse_ensemble(cfg.ensemble)
-    report = ensembles.qtpe_lambda(ens, cfg.t, samples=cfg.samples,
-                                   seed=cfg.seed or 12345)
+    report = ensembles.qtpe_lambda(ens, cfg.t, samples=cfg.samples)
     summary = {
         "design": report.to_json(),
         "ensemble": ensembles.ensemble_to_json(ens),
@@ -589,19 +585,9 @@ def _jsonable(x):
 
 
 def _config_echo(cfg: ExperimentConfig) -> dict:
-    return _jsonable({
-        "experiment": cfg.experiment,
-        "dims": cfg.dims,
-        "ensemble": cfg.ensemble,
-        "samples": cfg.samples,
-        "seed": cfg.seed,
-        "epsilon": cfg.epsilon,
-        "delta": cfg.delta,
-        "kappa": cfg.kappa,
-        "t": cfg.t,
-        "n": cfg.n,
-        "probs": list(cfg.probs) if cfg.probs is not None else None,
-    })
+    """Every config field but the output directory."""
+    return _jsonable({f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg)
+                      if f.name != "output_dir"})
 
 
 def _write_manifest(out: Path, cfg: ExperimentConfig, status: str,

@@ -80,9 +80,9 @@ class Weights:
 
     rho_s / xi certify the collision entropy of the input; eta / omega3
     certify the channel side, and omega3_inv_quarter is the weight g applies
-    on B. povm is the measurement on the dilation's
-    environment steering the maximally entangled input to eta; it is None
-    when epsilon = 0, where the plain channel already does.
+    on B. povm is the measurement on the channel's environment Z steering
+    the maximally entangled input to eta; it is None when epsilon = 0,
+    where the plain channel already does.
     """
 
     rho_s: np.ndarray
@@ -158,7 +158,7 @@ def f_values(inst: DecouplingInstance, us: np.ndarray,
         choi_b = quantum.choi_state(inst.channel).marginal(["B"]).matrix
     rho_r = linalg.partial_trace(inst.rho.matrix, inst.rho.shape, inst.a_labels)
     # the difference is Hermitian: its trace norm is the sum of |eigenvalues|
-    return _draw_norms(inst, us, inst.channel.v0, inst.rho.matrix,
+    return _draw_norms(inst, us, inst.channel.v, inst.rho.matrix,
                        np.kron(choi_b, rho_r),
                        lambda d: np.abs(np.linalg.eigvalsh(d)).sum(axis=-1))
 
@@ -166,7 +166,7 @@ def f_values(inst: DecouplingInstance, us: np.ndarray,
 def g_values(inst: DecouplingInstance, us: np.ndarray, w: Weights) -> np.ndarray:
     """g for each unitary of an (n, |A|, |A|) stack."""
     z_op = np.eye(inst.channel.z_dim) if w.povm is None else w.povm
-    kraus = np.kron(w.omega3_inv_quarter, z_op) @ inst.channel.v0
+    kraus = np.kron(w.omega3_inv_quarter, z_op) @ inst.channel.v
     return _draw_norms(inst, us, kraus, w.rho_tilde,
                        np.kron(w.omega_tilde_b, w.rho_tilde_r),
                        lambda d: np.linalg.norm(d, axis=(-2, -1)))
@@ -410,8 +410,10 @@ def thermalization_check(rho: DensitySystem, s_dim: int, e_dim: int,
             raise DimensionError("system dimension must equal |S| |E| without an embedding")
         channel = quantum.trace_out_channel(s_dim, e_dim)
     else:
-        channel = quantum.isometry_channel(np.asarray(embed, dtype=complex),
-                                           b_dim=s_dim, z_dim=e_dim)
+        embed = np.asarray(embed, dtype=complex)
+        if embed.shape[0] != s_dim * e_dim:
+            raise DimensionError("embedding output dimension must equal |S| |E|")
+        channel = quantum.ChannelStinespring(v=embed, b_dim=s_dim)
         if channel.a_dim != d_omega:
             raise DimensionError("embedding does not match the system dimension")
     if cfg is None:
@@ -519,8 +521,9 @@ def iid_parameters(inst: DecouplingInstance, n: int, kappa: float) -> TailParame
 
 def channel_swap_norm_check(channel: ChannelStinespring) -> dict:
     """Two-sided flip identity: pushing the swap through the doubled channel
-    or its adjoint gives equal 2-norms, both at most the dilation 2-norm
-    to the fourth power."""
+    or its adjoint gives equal 2-norms, both at most ||v||_2^4 for the
+    Stinespring operator v (Hoelder: ||Tr_Z[(v (x) v) F (v (x) v)^dag]||_2
+    <= ||v||_2^4 ||F||_inf)."""
     da, db = channel.a_dim, channel.b_dim
     f_a = linalg.swap_operator(da)
     shp_a = linalg.shape(("X1", da), ("X2", da))
@@ -534,12 +537,12 @@ def channel_swap_norm_check(channel: ChannelStinespring) -> dict:
     z2, _ = channel.apply_adjoint_matrix(z1, t1, block=("N2",), out_label="M2")
     adjoint = linalg.schatten_norm(z2, 2)
 
-    dilation = linalg.schatten_norm(channel.v, 2) ** 4
+    bound = linalg.schatten_norm(channel.v, 2) ** 4
     return {
         "norm_forward": forward,
         "norm_adjoint": adjoint,
-        "dilation_bound": dilation,
+        "dilation_bound": bound,
         "equality_gap": abs(forward - adjoint),
         "ok": bool(abs(forward - adjoint) <= 1e-8 * max(1.0, forward)
-                   and forward <= dilation + 1e-8),
+                   and forward <= bound + 1e-8),
     }

@@ -312,31 +312,21 @@ class DesignReport:
         }
 
 
-def qtpe_lambda(e: UnitaryEnsemble, t: int, samples: int = 2000,
-                monomial_samples: int = 256, seed: int = 12345) -> DesignReport:
-    """Expander gap ||G - Haar projector||_inf plus a balanced-monomial check.
+def qtpe_lambda(e: UnitaryEnsemble, t: int, samples: int = 2000) -> DesignReport:
+    """Expander gap ||G - Haar projector||_inf plus the balanced-monomial check.
 
     Every entry of the degree-k moment gap is the expectation error of one
     balanced monomial of degree k; the deviation column reports dim^k times
     the largest such error over all degrees k <= t (the approximate-design
-    normalisation). Random probe tuples are sampled as well so the report
-    notes how a budgeted spot check would have fared.
+    normalisation). That maximum sits at k = t, so only degree t is built:
+    summing a degree-(k+1) entry over one matched row/column index pair
+    gives the degree-k entry, because sum_x |U_xy|^2 = 1 for every draw and
+    for Haar, so d^k max|gap_k| <= d^(k+1) max|gap_(k+1)|.
     """
-    gaps = {}
-    deviation = 0.0
-    rng = np.random.default_rng(seed)
-    for k in range(1, t + 1):
-        g_k = moment_operator(e, k, samples=samples)
-        i_k = haar_moment_projector(e.dim, k)
-        gaps[k] = (g_k, i_k)
-        entry_gap = np.abs(g_k - i_k)
-        deviation = max(deviation, (e.dim**k) * float(entry_gap.max()))
-        d2 = (e.dim**k) ** 2
-        for _ in range(max(1, monomial_samples // t)):
-            r, c = int(rng.integers(d2)), int(rng.integers(d2))
-            deviation = max(deviation, (e.dim**k) * float(entry_gap[r, c]))
-    g_t, i_t = gaps[t]
-    lam = linalg.schatten_norm(g_t - i_t, np.inf)
+    g_t = moment_operator(e, t, samples=samples)
+    gap = g_t - haar_moment_projector(e.dim, t)
+    deviation = (e.dim**t) * float(np.abs(gap).max())
+    lam = linalg.schatten_norm(gap, np.inf)
     used = samples if e.kind not in ("enumerated",) else len(e.members)
     return DesignReport(t=t, dim=e.dim, lambda_value=float(lam),
                         moment_deviation=float(deviation),

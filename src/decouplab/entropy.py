@@ -22,11 +22,14 @@ from .linalg import SystemShape
 from .quantum import DensitySystem
 
 RANK_FLOOR = 1e-12
+# budget of each Nelder-Mead search over the weight simplex
+MINIMIZER_ITERATIONS = 200
+MINIMIZER_TOLERANCE = 1e-8
 
 
 @dataclass(frozen=True)
 class SmoothingConfig:
-    """Smoothing radii and the budget for the weight-simplex local search.
+    """Smoothing radii.
 
     delta below 1/3 is required by the tail-bound arithmetic; that is
     enforced where the tail parameters are assembled, not here.
@@ -34,14 +37,10 @@ class SmoothingConfig:
 
     epsilon: float = 0.0
     delta: float = 0.0
-    minimizer_iterations: int = 200
-    minimizer_tolerance: float = 1e-8
 
     def __post_init__(self):
         if self.epsilon < 0 or self.delta < 0:
             raise DomainError("smoothing parameters must be nonnegative")
-        if self.minimizer_iterations < 1:
-            raise DomainError("minimizer needs a positive iteration budget")
 
 
 @dataclass(frozen=True)
@@ -240,9 +239,9 @@ def _h2_witness(rho: DensitySystem, cfg: SmoothingConfig, weight_mode: str, give
                     start,
                     method="Nelder-Mead",
                     options={
-                        "maxiter": cfg.minimizer_iterations,
-                        "fatol": cfg.minimizer_tolerance,
-                        "xatol": cfg.minimizer_tolerance,
+                        "maxiter": MINIMIZER_ITERATIONS,
+                        "fatol": MINIMIZER_TOLERANCE,
+                        "xatol": MINIMIZER_TOLERANCE,
                     },
                 )
                 consider(_simplex_weight(basis, res.x))

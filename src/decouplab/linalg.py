@@ -139,11 +139,11 @@ class Spectrum:
     def reconstruct(self) -> np.ndarray:
         return (self.vectors * self.values) @ self.vectors.conj().T
 
-    def power(self, exponent: float, cutoff: float = EIG_CUTOFF) -> np.ndarray:
+    def power(self, exponent: float) -> np.ndarray:
         """Spectral power of a PSD matrix, inverting only above the relative cutoff.
 
-        Eigenvalues at or below cutoff * lambda_max are mapped to zero. Negative
-        eigenvalues beyond -1e-9 * lambda_max are rejected.
+        Eigenvalues at or below EIG_CUTOFF * lambda_max are mapped to zero.
+        Negative eigenvalues beyond -1e-9 * lambda_max are rejected.
         """
         lmax = float(self.values.max(initial=0.0))
         if lmax <= 0.0:
@@ -154,7 +154,7 @@ class Spectrum:
             raise DomainError(
                 f"matrix has negative eigenvalue {self.values.min():.3e}, not PSD"
             )
-        mask = self.values > cutoff * lmax
+        mask = self.values > EIG_CUTOFF * lmax
         powered = np.zeros_like(self.values)
         powered[mask] = self.values[mask] ** float(exponent)
         return (self.vectors * powered) @ self.vectors.conj().T
@@ -170,11 +170,11 @@ def _pin_phases(vectors: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     return vectors * (np.hypot(pivot.real, pivot.imag) / pivot)
 
 
-def spectral(m: np.ndarray, check_tol: float = 1e-9) -> Spectrum:
+def spectral(m: np.ndarray) -> Spectrum:
     """Eigendecompose a (numerically) Hermitian matrix.
 
     Raises if the symmetrised decomposition fails to reconstruct the input
-    to within check_tol * max(1, largest eigenvalue).
+    to within 1e-9 * max(1, largest eigenvalue).
     """
     m = as_matrix(m)
     if not is_hermitian(m, tol=1e-9):
@@ -185,7 +185,7 @@ def spectral(m: np.ndarray, check_tol: float = 1e-9) -> Spectrum:
     spec = Spectrum(values=vals, vectors=vecs)
     scale = max(1.0, float(np.abs(vals).max())) if vals.size else 1.0
     err = float(np.abs(spec.reconstruct() - m).max())
-    if err > check_tol * scale:
+    if err > 1e-9 * scale:
         raise DomainError(f"spectral reconstruction error {err:.3e} exceeds tolerance")
     return spec
 
@@ -247,11 +247,9 @@ def schatten_norm(m: np.ndarray, p: float) -> float:
     return float((s**p).sum() ** (1.0 / p))
 
 
-def pseudo_inverse_power(
-    m: np.ndarray, exponent: float, cutoff: float = EIG_CUTOFF
-) -> np.ndarray:
+def pseudo_inverse_power(m: np.ndarray, exponent: float) -> np.ndarray:
     """`Spectrum.power` of the decomposition of m."""
-    return spectral(m).power(exponent, cutoff)
+    return spectral(m).power(exponent)
 
 
 def vec_inverse(v: np.ndarray, shp: SystemShape) -> np.ndarray:

@@ -1,10 +1,11 @@
 """States, Stinespring channels and the operator lemmas the decoupling chain rests on.
 
-A channel is stored purely through its Stinespring dilation: an operator
-v on A (x) C -> B (x) Z together with the four dimensions. Applying the
-channel appends the fixed ancilla |0><0| on C, conjugates by v, and traces
-out Z. Completely positive trace-non-increasing maps carry a contraction
-instead of a unitary.
+A channel is stored as its Stinespring operator v: A -> B (x) Z, the
+|B||Z| x |A| matrix with T(M) = Tr_Z[v M v^dag], together with |B|. A
+trace-preserving channel carries an isometry (v^dag v = I_A); a completely
+positive trace-non-increasing map carries a contraction. The Kraus
+operators are the blocks K_z = (I_B (x) <z|) v, so a Kraus list stacks
+into v with one environment level per operator.
 
 A pure state on X (x) Z is passed around as its |X| x |Z| amplitude
 matrix m, with |psi> = sum m[x, z] |x>|z>: `choi_amplitudes` returns the
@@ -98,34 +99,41 @@ def epr_state(d: int, labels: tuple[str, str] = ("A", "Ap")) -> DensitySystem:
 
 @dataclass(frozen=True)
 class ChannelStinespring:
-    """CP map T(M) = Tr_Z[ v (M (x) |0><0|^C) v^dag ] with v: A(x)C -> B(x)Z."""
+    """CP map T(M) = Tr_Z[v M v^dag] with v: A -> B (x) Z, a |B||Z| x |A| matrix.
+
+    v is an isometry when trace_preserving, a contraction otherwise.
+    """
 
     v: np.ndarray
-    a_dim: int
-    c_dim: int
     b_dim: int
-    z_dim: int
     trace_preserving: bool = True
 
     def __post_init__(self):
-        v = linalg.as_matrix(self.v)
-        if self.a_dim * self.c_dim != self.b_dim * self.z_dim:
+        v = np.asarray(self.v, dtype=complex)
+        if v.ndim != 2 or self.b_dim < 1 or v.shape[0] % self.b_dim:
             raise DimensionError(
-                f"|A||C| = {self.a_dim * self.c_dim} must equal "
-                f"|B||Z| = {self.b_dim * self.z_dim}"
+                f"stinespring operator of shape {v.shape} needs a row count "
+                f"|B||Z| divisible by |B| = {self.b_dim}"
             )
-        if v.shape[0] != self.b_dim * self.z_dim:
-            raise DimensionError("stinespring operator does not match the dimensions")
+        object.__setattr__(self, "v", v)
         if self.trace_preserving:
-            err = float(np.abs(v.conj().T @ v - np.eye(v.shape[0])).max())
+            err = float(np.abs(v.conj().T @ v - np.eye(v.shape[1])).max())
             if err > 1e-9:
                 raise DomainError(
-                    f"trace-preserving channel needs a unitary dilation, defect {err:.2e}"
+                    f"trace-preserving channel needs an isometry, defect {err:.2e}"
                 )
         else:
             top = linalg.schatten_norm(v, np.inf)
             if top > 1.0 + 1e-9:
                 raise DomainError(f"contraction required: ||v||_inf = {top:.12f} > 1")
+
+    @property
+    def a_dim(self) -> int:
+        return self.v.shape[1]
+
+    @property
+    def z_dim(self) -> int:
+        return self.v.shape[0] // self.b_dim
 
     def apply_matrix(
         self,
@@ -142,7 +150,7 @@ class ChannelStinespring:
         block = _resolve_block(shp, self.a_dim, block)
         rest = [n for n in shp.names if n not in block]
         ordered = linalg.permute_systems(m, shp, list(block) + rest)
-        out = conjugate_trace_z(self.v0[None], ordered, self.b_dim)[0]
+        out = conjugate_trace_z(self.v[None], ordered, self.b_dim)[0]
         labels = ((out_label, self.b_dim),) + tuple((n, shp.dim_of(n)) for n in rest)
         return out, SystemShape(labels)
 
@@ -157,22 +165,16 @@ class ChannelStinespring:
         block: tuple[str, ...] | None = None,
         out_label: str = "A",
     ) -> tuple[np.ndarray, SystemShape]:
-        """Adjoint map T^dag(N) = (I (x) <0|^C) v^dag (N (x) I^Z) v (I (x) |0>^C)."""
+        """Adjoint map T^dag(N) = v^dag (N (x) I^Z) v."""
         block = _resolve_block(shp, self.b_dim, block)
         rest = [n for n in shp.names if n not in block]
         ordered = linalg.permute_systems(m, shp, list(block) + rest)
-        # the Kraus operators K_z = <z| v0 taken as one map B -> A (x) Z, daggered
+        # the Kraus operators K_z = <z| v taken as one map B -> A (x) Z, daggered
         da, db, dz = self.a_dim, self.b_dim, self.z_dim
-        w = self.v0.reshape(db, dz, da).transpose(2, 1, 0).conj().reshape(da * dz, db)
+        w = self.v.reshape(db, dz, da).transpose(2, 1, 0).conj().reshape(da * dz, db)
         out = conjugate_trace_z(w[None], ordered, da)[0]
         labels = ((out_label, da),) + tuple((n, shp.dim_of(n)) for n in rest)
         return out, SystemShape(labels)
-
-    @property
-    def v0(self) -> np.ndarray:
-        """The dilation on the |0> ancilla, v (I_A (x) |0>^C): |B||Z| x |A|."""
-        v = np.asarray(self.v, dtype=complex)
-        return v.reshape(v.shape[0], self.a_dim, self.c_dim)[:, :, 0]
 
 
 def conjugate_trace_z(ms: np.ndarray, x: np.ndarray, b_dim: int) -> np.ndarray:
@@ -215,14 +217,14 @@ def _resolve_block(shp: SystemShape, in_dim: int, block) -> tuple[str, ...]:
 
 
 def choi_amplitudes(t: ChannelStinespring) -> np.ndarray:
-    """The (|B||A'|) x |Z| amplitude matrix m of (v (x) I)(|0>^C (x) |Phi>).
+    """The (|B||A'|) x |Z| amplitude matrix m of (v (x) I)|Phi>.
 
     |Phi> is the normalised maximally entangled state on A (x) A', so
-    m[(b, a'), z] = v0[(b, z), a'] / sqrt(|A|), and the Choi state is m m^dag
+    m[(b, a'), z] = v[(b, z), a'] / sqrt(|A|), and the Choi state is m m^dag
     (Watrous, The Theory of Quantum Information, ch. 2).
     """
     da, db, dz = t.a_dim, t.b_dim, t.z_dim
-    return t.v0.reshape(db, dz, da).transpose(0, 2, 1).reshape(db * da, dz) / np.sqrt(da)
+    return t.v.reshape(db, dz, da).transpose(0, 2, 1).reshape(db * da, dz) / np.sqrt(da)
 
 
 def choi_state(t: ChannelStinespring, labels: tuple[str, str] = ("B", "Ap")) -> DensitySystem:
@@ -233,73 +235,25 @@ def choi_state(t: ChannelStinespring, labels: tuple[str, str] = ("B", "Ap")) -> 
 
 
 def identity_channel(d: int) -> ChannelStinespring:
-    return ChannelStinespring(v=np.eye(d, dtype=complex), a_dim=d, c_dim=1,
-                              b_dim=d, z_dim=1, trace_preserving=True)
+    return ChannelStinespring(v=np.eye(d, dtype=complex), b_dim=d)
 
 
 def trace_out_channel(d_keep: int, d_traced: int) -> ChannelStinespring:
     """Tr over the second factor of A = keep (x) traced; B = keep, Z = traced."""
-    d = d_keep * d_traced
-    return ChannelStinespring(v=np.eye(d, dtype=complex), a_dim=d, c_dim=1,
-                              b_dim=d_keep, z_dim=d_traced, trace_preserving=True)
-
-
-def isometry_channel(w: np.ndarray, b_dim: int, z_dim: int) -> ChannelStinespring:
-    """Channel M -> Tr_Z[w M w^dag] for an isometry or unitary w: A -> B (x) Z."""
-    w = np.asarray(w, dtype=complex)
-    a_dim = w.shape[1]
-    if w.shape[0] != b_dim * z_dim:
-        raise DimensionError("isometry output dimension must equal |B||Z|")
-    if a_dim == b_dim * z_dim:
-        return ChannelStinespring(v=w, a_dim=a_dim, c_dim=1, b_dim=b_dim,
-                                  z_dim=z_dim, trace_preserving=True)
-    v = complete_isometry(w)
-    c_dim = (b_dim * z_dim) // a_dim
-    if a_dim * c_dim != b_dim * z_dim:
-        raise DimensionError("isometry dimensions do not embed into a unitary dilation")
-    # reorder columns so that column (a, c=0) carries w[:, a] and the
-    # completing columns fill (a, c >= 1) in order
-    full = np.concatenate([v[:, :a_dim, None],
-                           v[:, a_dim:].reshape(-1, a_dim, c_dim - 1)], axis=2)
-    return ChannelStinespring(v=full.reshape(-1, a_dim * c_dim), a_dim=a_dim,
-                              c_dim=c_dim, b_dim=b_dim, z_dim=z_dim, trace_preserving=True)
-
-
-def complete_isometry(cols: np.ndarray) -> np.ndarray:
-    """Extend orthonormal columns to a full unitary via the SVD null basis."""
-    cols = np.asarray(cols, dtype=complex)
-    d, k = cols.shape
-    gram_err = float(np.abs(cols.conj().T @ cols - np.eye(k)).max())
-    if gram_err > 1e-9:
-        raise DomainError(f"columns are not orthonormal, defect {gram_err:.2e}")
-    if k == d:
-        return cols.copy()
-    u, _, _ = np.linalg.svd(cols, full_matrices=True)
-    proj = cols @ cols.conj().T
-    comp = u[:, k:]
-    comp = comp - proj @ comp
-    q, _ = np.linalg.qr(comp)
-    return np.hstack([cols, q[:, : d - k]])
+    return ChannelStinespring(v=np.eye(d_keep * d_traced, dtype=complex), b_dim=d_keep)
 
 
 def channel_from_kraus(kraus: list[np.ndarray], a_dim: int, b_dim: int) -> ChannelStinespring:
-    """Assemble a trace-preserving Stinespring dilation from Kraus operators."""
+    """The channel with the given Kraus operators, stacked into v with |Z| = len(kraus)."""
     ks = [np.asarray(k, dtype=complex) for k in kraus]
+    if not ks:
+        raise DomainError("a channel needs at least one kraus operator")
     for k in ks:
         if k.shape != (b_dim, a_dim):
             raise DimensionError(f"kraus operator has shape {k.shape}, expected {(b_dim, a_dim)}")
-    total = sum(k.conj().T @ k for k in ks)
-    if float(np.abs(total - np.eye(a_dim)).max()) > 1e-9:
-        raise DomainError("kraus operators do not sum to the identity")
-    z_dim = len(ks)
-    while (b_dim * z_dim) % a_dim != 0:
-        z_dim += 1
-    v0 = np.zeros((b_dim * z_dim, a_dim), dtype=complex)
-    for zi, k in enumerate(ks):
-        for b in range(b_dim):
-            v0[b * z_dim + zi, :] = k[b, :]
-    full = isometry_channel(v0, b_dim=b_dim, z_dim=z_dim)
-    return full
+    # row (b, z) of v is row b of K_z
+    v = np.stack(ks, axis=1).reshape(b_dim * len(ks), a_dim)
+    return ChannelStinespring(v=v, b_dim=b_dim)
 
 
 def purification_vector(rho: np.ndarray, env_dim: int | None = None) -> np.ndarray:
@@ -375,14 +329,18 @@ def random_contraction(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 def random_channel(a_dim: int, b_dim: int, rng: np.random.Generator,
                    trace_preserving: bool = True) -> ChannelStinespring:
-    """Random channel A -> B with environment Z = A and ancilla C = B."""
+    """Random channel A -> B with environment Z = A.
+
+    v keeps the columns (a, 0) of a random unitary (or contraction) on
+    A (x) B, so it is an isometry (or contraction) A -> B (x) Z.
+    """
     d = a_dim * b_dim
     if trace_preserving:
-        v = linalg.random_unitary(d, rng)
+        u = linalg.random_unitary(d, rng)
     else:
-        v = random_contraction(d, rng)
-    return ChannelStinespring(v=v, a_dim=a_dim, c_dim=b_dim, b_dim=b_dim,
-                              z_dim=a_dim, trace_preserving=trace_preserving)
+        u = random_contraction(d, rng)
+    return ChannelStinespring(v=u[:, ::b_dim], b_dim=b_dim,
+                              trace_preserving=trace_preserving)
 
 
 def dominance_lemmas_check(instances: int = 500, seed: int = 0) -> dict:

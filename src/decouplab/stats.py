@@ -7,6 +7,7 @@ anything.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -87,6 +88,16 @@ def tail_from_moment(s: SampleSeries, center: float, m: int, kappa: float) -> di
     }
 
 
+@functools.lru_cache(maxsize=1)
+def _standard_normals(samples: int, seed: int) -> np.ndarray:
+    """Seeded standard normals for `moment_transfer_check`. The last draw is
+    kept, so checks with the same (samples, seed), such as the two regimes
+    of one `moments` run, share it."""
+    z = np.random.default_rng(seed).standard_normal(samples)
+    z.flags.writeable = False
+    return z
+
+
 def moment_transfer_check(c: float, a: float, mu: float, m: int,
                           samples: int = 1_000_000, seed: int = 0) -> dict:
     """Check the tail-to-moment transfer on a synthetic folded Gaussian.
@@ -102,8 +113,7 @@ def moment_transfer_check(c: float, a: float, mu: float, m: int,
         raise DomainError("need a > 0 and mu >= 0")
     if m < 1 or 2 * m > MAX_MOMENT_ORDER:
         raise DomainError(f"m must satisfy 2 <= 2m <= {MAX_MOMENT_ORDER}")
-    rng = np.random.default_rng(seed)
-    x = np.abs(mu + rng.standard_normal(samples) / math.sqrt(2.0 * a))
+    x = np.abs(mu + _standard_normals(samples, seed) / math.sqrt(2.0 * a))
     central = float(((x - mu) ** (2 * m)).mean())
     central_bound = c * (m / a) ** m
     sq = x * x - mu * mu

@@ -1,7 +1,8 @@
 """Earlier constructions, kept as oracles for the code that replaced them.
 
 Each one is the plain, step-by-step form: a loop that drops one eigenvalue
-at a time, or a pipeline that decomposes every operator where it needs it.
+at a time, a pipeline that decomposes every operator where it needs it, or
+a channel's square unitary dilation on A (x) C with the fixed |0> ancilla.
 Tests compare the library against these bit for bit.
 """
 
@@ -9,7 +10,7 @@ import math
 
 import numpy as np
 
-from decouplab import decoupling, entropy, linalg, quantum
+from decouplab import decoupling, ensembles, entropy, linalg, quantum
 from decouplab.errors import ComputationError, DomainError
 from decouplab.quantum import DensitySystem
 
@@ -202,3 +203,75 @@ def pin_phases(vectors, tol=1e-9):
             pivot = col[idx[0]]
             out[:, j] = col * (abs(pivot) / pivot)
     return out
+
+
+def complete_isometry(cols):
+    """Extend orthonormal columns to a full unitary via the SVD null basis."""
+    cols = np.asarray(cols, dtype=complex)
+    d, k = cols.shape
+    gram_err = float(np.abs(cols.conj().T @ cols - np.eye(k)).max())
+    if gram_err > 1e-9:
+        raise DomainError(f"columns are not orthonormal, defect {gram_err:.2e}")
+    if k == d:
+        return cols.copy()
+    u, _, _ = np.linalg.svd(cols, full_matrices=True)
+    proj = cols @ cols.conj().T
+    comp = u[:, k:]
+    comp = comp - proj @ comp
+    q, _ = np.linalg.qr(comp)
+    return np.hstack([cols, q[:, : d - k]])
+
+
+def unitary_dilation(w, b_dim, z_dim):
+    """(v, |C|): the unitary v on A (x) C -> B (x) Z whose columns (a, 0)
+    carry the isometry w: A -> B (x) Z and whose columns (a, c >= 1) hold
+    its completion in order."""
+    w = np.asarray(w, dtype=complex)
+    a_dim = w.shape[1]
+    if a_dim == b_dim * z_dim:
+        return w, 1
+    v = complete_isometry(w)
+    c_dim = (b_dim * z_dim) // a_dim
+    assert a_dim * c_dim == b_dim * z_dim
+    full = np.concatenate([v[:, :a_dim, None],
+                           v[:, a_dim:].reshape(-1, a_dim, c_dim - 1)], axis=2)
+    return full.reshape(-1, a_dim * c_dim), c_dim
+
+
+def kraus_dilation(kraus, a_dim, b_dim):
+    """(v, |C|, |Z|) for a Kraus list: |Z| is padded with zero operators
+    until |A| divides |B||Z|, then the stacked isometry is completed."""
+    z_dim = len(kraus)
+    while (b_dim * z_dim) % a_dim != 0:
+        z_dim += 1
+    v0 = np.zeros((b_dim * z_dim, a_dim), dtype=complex)
+    for zi, k in enumerate(kraus):
+        for b in range(b_dim):
+            v0[b * z_dim + zi, :] = k[b, :]
+    v, c_dim = unitary_dilation(v0, b_dim, z_dim)
+    return v, c_dim, z_dim
+
+
+def random_dilation(a_dim, b_dim, rng, trace_preserving=True):
+    """The draw behind `quantum.random_channel`: a unitary (or contraction)
+    on A (x) C -> B (x) Z with C = B and Z = A."""
+    d = a_dim * b_dim
+    if trace_preserving:
+        return linalg.random_unitary(d, rng)
+    return quantum.random_contraction(d, rng)
+
+
+def ancilla_zero(v, a_dim, c_dim):
+    """v (I_A (x) |0>^C): the |B||Z| x |A| block a dilation applies."""
+    return v.reshape(v.shape[0], a_dim, c_dim)[:, :, 0]
+
+
+def qtpe_lambda(e, t, samples=2000):
+    """(lambda, moment deviation) of `ensembles.qtpe_lambda`, building the
+    moment gap of every degree k <= t and taking the deviation's maximum."""
+    deviation = 0.0
+    for k in range(1, t + 1):
+        gap = (ensembles.moment_operator(e, k, samples=samples)
+               - ensembles.haar_moment_projector(e.dim, k))
+        deviation = max(deviation, (e.dim**k) * float(np.abs(gap).max()))
+    return float(linalg.schatten_norm(gap, np.inf)), deviation

@@ -1,8 +1,8 @@
 """The batched f / g engine against the per-draw construction it replaced.
 
-The reference below is the dense per-draw path: embed U (x) I_R, append the
-|0> ancilla, conjugate by kron(v, I), sandwich the POVM on Z, trace Z, and
-(for g) conjugate by the inverse quarter power of omega''' on B.
+The reference below is the dense per-draw path: embed U (x) I_R, conjugate
+by kron(v, I), sandwich the POVM on Z, trace Z, and (for g) conjugate by
+the inverse quarter power of omega''' on B.
 """
 
 import numpy as np
@@ -18,13 +18,10 @@ TOL = 1e-12
 
 
 def _dense_channel(channel, m, z_povm=None):
-    da, dc, db, dz = channel.a_dim, channel.c_dim, channel.b_dim, channel.z_dim
+    da, db, dz = channel.a_dim, channel.b_dim, channel.z_dim
     ds = m.shape[0] // da
-    y = np.zeros((da, dc, ds, da, dc, ds), dtype=complex)
-    y[:, 0, :, :, 0, :] = m.reshape(da, ds, da, ds)
-    y = y.reshape(da * dc * ds, da * dc * ds)
-    w = np.kron(np.asarray(channel.v, dtype=complex), np.eye(ds))
-    y = w @ y @ w.conj().T
+    w = np.kron(channel.v, np.eye(ds))
+    y = w @ m @ w.conj().T
     if z_povm is not None:
         p = np.kron(np.kron(np.eye(db), z_povm), np.eye(ds))
         y = p @ y @ p.conj().T
@@ -33,14 +30,13 @@ def _dense_channel(channel, m, z_povm=None):
 
 
 def _dense_adjoint(channel, n):
-    da, dc, db, dz = channel.a_dim, channel.c_dim, channel.b_dim, channel.z_dim
+    db, dz = channel.b_dim, channel.z_dim
     ds = n.shape[0] // db
     y = np.zeros((db, dz, ds, db, dz, ds), dtype=complex)
     for z in range(dz):
         y[:, z, :, :, z, :] = n.reshape(db, ds, db, ds)
-    w = np.kron(np.asarray(channel.v, dtype=complex), np.eye(ds))
-    y = (w.conj().T @ y.reshape(db * dz * ds, -1) @ w).reshape(da, dc, ds, da, dc, ds)
-    return y[:, 0, :, :, 0, :].reshape(da * ds, da * ds)
+    w = np.kron(channel.v, np.eye(ds))
+    return w.conj().T @ y.reshape(db * dz * ds, -1) @ w
 
 
 def _evolved(inst, state, u):
@@ -61,12 +57,12 @@ def g_reference(inst, u, w):
 
 
 def _kraus_instance():
-    # three Kraus operators 3 -> 2 cut from a random isometry: |Z| = 3, |C| = 2
+    # three Kraus operators 3 -> 2 cut from a random isometry: |Z| = 3
     rng = np.random.default_rng(40)
     iso = linalg.random_unitary(6, rng)[:, :3]
     kraus = [np.array([iso[b * 3 + z] for b in range(2)]) for z in range(3)]
     channel = quantum.channel_from_kraus(kraus, a_dim=3, b_dim=2)
-    assert channel.c_dim > 1
+    assert channel.z_dim == 3
     rho = quantum.random_state(shape(("A", 3), ("R", 2)), rng)
     return decoupling.DecouplingInstance(rho=rho, channel=channel,
                                          cfg=SmoothingConfig())
@@ -75,8 +71,7 @@ def _kraus_instance():
 def _embed_instance():
     rng = np.random.default_rng(41)
     rho = quantum.random_state(shape(("Om", 3), ("R", 2)), rng)
-    channel = quantum.isometry_channel(linalg.random_unitary(6, rng)[:, :3],
-                                       b_dim=2, z_dim=3)
+    channel = quantum.ChannelStinespring(v=linalg.random_unitary(6, rng)[:, :3], b_dim=2)
     return decoupling.DecouplingInstance(rho=rho, channel=channel,
                                          cfg=SmoothingConfig(), a_labels=("Om",))
 

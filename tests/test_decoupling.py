@@ -504,11 +504,11 @@ class TestSteeringPovmOfPrepare:
         p = w.povm
         eigs = np.linalg.eigvalsh(linalg.hermitianize(p))
         assert eigs.min() >= -1e-10 and eigs.max() <= 1.0 + 1e-10
-        # measure Z of the dense purified Choi vector (v0 (x) I_Ap)|Phi> on (B, Z, Ap)
+        # measure Z of the dense purified Choi vector (v (x) I_Ap)|Phi> on (B, Z, Ap)
         ch = inst.channel
         da, db, dz = ch.a_dim, ch.b_dim, ch.z_dim
         phi = np.eye(da, dtype=complex).reshape(-1) / np.sqrt(da)
-        psi = np.kron(ch.v0, np.eye(da)) @ phi
+        psi = np.kron(ch.v, np.eye(da)) @ phi
         psi = np.kron(np.kron(np.eye(db), p), np.eye(da)) @ psi
         steered = linalg.partial_trace(np.outer(psi, psi.conj()),
                                        shape(("B", db), ("Z", dz), ("Ap", da)), ["Z"])

@@ -8,6 +8,8 @@ import pytest
 from decouplab import ensembles, linalg
 from decouplab.errors import CapError, DomainError
 
+import oracles
+
 
 def weyl_group(d):
     """Shift-clock products, an exact 1-design in any dimension."""
@@ -281,6 +283,21 @@ class TestHaarProjector:
         assert np.abs(g - p).max() < 0.03
 
 
+DESIGN_CASES = {
+    "pauli-1": lambda: ensembles.enumerated_ensemble(ensembles.pauli_group(1), name="pauli"),
+    "pauli-2": lambda: ensembles.enumerated_ensemble(ensembles.pauli_group(2), name="pauli"),
+    "clifford-1": lambda: ensembles.enumerated_ensemble(ensembles.clifford_group(1),
+                                                        name="clifford"),
+    "iterated-clifford": lambda: ensembles.iterate_ensemble(
+        ensembles.enumerated_ensemble([HADAMARD, PHASE], name="hs"), 3),
+    "haar-2": lambda: ensembles.haar_ensemble(2, seed=1),
+    "haar-3": lambda: ensembles.haar_ensemble(3, seed=2),
+    "haar-4": lambda: ensembles.haar_ensemble(4, seed=3),
+    "iterated-haar": lambda: ensembles.iterate_ensemble(ensembles.haar_ensemble(2, seed=4), 2),
+    "circuit-2": lambda: ensembles.random_circuit_ensemble(2, 2, seed=5),
+}
+
+
 class TestDesignDiagnostics:
     def test_weyl_is_exact_1_design(self):
         e = ensembles.enumerated_ensemble(weyl_group(3), name="weyl3")
@@ -332,6 +349,21 @@ class TestDesignDiagnostics:
         e = ensembles.random_circuit_ensemble(3, 2, seed=0)
         rep = ensembles.qtpe_lambda(e, 1, samples=1500)
         assert rep.lambda_value < 0.15
+
+    @pytest.mark.parametrize("name, t", [
+        (name, t)
+        for name, dim in (("pauli-1", 2), ("pauli-2", 4), ("clifford-1", 2),
+                          ("iterated-clifford", 2), ("haar-2", 2), ("haar-3", 3),
+                          ("haar-4", 4), ("iterated-haar", 2), ("circuit-2", 4))
+        for t in (1, 2, 3) if dim**t <= 27
+    ])
+    def test_degree_t_matches_every_degree(self, name, t):
+        # the largest d^k-scaled entry gap over k <= t sits at k = t
+        e = DESIGN_CASES[name]()
+        rep = ensembles.qtpe_lambda(e, t, samples=40)
+        lam, deviation = oracles.qtpe_lambda(e, t, samples=40)
+        assert rep.lambda_value == pytest.approx(lam, abs=1e-12, rel=0)
+        assert rep.moment_deviation == pytest.approx(deviation, abs=1e-12, rel=0)
 
     def test_lambda_range_invariant(self):
         with pytest.raises(DomainError):

@@ -410,9 +410,9 @@ def per_sigma_h2_with_witness(rho, cfg, weight_mode, given):
             consider(entropy._simplex_weight(basis, start))
             if rank > 1:
                 res = minimize(objective, start, method="Nelder-Mead", options={
-                    "maxiter": cfg.minimizer_iterations,
-                    "fatol": cfg.minimizer_tolerance,
-                    "xatol": cfg.minimizer_tolerance,
+                    "maxiter": entropy.MINIMIZER_ITERATIONS,
+                    "fatol": entropy.MINIMIZER_TOLERANCE,
+                    "xatol": entropy.MINIMIZER_TOLERANCE,
                 })
                 consider(entropy._simplex_weight(basis, res.x))
         asc = np.argsort(sup_vals)
@@ -605,5 +605,3 @@ class TestReports:
     def test_smoothing_config_validation(self):
         with pytest.raises(DomainError):
             SmoothingConfig(epsilon=-0.1)
-        with pytest.raises(DomainError):
-            SmoothingConfig(minimizer_iterations=0)

@@ -8,15 +8,17 @@ from decouplab.errors import ComputationError, DimensionError, DomainError
 from decouplab.linalg import shape
 from decouplab.quantum import ChannelStinespring, DensitySystem
 
+import oracles
+
 
 def kraus_apply(kraus, m):
     return sum(k @ m @ k.conj().T for k in kraus)
 
 
 def channel_kraus(t: ChannelStinespring):
-    """Extract Kraus operators K_z = (I_B (x) <z|) v (I_A (x) |0>_C)."""
-    v = np.asarray(t.v, dtype=complex).reshape(t.b_dim, t.z_dim, t.a_dim, t.c_dim)
-    return [v[:, z, :, 0] for z in range(t.z_dim)]
+    """Extract Kraus operators K_z = (I_B (x) <z|) v."""
+    v = t.v.reshape(t.b_dim, t.z_dim, t.a_dim)
+    return [v[:, z, :] for z in range(t.z_dim)]
 
 
 class TestDensitySystem:
@@ -109,12 +111,11 @@ class TestChannelStinespring:
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(DimensionError):
-            ChannelStinespring(v=np.eye(4), a_dim=2, c_dim=1, b_dim=3, z_dim=1)
+            ChannelStinespring(v=np.eye(4), b_dim=3)
 
     def test_non_unitary_tp_rejected(self):
         with pytest.raises(DomainError):
-            ChannelStinespring(v=0.5 * np.eye(4), a_dim=2, c_dim=2,
-                               b_dim=2, z_dim=2, trace_preserving=True)
+            ChannelStinespring(v=0.5 * np.eye(4), b_dim=2, trace_preserving=True)
 
     def test_choi_of_identity_is_epr(self):
         choi = quantum.choi_state(quantum.identity_channel(3))
@@ -132,8 +133,7 @@ class TestChannelStinespring:
         lambda rng: quantum.channel_from_kraus(
             [np.diag([1, np.sqrt(0.7)]).astype(complex),
              np.array([[0, np.sqrt(0.3)], [0, 0]], dtype=complex)], a_dim=2, b_dim=2),
-        lambda rng: quantum.isometry_channel(linalg.random_unitary(6, rng)[:, :2],
-                                             b_dim=3, z_dim=2),
+        lambda rng: ChannelStinespring(v=linalg.random_unitary(6, rng)[:, :2], b_dim=3),
     ], ids=["identity", "trace-out", "random", "contraction", "kraus", "isometry"])
     def test_choi_state_matches_channel_on_epr(self, make):
         # oracle: push the dense EPR state through the channel
@@ -173,19 +173,58 @@ class TestKrausAndIsometry:
     def test_isometry_channel_action(self):
         rng = np.random.default_rng(7)
         w_iso = linalg.random_unitary(6, rng)[:, :2]  # isometry 2 -> 6 = 3 x 2
-        t = quantum.isometry_channel(w_iso, b_dim=3, z_dim=2)
+        t = ChannelStinespring(v=w_iso, b_dim=3)
         rho = quantum.random_density(2, rng)
         got = t.apply(DensitySystem(rho, shape(("A", 2)))).matrix
         big = w_iso @ rho @ w_iso.conj().T
         want = linalg.partial_trace(big, shape(("B", 3), ("Z", 2)), ["Z"])
         np.testing.assert_allclose(got, want, atol=1e-10)
 
-    def test_complete_isometry(self):
-        rng = np.random.default_rng(8)
-        cols = linalg.random_unitary(5, rng)[:, :2]
-        full = quantum.complete_isometry(cols)
-        np.testing.assert_allclose(full @ full.conj().T, np.eye(5), atol=1e-10)
-        np.testing.assert_allclose(full[:, :2], cols, atol=1e-12)
+    def test_empty_kraus_list_rejected(self):
+        with pytest.raises(DomainError):
+            quantum.channel_from_kraus([], a_dim=2, b_dim=2)
+
+
+class TestIsometryMatchesDilation:
+    """v equals the ancilla-|0> block of the unitary dilation once stored."""
+
+    @pytest.mark.parametrize("make, d", [
+        (lambda: quantum.identity_channel(3), 3),
+        (lambda: quantum.trace_out_channel(2, 3), 6),
+    ], ids=["identity", "trace-out"])
+    def test_fixed_channels(self, make, d):
+        old = oracles.ancilla_zero(np.eye(d, dtype=complex), d, 1)
+        assert np.array_equal(make().v, old)
+
+    @pytest.mark.parametrize("trace_preserving", [True, False])
+    @pytest.mark.parametrize("a_dim, b_dim", [(2, 2), (3, 2), (2, 3), (4, 2)])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_random_channels(self, seed, a_dim, b_dim, trace_preserving):
+        new = quantum.random_channel(a_dim, b_dim, np.random.default_rng(seed),
+                                     trace_preserving=trace_preserving)
+        old = oracles.random_dilation(a_dim, b_dim, np.random.default_rng(seed),
+                                      trace_preserving=trace_preserving)
+        assert np.array_equal(new.v, oracles.ancilla_zero(old, a_dim, b_dim))
+
+    @pytest.mark.parametrize("a_dim, b_dim, z_dim", [(2, 3, 2), (3, 2, 3), (2, 2, 4)])
+    def test_isometry_embeddings(self, a_dim, b_dim, z_dim):
+        rng = np.random.default_rng(a_dim * 10 + b_dim)
+        w = linalg.random_unitary(b_dim * z_dim, rng)[:, :a_dim]
+        old, c_dim = oracles.unitary_dilation(w, b_dim, z_dim)
+        assert c_dim > 1
+        new = ChannelStinespring(v=w, b_dim=b_dim)
+        assert np.array_equal(new.v, oracles.ancilla_zero(old, a_dim, c_dim))
+
+    @pytest.mark.parametrize("a_dim, b_dim, n_ops", [(2, 2, 2), (3, 2, 3), (3, 2, 2), (4, 3, 3)])
+    def test_kraus_lists_drop_the_padding(self, a_dim, b_dim, n_ops):
+        rng = np.random.default_rng(a_dim * 100 + b_dim * 10 + n_ops)
+        iso = linalg.random_unitary(b_dim * n_ops, rng)[:, :a_dim]
+        kraus = list(iso.reshape(b_dim, n_ops, a_dim).transpose(1, 0, 2))
+        new = quantum.channel_from_kraus(kraus, a_dim=a_dim, b_dim=b_dim)
+        old, c_dim, z_pad = oracles.kraus_dilation(kraus, a_dim, b_dim)
+        old_v0 = oracles.ancilla_zero(old, a_dim, c_dim).reshape(b_dim, z_pad, a_dim)
+        assert not old_v0[:, n_ops:].any()
+        assert np.array_equal(new.v, old_v0[:, :n_ops].reshape(-1, a_dim))
 
 
 class TestPurification:
