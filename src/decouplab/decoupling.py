@@ -35,7 +35,7 @@ def _pow2(x: float) -> float:
         return math.inf
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DecouplingInstance:
     """A state on A (x) R plus a channel acting on the A block.
 
@@ -74,7 +74,7 @@ class DecouplingInstance:
         return self.rho.shape.dim_of_all(self.r_labels)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Weights:
     """Precomputed smoothing witnesses and weighted operators for g.
 

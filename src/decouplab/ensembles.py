@@ -94,7 +94,7 @@ def clifford_group(n_qubits: int) -> list[np.ndarray]:
     return members
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UnitaryEnsemble:
     """A distribution over unitaries with a reproducible stream sampler."""
 

@@ -6,6 +6,15 @@ allowed, distance measured by the full 1-norm). That makes each reported
 number a one-sided certificate: collision-type quantities are lower bounds
 on the true optimum, max-type quantities are upper bounds. No claim of
 tightness is made for the truncation family used to pick the points.
+
+The collision search tries rho, its deepest spectral truncation within
+the ball and rho projected onto the weight's support. The shallower
+truncations never do better: for a fixed weight, dropping one more
+positive eigenvalue removes only nonnegative terms from the weighted
+2-norm and from the support leak (see `_truncation_candidates`). The
+minimized mode's Nelder-Mead search scores weights by a closed form over
+tables of these points built once per call; every weight it reports is
+evaluated densely again.
 """
 
 from __future__ import annotations
@@ -145,17 +154,30 @@ def _drop_smallest(values: np.ndarray, limit: float, spent: float = 0.0) -> np.n
 
 
 def _truncation_candidates(rho: DensitySystem, eps: float) -> list[np.ndarray]:
-    """rho and its subnormalised spectral truncations within the ball: drop
-    the k smallest positive eigenvalues (and every nonpositive one)."""
+    """rho and, when eps > 0 and some positive eigenvalue fits the budget,
+    its deepest spectral truncation sigma_K: every nonpositive eigenvalue and
+    the K smallest positive ones dropped, their mass within eps.
+
+    The shallower truncations sigma_1 .. sigma_{K-1} never beat sigma_K. Fix
+    a weight W, let v_i be rho's eigenvectors, X = V^dag (I (x) W^{-1/2}) V
+    and l_i = 1 - <v_i| I (x) P |v_i> >= 0 with P the weight's support
+    projector. Then ||w sigma_k w||_2^2 = sum_{i,j kept} lambda_i lambda_j
+    |X_ij|^2 and the leak of sigma_k is sum_{i kept} lambda_i l_i. For k >= 1
+    every kept lambda is positive, so both sums only shrink as k grows:
+    sigma_K has the best value and the smallest leak of sigma_1 .. sigma_K.
+    rho itself stays, since it may carry eigenvalues down to
+    -1e-9 lambda_max that the argument does not cover.
+    """
     out = [rho.matrix]
     if eps <= 0:
         return out
     spec = linalg.spectral(rho.matrix)
     order = np.argsort(spec.values)  # ascending
     positive = order[spec.values[order] > 0]
-    vals = np.where(spec.values > 0, spec.values, 0.0)
-    for idx in positive[:_drop_smallest(spec.values[positive], eps + 1e-15).size]:
-        vals[idx] = 0.0
+    dropped = positive[:_drop_smallest(spec.values[positive], eps + 1e-15).size]
+    if dropped.size:
+        vals = np.where(spec.values > 0, spec.values, 0.0)
+        vals[dropped] = 0.0
         out.append((spec.vectors * vals) @ spec.vectors.conj().T)
     return out
 
@@ -231,11 +253,14 @@ def _h2_witness(rho: DensitySystem, cfg: SmoothingConfig, weight_mode: str, give
 
     if weight_mode == "minimized":
         sup_vals = marg_spec.values[support]
+        if rank > 1:
+            score = _closed_form_score(rho, cfg.epsilon, given_list, basis,
+                                       [sig for sig, _ in sigmas])
         for start in (np.log(np.clip(sup_vals, 1e-12, None)), np.zeros(rank)):
             consider(_simplex_weight(basis, start))
             if rank > 1:
                 res = minimize(
-                    lambda x: -_weight_objective(x, basis, best_over_sigmas),
+                    lambda x: -score(x),
                     start,
                     method="Nelder-Mead",
                     options={
@@ -258,17 +283,72 @@ def _h2_witness(rho: DensitySystem, cfg: SmoothingConfig, weight_mode: str, give
     return value, sigma, weight, tilde, tuple(warnings)
 
 
-def _simplex_weight(basis: np.ndarray, logits: np.ndarray) -> np.ndarray:
+def _simplex_probs(logits) -> np.ndarray:
     z = np.asarray(logits, dtype=float)
     z = z - z.max()
     p = np.exp(z)
     p /= p.sum()
-    return (basis * p) @ basis.conj().T
+    return p
 
 
-def _weight_objective(logits, basis, best_over_sigmas) -> float:
-    got = best_over_sigmas(linalg.spectral(_simplex_weight(basis, np.asarray(logits))))
-    return -1e6 if got is None else got[0]
+def _simplex_weight(basis: np.ndarray, logits: np.ndarray) -> np.ndarray:
+    return (basis * _simplex_probs(logits)) @ basis.conj().T
+
+
+def _collision_table(sigma: np.ndarray, shp: SystemShape, given_list: list[str],
+                     basis: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """(S, d, t) of sigma in the weight basis with columns b_k:
+    S[k, l] = sum_{x,y} |<x, b_k| sigma |y, b_l>|^2, d[k] = <b_k| m |b_k>
+    and t = tr m, where m is sigma's marginal on the conditioning labels."""
+    rest = [n for n in shp.names if n not in given_list]
+    if rest + given_list != list(shp.names):
+        sigma = linalg.permute_systems(sigma, shp, rest + given_list)
+    d_rest, d_given = shp.dim_of_all(rest), shp.dim_of_all(given_list)
+    blocks = sigma.reshape(d_rest, d_given, d_rest, d_given) @ basis
+    blocks = np.einsum("gk,xgyl->xkyl", basis.conj(), blocks)
+    return ((np.abs(blocks) ** 2).sum(axis=(0, 2)), np.einsum("xkxk->k", blocks).real,
+            float(np.trace(sigma).real))
+
+
+def _closed_form_score(rho: DensitySystem, eps: float, given_list: list[str],
+                       basis: np.ndarray, points: list[np.ndarray]):
+    """Score of the weight basis diag(softmax(logits)) basis^dag over
+    `points` (rho first) and, when eps > 0, the projection of rho onto the
+    weight's support: the value the dense search reports for that weight,
+    from tables built once.
+
+    With q_k = p_k^{-1/2} above the power cutoff (0 below it), a point
+    scores -log2(q^T S q) when its marginal's mass off the support
+    K = {p_k above the rank floor}, t - sum_{k in K} d[k], is at most 1e-10.
+    The projection op rho op (op = I (x) P_K) keeps rho's S on K x K and
+    leaks nothing; its ball test runs once per support. No feasible point
+    scores -1e6.
+    """
+    tables = [_collision_table(sig, rho.shape, given_list, basis) for sig in points]
+    s_rho = tables[0][0]
+    in_ball: dict[bytes, bool] = {}
+
+    def score(logits) -> float:
+        p = _simplex_probs(logits)
+        p_max = float(p.max())
+        keep = p > RANK_FLOOR * max(p_max, 1.0)
+        live = p > linalg.EIG_CUTOFF * p_max
+        q = np.zeros_like(p)
+        q[live] = p[live] ** -0.5
+        norms = [q @ s @ q for s, d, t in tables if t - d[keep].sum() <= 1e-10]
+        if eps > 0:
+            key = keep.tobytes()
+            if key not in in_ball:
+                op = embed_on_labels(basis[:, keep] @ basis[:, keep].conj().T,
+                                     rho.shape, given_list)
+                in_ball[key] = (linalg.schatten_norm(rho.matrix - op @ rho.matrix @ op, 1)
+                                <= eps + 1e-12)
+            if in_ball[key]:
+                q_kept = np.where(keep, q, 0.0)
+                norms.append(q_kept @ s_rho @ q_kept)
+        return max((-math.log2(n) for n in norms if n > 0), default=-1e6)
+
+    return score
 
 
 def h2_conditional(rho: DensitySystem, cfg: SmoothingConfig,

@@ -124,7 +124,7 @@ def shape(*labels: tuple[str, int]) -> SystemShape:
     return SystemShape(tuple(labels))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Spectrum:
     """Eigen-decomposition with eigenvalues sorted descending.
 

@@ -26,7 +26,7 @@ STATE_EIG_TOL = 1e-10
 TRACE_TOL = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensitySystem:
     """A positive semidefinite operator with a declared trace (mass).
 
@@ -97,7 +97,7 @@ def epr_state(d: int, labels: tuple[str, str] = ("A", "Ap")) -> DensitySystem:
     return DensitySystem(np.outer(v, v.conj()), shp)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChannelStinespring:
     """CP map T(M) = Tr_Z[v M v^dag] with v: A -> B (x) Z, a |B||Z| x |A| matrix.
 

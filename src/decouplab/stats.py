@@ -19,7 +19,7 @@ MAX_MOMENT_ORDER = 16
 WILSON_Z = 1.959963984540054  # two-sided 95%
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampleSeries:
     values: np.ndarray
     seed: int

@@ -7,6 +7,7 @@ verified here is an exact statement about the finite-n distribution.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -44,8 +45,11 @@ class TypicalSpec:
             raise DomainError("delta must be positive")
 
 
-def enumerate_types(n: int, alphabet: int) -> list[TypeVector]:
-    """All compositions of n into `alphabet` parts, lexicographically sorted."""
+@functools.lru_cache(maxsize=1)
+def enumerate_types(n: int, alphabet: int) -> tuple[TypeVector, ...]:
+    """All compositions of n into `alphabet` parts, lexicographically sorted.
+    The last enumeration is kept, so a typicality run's report and its
+    aggregated max-entropy share it."""
     if alphabet < 1 or n < 0:
         raise DimensionError("need alphabet >= 1 and n >= 0")
     total = math.comb(n + alphabet - 1, alphabet - 1)
@@ -61,7 +65,7 @@ def enumerate_types(n: int, alphabet: int) -> list[TypeVector]:
             rec(prefix + [c], remaining - c, slots - 1)
 
     rec([], n, alphabet)
-    return out
+    return tuple(out)
 
 
 def multinomial_count(tv: TypeVector) -> int:

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from decouplab import decoupling, ensembles, linalg, quantum
+from decouplab import decoupling, ensembles, linalg, quantum, stats
 from decouplab.entropy import SmoothingConfig
 from decouplab.errors import ComputationError, DimensionError, DomainError
 from decouplab.linalg import shape
@@ -28,6 +28,29 @@ def random_instance(seed, da=4, db=2, dr=2, cfg=None):
     channel = quantum.trace_out_channel(db, da // db)
     return decoupling.DecouplingInstance(rho=rho, channel=channel,
                                          cfg=cfg or SmoothingConfig())
+
+
+# one fresh instance per call, equal in value each time
+ARRAY_HOLDERS = {
+    "DensitySystem": lambda: quantum.epr_state(2, labels=("A", "R")),
+    "ChannelStinespring": lambda: quantum.identity_channel(2),
+    "DecouplingInstance": epr_instance,
+    "Weights": lambda: decoupling.prepare(epr_instance()),
+    "Spectrum": lambda: linalg.spectral(np.diag([0.75, 0.25])),
+    "SampleSeries": lambda: stats.SampleSeries(np.arange(3.0), 0, "tag"),
+    "UnitaryEnsemble": lambda: ensembles.haar_ensemble(2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ARRAY_HOLDERS))
+def test_array_holders_compare_by_identity(name):
+    """A generated __eq__ would compare the arrays and raise; these compare
+    and hash by identity."""
+    x, y = ARRAY_HOLDERS[name](), ARRAY_HOLDERS[name]()
+    assert x == x
+    assert x != y
+    assert hash(x) == hash(x)
+    assert len({x, y}) == 2
 
 
 class TestInstanceValidation:

@@ -23,6 +23,11 @@ class TestEnumeration:
         assert all(sum(c) == 2 for c in got)
         assert len(set(got)) == len(got)
 
+    def test_last_enumeration_kept(self):
+        types = typicality.enumerate_types(4, 3)
+        assert isinstance(types, tuple)
+        assert typicality.enumerate_types(4, 3) is types
+
     def test_cap_enforced(self):
         with pytest.raises(CapError):
             typicality.enumerate_types(100, 5)
