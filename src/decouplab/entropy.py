@@ -31,6 +31,8 @@ from .linalg import SystemShape
 from .quantum import DensitySystem
 
 RANK_FLOOR = 1e-12
+# marginal mass off the weight's support that a feasible point may carry
+LEAK_TOLERANCE = 1e-10
 # budget of each Nelder-Mead search over the weight simplex
 MINIMIZER_ITERATIONS = 200
 MINIMIZER_TOLERANCE = 1e-8
@@ -132,13 +134,19 @@ def _collision_value(sigma: np.ndarray, marg: np.ndarray, proj: np.ndarray,
     embedded on the full space.
     """
     leak = float(np.real(np.trace(marg))) - float(np.real(np.trace(proj @ marg)))
-    if leak > 1e-10:
+    if leak > LEAK_TOLERANCE:
         return None
     tilde = w @ sigma @ w
     norm = linalg.schatten_norm(tilde, 2)
     if norm <= 0:
         return None
     return float(-2.0 * math.log2(norm)), tilde
+
+
+def _projected_in_ball(rho: DensitySystem, op: np.ndarray, eps: float) -> np.ndarray | None:
+    """op rho op when it lies in the eps-ball around rho, else None."""
+    sig = op @ rho.matrix @ op
+    return sig if linalg.schatten_norm(rho.matrix - sig, 1) <= eps + 1e-12 else None
 
 
 def _drop_smallest(values: np.ndarray, limit: float, spent: float = 0.0) -> np.ndarray:
@@ -154,9 +162,11 @@ def _drop_smallest(values: np.ndarray, limit: float, spent: float = 0.0) -> np.n
 
 
 def _truncation_candidates(rho: DensitySystem, eps: float) -> list[np.ndarray]:
-    """rho and, when eps > 0 and some positive eigenvalue fits the budget,
-    its deepest spectral truncation sigma_K: every nonpositive eigenvalue and
-    the K smallest positive ones dropped, their mass within eps.
+    """rho and, when eps > 0 and some positive eigenvalue other than the
+    largest fits the budget, its deepest spectral truncation sigma_K: every
+    nonpositive eigenvalue and the K smallest positive ones dropped, their
+    mass within eps. The largest positive eigenvalue always stays: dropping
+    it too would leave the zero operator, which has no collision value.
 
     The shallower truncations sigma_1 .. sigma_{K-1} never beat sigma_K. Fix
     a weight W, let v_i be rho's eigenvectors, X = V^dag (I (x) W^{-1/2}) V
@@ -173,7 +183,7 @@ def _truncation_candidates(rho: DensitySystem, eps: float) -> list[np.ndarray]:
         return out
     spec = linalg.spectral(rho.matrix)
     order = np.argsort(spec.values)  # ascending
-    positive = order[spec.values[order] > 0]
+    positive = order[spec.values[order] > 0][:-1]  # all but the largest
     dropped = positive[:_drop_smallest(spec.values[positive], eps + 1e-15).size]
     if dropped.size:
         vals = np.where(spec.values > 0, spec.values, 0.0)
@@ -231,9 +241,9 @@ def _h2_witness(rho: DensitySystem, cfg: SmoothingConfig, weight_mode: str, give
         w = embed_on_labels(spec.power(-0.25), rho.shape, given_list)
         points = sigmas
         if cfg.epsilon > 0:
-            op = embed_on_labels(proj, rho.shape, given_list)
-            sig = op @ rho.matrix @ op
-            if linalg.schatten_norm(rho.matrix - sig, 1) <= cfg.epsilon + 1e-12:
+            sig = _projected_in_ball(rho, embed_on_labels(proj, rho.shape, given_list),
+                                     cfg.epsilon)
+            if sig is not None:
                 points = sigmas + [(sig, linalg.partial_trace(sig, rho.shape, traced))]
         best = None
         for sig, sig_marg in points:
@@ -319,10 +329,10 @@ def _closed_form_score(rho: DensitySystem, eps: float, given_list: list[str],
 
     With q_k = p_k^{-1/2} above the power cutoff (0 below it), a point
     scores -log2(q^T S q) when its marginal's mass off the support
-    K = {p_k above the rank floor}, t - sum_{k in K} d[k], is at most 1e-10.
-    The projection op rho op (op = I (x) P_K) keeps rho's S on K x K and
-    leaks nothing; its ball test runs once per support. No feasible point
-    scores -1e6.
+    K = {p_k above the rank floor}, t - sum_{k in K} d[k], is at most
+    LEAK_TOLERANCE. The projection op rho op (op = I (x) P_K) keeps rho's S
+    on K x K and leaks nothing; its ball test runs once per support. No
+    feasible point scores -1e6.
     """
     tables = [_collision_table(sig, rho.shape, given_list, basis) for sig in points]
     s_rho = tables[0][0]
@@ -335,14 +345,13 @@ def _closed_form_score(rho: DensitySystem, eps: float, given_list: list[str],
         live = p > linalg.EIG_CUTOFF * p_max
         q = np.zeros_like(p)
         q[live] = p[live] ** -0.5
-        norms = [q @ s @ q for s, d, t in tables if t - d[keep].sum() <= 1e-10]
+        norms = [q @ s @ q for s, d, t in tables if t - d[keep].sum() <= LEAK_TOLERANCE]
         if eps > 0:
             key = keep.tobytes()
             if key not in in_ball:
                 op = embed_on_labels(basis[:, keep] @ basis[:, keep].conj().T,
                                      rho.shape, given_list)
-                in_ball[key] = (linalg.schatten_norm(rho.matrix - op @ rho.matrix @ op, 1)
-                                <= eps + 1e-12)
+                in_ball[key] = _projected_in_ball(rho, op, eps) is not None
             if in_ball[key]:
                 q_kept = np.where(keep, q, 0.0)
                 norms.append(q_kept @ s_rho @ q_kept)
