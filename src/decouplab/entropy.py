@@ -11,10 +11,12 @@ The collision search tries rho, its deepest spectral truncation within
 the ball and rho projected onto the weight's support. The shallower
 truncations never do better: for a fixed weight, dropping one more
 positive eigenvalue removes only nonnegative terms from the weighted
-2-norm and from the support leak (see `_truncation_candidates`). The
-minimized mode's Nelder-Mead search scores weights by a closed form over
-tables of these points built once per call; every weight it reports is
-evaluated densely again.
+2-norm and from the support leak (see `_truncation_candidates`). Every
+weight the search considers is diagonal in the conditioning marginal's
+eigenbasis, so each is scored by a closed form over tables of these points
+built once per call. Only the winner is weighed: its point is conjugated by
+the weight's -1/4 power through a contraction on the conditioning labels,
+and the value reported is that dense point's.
 """
 
 from __future__ import annotations
@@ -97,56 +99,23 @@ def shannon(x, given=None) -> float:
     return shannon(x) - shannon(x.marginal(given))
 
 
-def embed_on_labels(op: np.ndarray, shp: SystemShape, labels) -> np.ndarray:
-    """Operator acting as `op` on the named labels (in order), identity elsewhere."""
-    labels = [labels] if isinstance(labels, str) else list(labels)
-    rest = [n for n in shp.names if n not in labels]
-    d_rest = shp.dim_of_all(rest)
-    op = linalg.as_matrix(op)
-    if op.shape[0] != shp.dim_of_all(labels):
-        raise DimensionError("embedded operator does not match the label dimensions")
-    # kron(I, op) as np.kron computes it: the same products, without its set-up
-    d = d_rest * op.shape[0]
-    eye = np.eye(d_rest, dtype=complex)
-    big = (eye[:, None, :, None] * op[None, :, None, :]).reshape(d, d)
-    if rest + labels == list(shp.names):
-        return big
-    big_shape = SystemShape(
-        tuple((n, shp.dim_of(n)) for n in rest) + tuple((n, shp.dim_of(n)) for n in labels)
-    )
-    return linalg.permute_systems(big, big_shape, list(shp.names))
+def _apply_on_labels(op: np.ndarray, m: np.ndarray, shp: SystemShape, labels) -> np.ndarray:
+    """(I (x) op) m, op acting on the named labels of m's row index in the
+    given order; m has shp.dim rows and any number of columns."""
+    axes = [shp.axis(n) for n in labels]
+    k = len(axes)
+    dims = tuple(shp.dim_of(n) for n in labels)
+    out = np.tensordot(op.reshape(dims + dims), m.reshape(shp.dims + (-1,)),
+                       axes=(list(range(k, 2 * k)), axes))
+    return np.moveaxis(out, list(range(k)), axes).reshape(m.shape)
 
 
-def _support_projector(spec: linalg.Spectrum) -> np.ndarray:
-    lmax = float(spec.values.max(initial=0.0))
-    keep = spec.values > RANK_FLOOR * max(lmax, 1.0)
-    cols = spec.vectors[:, keep]
-    return cols @ cols.conj().T
-
-
-def _collision_value(sigma: np.ndarray, marg: np.ndarray, proj: np.ndarray,
-                     w: np.ndarray) -> tuple[float, np.ndarray] | None:
-    """-2 log2 of the weighted 2-norm and the weighted point w sigma w, or
-    None when the point leaks support.
-
-    `marg` is sigma's marginal on the conditioning labels, `proj` the
-    weight's support projector there, and `w` the weight's -1/4 power
-    embedded on the full space.
-    """
-    leak = float(np.real(np.trace(marg))) - float(np.real(np.trace(proj @ marg)))
-    if leak > LEAK_TOLERANCE:
-        return None
-    tilde = w @ sigma @ w
-    norm = linalg.schatten_norm(tilde, 2)
-    if norm <= 0:
-        return None
-    return float(-2.0 * math.log2(norm)), tilde
-
-
-def _projected_in_ball(rho: DensitySystem, op: np.ndarray, eps: float) -> np.ndarray | None:
-    """op rho op when it lies in the eps-ball around rho, else None."""
-    sig = op @ rho.matrix @ op
-    return sig if linalg.schatten_norm(rho.matrix - sig, 1) <= eps + 1e-12 else None
+def _conj_on_labels(m: np.ndarray, op: np.ndarray, shp: SystemShape, labels) -> np.ndarray:
+    """(I (x) op) m (I (x) op) by contraction on the named labels, without
+    the (|rest| |labels|)^2 embedding of op."""
+    left = _apply_on_labels(op, m, shp, labels)
+    # m (I (x) op) = ((I (x) op^T) m^T)^T
+    return _apply_on_labels(op.T, left.T, shp, labels).T.copy()
 
 
 def _drop_smallest(values: np.ndarray, limit: float, spent: float = 0.0) -> np.ndarray:
@@ -227,50 +196,30 @@ def _h2_witness(rho: DensitySystem, cfg: SmoothingConfig, weight_mode: str, give
                         "weights restricted to its support")
     basis = marg_spec.vectors[:, support]
 
-    # the truncations and their marginals do not depend on the weight
-    traced = [n for n in rho.shape.names if n not in given_list]
-    sigmas = [(sig, linalg.partial_trace(sig, rho.shape, traced))
-              for sig in _truncation_candidates(rho, cfg.epsilon)]
-
-    def best_over_sigmas(spec: linalg.Spectrum
-                         ) -> tuple[float, np.ndarray, np.ndarray] | None:
-        """(value, sigma, tilde) at the best feasible sigma for the weight
-        with this spectrum. rho projected onto the weight's support is tried
-        last, so a tie keeps the truncation."""
-        proj = _support_projector(spec)
-        w = embed_on_labels(spec.power(-0.25), rho.shape, given_list)
-        points = sigmas
-        if cfg.epsilon > 0:
-            sig = _projected_in_ball(rho, embed_on_labels(proj, rho.shape, given_list),
-                                     cfg.epsilon)
-            if sig is not None:
-                points = sigmas + [(sig, linalg.partial_trace(sig, rho.shape, traced))]
-        best = None
-        for sig, sig_marg in points:
-            got = _collision_value(sig, sig_marg, proj, w)
-            if got is not None and (best is None or got[0] > best[0]):
-                best = (got[0], sig, got[1])
-        return best
-
+    points = _truncation_candidates(rho, cfg.epsilon)
+    score = _closed_form_score(rho, cfg.epsilon, given_list, marg_spec.vectors, points)
     candidates: list[tuple[float, np.ndarray, np.ndarray, np.ndarray]] = []
 
-    def consider(weight: np.ndarray, spec: linalg.Spectrum | None = None):
-        got = best_over_sigmas(linalg.spectral(weight) if spec is None else spec)
-        if got is not None:
-            candidates.append((got[0], got[1], weight, got[2]))
+    def consider(weight: np.ndarray, p: np.ndarray):
+        """Record the weight marg_spec.vectors diag(p) (same)^dag at its best point."""
+        value, sigma = score(p)
+        if sigma is not None:
+            candidates.append((value, sigma, weight, p))
 
-    consider(marg, marg_spec)
+    def on_support(probs: np.ndarray) -> np.ndarray:
+        p = np.zeros_like(marg_spec.values)
+        p[support] = probs
+        return p
+
+    consider(marg, marg_spec.values)
 
     if weight_mode == "minimized":
         sup_vals = marg_spec.values[support]
-        if rank > 1:
-            score = _closed_form_score(rho, cfg.epsilon, given_list, basis,
-                                       [sig for sig, _ in sigmas])
         for start in (np.log(np.clip(sup_vals, 1e-12, None)), np.zeros(rank)):
-            consider(_simplex_weight(basis, start))
+            consider(_simplex_weight(basis, start), on_support(_simplex_probs(start)))
             if rank > 1:
                 res = minimize(
-                    lambda x: -score(x),
+                    lambda x: -score(on_support(_simplex_probs(x)))[0],
                     start,
                     method="Nelder-Mead",
                     options={
@@ -279,17 +228,23 @@ def _h2_witness(rho: DensitySystem, cfg: SmoothingConfig, weight_mode: str, give
                         "xatol": MINIMIZER_TOLERANCE,
                     },
                 )
-                consider(_simplex_weight(basis, res.x))
+                consider(_simplex_weight(basis, res.x), on_support(_simplex_probs(res.x)))
         # renormalised truncations of the marginal spectrum as extra starts
         asc = np.argsort(sup_vals)
         for k in range(1, rank):
             kept = np.delete(np.arange(rank), asc[:k])
-            w = (basis[:, kept] * (sup_vals[kept] / sup_vals[kept].sum())) @ basis[:, kept].conj().T
-            consider(w)
+            probs = np.zeros(rank)
+            probs[kept] = sup_vals[kept] / sup_vals[kept].sum()
+            w = (basis[:, kept] * probs[kept]) @ basis[:, kept].conj().T
+            consider(w, on_support(probs))
 
     if not candidates:
         raise DomainError("no feasible smoothing point found inside the ball")
-    value, sigma, weight, tilde = max(candidates, key=lambda c: c[0])
+    _, sigma, weight, p = max(candidates, key=lambda c: c[0])
+    vecs = marg_spec.vectors
+    w = (vecs * linalg._power_above_cutoff(p, -0.25)) @ vecs.conj().T
+    tilde = _conj_on_labels(sigma, w, rho.shape, given_list)
+    value = float(-2.0 * math.log2(linalg.schatten_norm(tilde, 2)))
     return value, sigma, weight, tilde, tuple(warnings)
 
 
@@ -322,40 +277,48 @@ def _collision_table(sigma: np.ndarray, shp: SystemShape, given_list: list[str],
 
 def _closed_form_score(rho: DensitySystem, eps: float, given_list: list[str],
                        basis: np.ndarray, points: list[np.ndarray]):
-    """Score of the weight basis diag(softmax(logits)) basis^dag over
-    `points` (rho first) and, when eps > 0, the projection of rho onto the
-    weight's support: the value the dense search reports for that weight,
-    from tables built once.
+    """Score of the weight basis diag(p) basis^dag over `points` (rho first)
+    and, when eps > 0, the projection of rho onto the weight's support, from
+    tables built once: (value, point) at the best feasible point, the
+    earliest on a tie, or (-1e6, None) when no point is feasible.
 
     With q_k = p_k^{-1/2} above the power cutoff (0 below it), a point
-    scores -log2(q^T S q) when its marginal's mass off the support
-    K = {p_k above the rank floor}, t - sum_{k in K} d[k], is at most
-    LEAK_TOLERANCE. The projection op rho op (op = I (x) P_K) keeps rho's S
-    on K x K and leaks nothing; its ball test runs once per support. No
-    feasible point scores -1e6.
+    scores -log2(q^T S q) = -2 log2 ||(I (x) w^{-1/4}) point (same)||_2 when
+    its marginal's mass off the support K = {p_k above the rank floor},
+    t - sum_{k in K} d[k], is at most LEAK_TOLERANCE. The projection
+    op rho op (op = I (x) P_K) keeps rho's S on K x K and leaks nothing; it
+    is built, and its ball test run, once per support. Where rho is feasible
+    and K holds every q_k > 0 the projection scores exactly as rho does, so
+    it is skipped there.
     """
     tables = [_collision_table(sig, rho.shape, given_list, basis) for sig in points]
     s_rho = tables[0][0]
-    in_ball: dict[bytes, bool] = {}
+    projected: dict[bytes, np.ndarray | None] = {}
 
-    def score(logits) -> float:
-        p = _simplex_probs(logits)
-        p_max = float(p.max())
-        keep = p > RANK_FLOOR * max(p_max, 1.0)
-        live = p > linalg.EIG_CUTOFF * p_max
-        q = np.zeros_like(p)
-        q[live] = p[live] ** -0.5
-        norms = [q @ s @ q for s, d, t in tables if t - d[keep].sum() <= LEAK_TOLERANCE]
-        if eps > 0:
-            key = keep.tobytes()
-            if key not in in_ball:
-                op = embed_on_labels(basis[:, keep] @ basis[:, keep].conj().T,
-                                     rho.shape, given_list)
-                in_ball[key] = _projected_in_ball(rho, op, eps) is not None
-            if in_ball[key]:
+    def projection(keep: np.ndarray) -> np.ndarray | None:
+        """rho projected onto the support K when it lies in the eps-ball."""
+        key = keep.tobytes()
+        if key not in projected:
+            cols = basis[:, keep]
+            sig = _conj_on_labels(rho.matrix, cols @ cols.conj().T, rho.shape, given_list)
+            # rho - sig is Hermitian: its trace norm is the sum of |eigenvalues|
+            dist = float(np.abs(np.linalg.eigvalsh(rho.matrix - sig)).sum())
+            projected[key] = sig if dist <= eps + 1e-12 else None
+        return projected[key]
+
+    def score(p: np.ndarray) -> tuple[float, np.ndarray | None]:
+        keep = p > RANK_FLOOR * max(float(p.max()), 1.0)
+        q = linalg._power_above_cutoff(p, -0.5)
+        feasible = [t - d[keep].sum() <= LEAK_TOLERANCE for _, d, t in tables]
+        scored = [(q @ s @ q, sig) for (s, _, _), sig, ok in zip(tables, points, feasible)
+                  if ok]
+        if eps > 0 and not (feasible[0] and keep[q > 0].all()):
+            sig = projection(keep)
+            if sig is not None:
                 q_kept = np.where(keep, q, 0.0)
-                norms.append(q_kept @ s_rho @ q_kept)
-        return max((-math.log2(n) for n in norms if n > 0), default=-1e6)
+                scored.append((q_kept @ s_rho @ q_kept, sig))
+        return max(((-math.log2(n), sig) for n, sig in scored if n > 0),
+                   key=lambda c: c[0], default=(-1e6, None))
 
     return score
 
@@ -479,21 +442,25 @@ def h2_prime(omega: DensitySystem, eps: float, delta: float,
 def _h2_prime(omega: DensitySystem, eps: float, delta: float, given: str
               ) -> tuple[float, float, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """h2' with what it derives on the way, as (h2', hmax' of omega's
-    marginal, eta, omega''', omega'''^(-1/4), eta conjugated by it embedded)."""
+    marginal, eta, omega''', omega'''^(-1/4), eta conjugated by it on the
+    given label)."""
     b_spec = linalg.spectral(omega.marginal([given]).matrix)
     hmax_value, omega3 = _omega_triple_prime(b_spec, eps, delta)
     w3_spec = linalg.spectral(omega3)
-    proj_full = embed_on_labels(_support_projector(w3_spec), omega.shape, [given])
+    lmax3 = float(w3_spec.values.max(initial=0.0))
+    cols = w3_spec.vectors[:, w3_spec.values > RANK_FLOOR * max(lmax3, 1.0)]
 
     spec = linalg.spectral(omega.matrix)
+    # <v_i| I (x) P |v_i> for every eigenvector at once, P omega3's support projector
+    overlaps = np.einsum("ri,ri->i", spec.vectors.conj(), _apply_on_labels(
+        cols @ cols.conj().T, spec.vectors, omega.shape, [given])).real
     lmax = float(spec.values.max(initial=0.0))
     removed = 0.0
     keep = []
     for i, v in enumerate(spec.values):
         if v <= RANK_FLOOR * lmax:
             continue
-        overlap = float(np.real(spec.vectors[:, i].conj() @ (proj_full @ spec.vectors[:, i])))
-        if overlap < 1.0 - eps - 1e-12:
+        if overlaps[i] < 1.0 - eps - 1e-12:
             removed += v
         else:
             keep.append(i)
@@ -509,8 +476,7 @@ def _h2_prime(omega: DensitySystem, eps: float, delta: float, given: str
     vals[keep] = spec.values[keep]
     eta = (spec.vectors * vals) @ spec.vectors.conj().T
     w3_iq = w3_spec.power(-0.25)
-    w = embed_on_labels(w3_iq, omega.shape, [given])
-    tilde = w @ eta @ w
+    tilde = _conj_on_labels(eta, w3_iq, omega.shape, [given])
     value = float(-2.0 * math.log2(linalg.schatten_norm(tilde, 2)))
     return value, hmax_value, eta, omega3, w3_iq, tilde
 

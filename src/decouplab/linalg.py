@@ -154,10 +154,16 @@ class Spectrum:
             raise DomainError(
                 f"matrix has negative eigenvalue {self.values.min():.3e}, not PSD"
             )
-        mask = self.values > EIG_CUTOFF * lmax
-        powered = np.zeros_like(self.values)
-        powered[mask] = self.values[mask] ** float(exponent)
+        powered = _power_above_cutoff(self.values, exponent)
         return (self.vectors * powered) @ self.vectors.conj().T
+
+
+def _power_above_cutoff(values: np.ndarray, exponent: float) -> np.ndarray:
+    """values ** exponent above EIG_CUTOFF * max(values), 0 at or below it."""
+    live = values > EIG_CUTOFF * float(values.max(initial=0.0))
+    out = np.zeros_like(values)
+    out[live] = values[live] ** float(exponent)
+    return out
 
 
 def _pin_phases(vectors: np.ndarray, tol: float = 1e-9) -> np.ndarray:

@@ -2,8 +2,10 @@
 
 Each one is the plain, step-by-step form: a loop that drops one eigenvalue
 at a time, a pipeline that decomposes every operator where it needs it, or
-a channel's square unitary dilation on A (x) C with the fixed |0> ancilla.
-Tests compare the library against these bit for bit.
+a channel's square unitary dilation on A (x) C with the fixed |0> ancilla,
+or an operator on some labels embedded by kron(I, op) rather than applied
+by contraction. Tests compare the library against these bit for bit, or
+within a stated tolerance where only the order of a sum changed.
 """
 
 import math
@@ -15,9 +17,20 @@ from decouplab.errors import ComputationError, DomainError
 from decouplab.quantum import DensitySystem
 
 
+def kron_embed(op, shp, labels):
+    """op on the named labels (in order), identity elsewhere: kron(I, op)
+    with its factors permuted into the shape's label order."""
+    rest = [n for n in shp.names if n not in labels]
+    big = np.kron(np.eye(shp.dim_of_all(rest), dtype=complex), op)
+    big_shape = linalg.SystemShape(
+        tuple((n, shp.dim_of(n)) for n in rest + labels)
+    )
+    return linalg.permute_systems(big, big_shape, list(shp.names))
+
+
 def conj_by_inverse_quarter(m, shp, weight, labels):
     """w^(-1/4) m w^(-1/4), with the weight's power embedded on `labels`."""
-    w = entropy.embed_on_labels(linalg.pseudo_inverse_power(weight, -0.25), shp, labels)
+    w = kron_embed(linalg.pseudo_inverse_power(weight, -0.25), shp, labels)
     return w @ m @ w
 
 
@@ -117,7 +130,7 @@ def h2_prime(omega, eps, delta, given="B"):
     w3_spec = linalg.spectral(w3.matrix)
     lmax3 = float(w3_spec.values.max(initial=0.0))
     cols = w3_spec.vectors[:, w3_spec.values > entropy.RANK_FLOOR * max(lmax3, 1.0)]
-    proj_full = entropy.embed_on_labels(cols @ cols.conj().T, omega.shape, [given])
+    proj_full = kron_embed(cols @ cols.conj().T, omega.shape, [given])
 
     spec = linalg.spectral(omega.matrix)
     lmax = float(spec.values.max(initial=0.0))
@@ -143,7 +156,7 @@ def h2_prime(omega, eps, delta, given="B"):
     vals = np.zeros_like(spec.values)
     vals[keep] = spec.values[keep]
     eta = (spec.vectors * vals) @ spec.vectors.conj().T
-    w = entropy.embed_on_labels(w3_spec.power(-0.25), omega.shape, [given])
+    w = kron_embed(w3_spec.power(-0.25), omega.shape, [given])
     value = float(-2.0 * math.log2(linalg.schatten_norm(w @ eta @ w, 2)))
     return value, DensitySystem.from_matrix(eta, omega.shape)
 
@@ -171,7 +184,7 @@ def prepare(inst, weight_mode="fixed_marginal"):
                                        eta_ds.matrix)
 
     omega3_iq = linalg.pseudo_inverse_power(omega3.matrix, -0.25)
-    w_b = entropy.embed_on_labels(omega3_iq, choi.shape, ["B"])
+    w_b = kron_embed(omega3_iq, choi.shape, ["B"])
     omega_tilde = w_b @ eta_ds.matrix @ w_b
     omega_tilde_b = linalg.partial_trace(omega_tilde, choi.shape, ["Ap"])
 
