@@ -16,12 +16,13 @@ def shape(*labels):
     return linalg.SystemShape(tuple(labels))
 
 
-# All compositions of n = 6 symbols over a 3-letter alphabet.
-types = typicality.enumerate_types(6, 3)
-print(f"type classes of length 6 over 3 letters: {len(types)}")
-tv = types[len(types) // 2]
-print(f"example class {tv.counts}: "
-      f"{typicality.multinomial_count(tv)} sequences")
+# All compositions of n = 6 symbols over a 3-letter alphabet: one row of
+# letter counts per type class, with the class's exact sequence count.
+table = typicality.enumerate_types(6, 3)
+print(f"type classes of length 6 over 3 letters: {len(table.sizes)}")
+mid = len(table.sizes) // 2
+print(f"example class {tuple(table.counts[mid].tolist())}: "
+      f"{table.sizes[mid]} sequences")
 
 # Fair coin, 10 tosses, delta = 0.2: the typical set is exactly the
 # sequences with 4, 5 or 6 heads.

@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import linalg
 from .errors import DimensionError, DomainError
@@ -214,6 +213,9 @@ def _h2_witness(rho: DensitySystem, cfg: SmoothingConfig, weight_mode: str, give
     consider(marg, marg_spec.values)
 
     if weight_mode == "minimized":
+        # imported here: scipy.optimize costs most of a fresh process's import time
+        from scipy.optimize import minimize
+
         sup_vals = marg_spec.values[support]
         for start in (np.log(np.clip(sup_vals, 1e-12, None)), np.zeros(rank)):
             consider(_simplex_weight(basis, start), on_support(_simplex_probs(start)))

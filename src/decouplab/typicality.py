@@ -1,15 +1,23 @@
 """Method of types and asymptotic equipartition checks at exact-sum scale.
 
-Sums over typical sets are evaluated by enumerating type classes with exact
-integer multiplicities, never by sampling sequences, so every inequality
-verified here is an exact statement about the finite-n distribution.
+The type classes of length-n sequences over |X| letters are built once per
+(n, |X|) as one read-only table: an (N, |X|) array of letter counts in
+lexicographic order and each class's exact sequence count as a Python int.
+Typical sets are array masks over its rows, and the n-copy max-entropy cuts
+its class masses with the spectral truncation rule of `entropy`. Sums run
+over exact integer multiplicities, never over sampled sequences, so every
+inequality verified here is an exact statement about the finite-n
+distribution.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+import operator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,13 +28,13 @@ from .quantum import DensitySystem
 TYPE_ENUM_CAP = 1_000_000
 
 
-@dataclass(frozen=True)
-class TypeVector:
-    counts: tuple[int, ...]
+class TypeTable(NamedTuple):
+    """The type classes of length-n sequences: `counts` holds one class per
+    row (letter counts, lexicographic order, read-only) and `sizes` each
+    class's exact number of sequences."""
 
-    @property
-    def n(self) -> int:
-        return sum(self.counts)
+    counts: np.ndarray
+    sizes: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -46,61 +54,50 @@ class TypicalSpec:
 
 
 @functools.lru_cache(maxsize=1)
-def enumerate_types(n: int, alphabet: int) -> tuple[TypeVector, ...]:
+def enumerate_types(n: int, alphabet: int) -> TypeTable:
     """All compositions of n into `alphabet` parts, lexicographically sorted.
-    The last enumeration is kept, so a typicality run's report and its
-    aggregated max-entropy share it."""
+    The last table is kept, so a typicality run's report and its aggregated
+    max-entropy share it."""
     if alphabet < 1 or n < 0:
         raise DimensionError("need alphabet >= 1 and n >= 0")
     total = math.comb(n + alphabet - 1, alphabet - 1)
     if total > TYPE_ENUM_CAP:
         raise CapError(f"{total} types exceed the enumeration cap {TYPE_ENUM_CAP}")
-    out: list[TypeVector] = []
-
-    def rec(prefix: list[int], remaining: int, slots: int):
-        if slots == 1:
-            out.append(TypeVector(tuple(prefix + [remaining])))
-            return
-        for c in range(remaining + 1):
-            rec(prefix + [c], remaining - c, slots - 1)
-
-    rec([], n, alphabet)
-    return tuple(out)
-
-
-def multinomial_count(tv: TypeVector) -> int:
-    """Exact number of sequences of this type."""
-    total = tv.n
-    out = 1
-    for c in tv.counts:
-        out *= math.comb(total, c)
-        total -= c
-    return out
+    # stars and bars: the bars' slots among n + alphabet - 1, taken in
+    # lexicographic order, give the counts in lexicographic order
+    slots = n + alphabet - 1
+    bars = np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations(range(slots), alphabet - 1)),
+        dtype=np.int64, count=total * (alphabet - 1),
+    ).reshape(total, alphabet - 1)
+    edges = np.hstack([np.full((total, 1), -1), bars, np.full((total, 1), slots)])
+    counts = np.diff(edges, axis=1) - 1
+    counts.flags.writeable = False
+    fact = list(itertools.accumulate(range(1, n + 1), operator.mul, initial=1))
+    sizes = tuple(fact[n] // math.prod(fact[c] for c in row) for row in counts.tolist())
+    return TypeTable(counts, sizes)
 
 
-def _sequence_prob(tv: TypeVector, probs) -> float:
-    q = 1.0
-    for c, p in zip(tv.counts, probs):
-        if c == 0:
-            continue
-        if p == 0.0:
-            return 0.0
-        q *= p**c
+def _type_probs(counts: np.ndarray, probs: tuple[float, ...]) -> np.ndarray:
+    """The probability prod_j p_j^(c_j) of one sequence of each row's type,
+    letter by letter from tables of Python's own powers: numpy's vectorised
+    ** can move the last bit."""
+    q = np.ones(len(counts))
+    for c, p in zip(counts.T, probs):
+        powers = np.array([p**k for k in range(int(c.max(initial=0)) + 1)])
+        q = q * powers[c]
     return q
 
 
-def _is_typical(tv: TypeVector, probs, delta: float) -> bool:
-    n = tv.n
-    for c, p in zip(tv.counts, probs):
-        if not (n * p * (1 - delta) <= c <= n * p * (1 + delta)):
-            return False
-    return True
+def _survivor_floor(probs, eps: float) -> float:
+    """Smallest eigenvalue that survives the eps/2 alternate max-entropy cut."""
+    value, _ = entropy.hmax_prime_values(np.asarray(probs, dtype=float), eps / 2.0)
+    return 2.0 ** (-value)
 
 
 def aep_threshold(probs, eps: float, delta: float) -> float:
     """Smallest n the equipartition statement asks for at this (eps, delta)."""
-    value, _ = entropy.hmax_prime_values(np.asarray(probs, dtype=float), eps / 2.0)
-    p_min = 2.0 ** (-value)
+    p_min = _survivor_floor(probs, eps)
     return 4.0 / (p_min * delta * delta) * math.log2(len(probs) / eps)
 
 
@@ -118,37 +115,37 @@ def typical_report(spec: TypicalSpec, eps: float) -> dict:
     probs = tuple(float(p) for p in spec.probs)
     h = entropy.shannon(np.asarray(probs))
     n, delta = spec.n, spec.delta
-    types = enumerate_types(n, len(probs))
+    counts, sizes = enumerate_types(n, len(probs))
+    typical = np.ones(len(sizes), dtype=bool)
+    for c, p in zip(counts.T, probs):
+        typical &= (n * p * (1 - delta) <= c) & (c <= n * p * (1 + delta))
+    rows = np.flatnonzero(typical)
+    qs = _type_probs(counts[rows], probs)
+    typical_sizes = [sizes[i] for i in rows.tolist()]
+    # one class at a time in row order: a pairwise sum would move the last bits
     mass = 0.0
-    count_total = 0
-    q_lo, q_hi = math.inf, -math.inf
-    typical = []
-    for tv in types:
-        if not _is_typical(tv, probs, delta):
-            continue
-        typical.append(tv)
-        cnt = multinomial_count(tv)
-        q = _sequence_prob(tv, probs)
-        mass += cnt * q
-        count_total += cnt
-        q_lo, q_hi = min(q_lo, q), max(q_hi, q)
+    for size, q in zip(typical_sizes, qs.tolist()):
+        mass += size * q
+    count_total = sum(typical_sizes)
     threshold = aep_threshold(probs, eps, delta)
     lower_q = 2.0 ** (-n * h * (1 + delta))
     upper_q = 2.0 ** (-n * h * (1 - delta))
     count_low = 2.0 ** (n * h * (1 - delta)) * (1 - eps)
     count_high = 2.0 ** (n * h * (1 + delta))
+    q_lo = float(qs.min()) if rows.size else None
+    q_hi = float(qs.max()) if rows.size else None
     return {
         "n": n, "delta": delta, "eps": eps, "entropy": h,
         "n_threshold": threshold,
         "sub_threshold": bool(n < threshold),
-        "typical_types": len(typical),
+        "typical_types": int(rows.size),
         "typical_mass": mass,
         "typical_count": count_total,
-        "seq_prob_min": q_lo if typical else None,
-        "seq_prob_max": q_hi if typical else None,
+        "seq_prob_min": q_lo,
+        "seq_prob_max": q_hi,
         "mass_ok": bool(mass >= 1.0 - eps),
         "sandwich_ok": bool(
-            typical and lower_q <= q_lo * (1 + 1e-12)
+            rows.size and lower_q <= q_lo * (1 + 1e-12)
             and q_hi <= upper_q * (1 + 1e-12)
         ),
         "count_ok": bool(count_low <= count_total <= count_high),
@@ -158,9 +155,7 @@ def typical_report(spec: TypicalSpec, eps: float) -> dict:
 def quantum_typical_report(state, n: int, delta: float, eps: float) -> dict:
     """Equipartition on the eigenvalues: projector mass, eigenvalue sandwich
     and projector rank reduce exactly to the classical statements."""
-    vals = np.linalg.eigvalsh(linalg.hermitianize(state.matrix)) \
-        if isinstance(state, DensitySystem) else np.asarray(state, dtype=float)
-    vals = np.clip(vals, 0.0, None)
+    vals = entropy._eigenvalues(state)
     vals = vals / vals.sum()
     spec = TypicalSpec(probs=tuple(float(v) for v in vals), n=n, delta=delta)
     classical = typical_report(spec, eps)
@@ -182,54 +177,42 @@ def hmax_prime_iid_aggregated(probs, n: int, eps: float) -> float:
     """Alternate max-entropy of the n-fold product spectrum via type classes.
 
     Eigenvalues of the product state come in classes of equal value indexed
-    by types; the truncation rule zeroes the smallest first and may stop
-    partway through a class, which exactly matches the dense rule with
-    index tie-breaking.
+    by types. The class masses, smallest eigenvalue first and ties in table
+    order, go through `entropy`'s truncation rule, which zeroes the smallest
+    first and may stop partway through a class: this exactly matches the
+    dense rule with index tie-breaking.
     """
     if not 0 <= eps < 1:
         raise DomainError(f"epsilon must sit in [0, 1), got {eps}")
-    p = np.asarray(probs, dtype=float)
-    classes = []
-    for tv in enumerate_types(n, p.size):
-        lam = _sequence_prob(tv, p)
-        if lam > 0:
-            classes.append((lam, multinomial_count(tv)))
-    if not classes:
+    probs = tuple(float(p) for p in np.asarray(probs, dtype=float))
+    counts, sizes = enumerate_types(n, len(probs))
+    lam = _type_probs(counts, probs)
+    live = np.flatnonzero(lam > 0)
+    if not live.size:
         raise DomainError("product spectrum has no positive mass")
-    classes.sort(key=lambda c: c[0])
-    budget = eps
-    for lam, size in classes:
-        class_mass = lam * size
-        if class_mass <= budget + 1e-15:
-            budget -= class_mass
-            continue
-        # the class fits only partly, so its value is the smallest survivor
-        return float(-math.log2(lam))
-    # every class consumed: the largest eigenvalue survives by construction
-    return float(-math.log2(classes[-1][0]))
+    order = live[np.argsort(lam[live], kind="stable")].tolist()
+    masses = np.array([lam[i] * sizes[i] for i in order])
+    # the first class that does not fit whole holds the smallest survivor;
+    # if every class fits, the largest eigenvalue survives by construction
+    cut = min(entropy._drop_smallest(masses, eps + 1e-15).size, len(order) - 1)
+    return float(-math.log2(lam[order[cut]]))
 
 
 def hmax_prime_iid_check(state_or_probs, n: int, eps: float, delta: float) -> dict:
     """Sandwich n(1-delta) H <= alternate max-entropy of n copies <= n(1+delta) H."""
-    if isinstance(state_or_probs, DensitySystem):
-        vals = np.linalg.eigvalsh(linalg.hermitianize(state_or_probs.matrix))
-        vals = np.clip(vals, 0.0, None)
-    else:
-        vals = np.asarray(state_or_probs, dtype=float)
+    vals = entropy._eigenvalues(state_or_probs)
     vals = vals / vals.sum()
     h = entropy.shannon(vals)
     value = hmax_prime_iid_aggregated(vals, n, eps)
-    qv, _ = entropy.hmax_prime_values(vals, eps / 2.0)
-    q_min = 2.0 ** (-qv)
-    n_req = 4.0 / (q_min * delta * delta) * math.log2(vals.size / eps)
+    threshold = aep_threshold(vals, eps, delta)
     return {
         "value_bits": value,
         "lower": n * (1 - delta) * h,
         "upper": n * (1 + delta) * h,
         "sandwich_ok": bool(n * (1 - delta) * h - 1e-9 <= value <= n * (1 + delta) * h + 1e-9),
-        "n_threshold": n_req,
-        "sub_threshold": bool(n < n_req),
-        "q_min": q_min,
+        "n_threshold": threshold,
+        "sub_threshold": bool(n < threshold),
+        "q_min": _survivor_floor(vals, eps),
     }
 
 
@@ -248,7 +231,7 @@ def h2_prime_iid_bound_check(omega: DensitySystem, n: int, eps: float,
     """
     if len(omega.shape.labels) != 2:
         raise DimensionError("expected a bipartite single-copy state")
-    (a_name, da), (b_name, db) = omega.shape.labels
+    (_, da), (b_name, db) = omega.shape.labels
     dab = da * db
     h_cond = entropy.shannon(omega, given=b_name)
     h_joint = entropy.shannon(omega)
@@ -260,22 +243,15 @@ def h2_prime_iid_bound_check(omega: DensitySystem, n: int, eps: float,
         + math.log2(1.0 / eps_prime)
     )
     spec = linalg.spectral(omega.matrix)
-    qv, _ = entropy.hmax_prime_values(spec.values, eps / 2.0)
-    q_min = 2.0 ** (-qv)
-    b_marg = omega.marginal([b_name]).matrix
-    b_spec = linalg.spectral(b_marg)
-    p_min = math.inf
+    q_min = _survivor_floor(spec.values, eps)
+    b_vecs = linalg.spectral(omega.marginal([b_name]).matrix).vectors
     lmax = float(spec.values.max(initial=0.0))
-    for j, lam in enumerate(spec.values):
-        if lam <= 1e-12 * max(lmax, 1.0):
-            continue
-        w = spec.vectors[:, j]
-        theta = linalg.partial_trace(np.outer(w, w.conj()), omega.shape, [a_name])
-        pj = np.real(np.einsum("ib,ij,jb->b", b_spec.vectors.conj(), theta,
-                               b_spec.vectors))
-        pj = np.clip(pj, 0.0, None)
-        pv, _ = entropy.hmax_prime_values(pj, eps / 2.0)
-        p_min = min(p_min, 2.0 ** (-pv))
+    live = spec.vectors[:, spec.values > 1e-12 * max(lmax, 1.0)]
+    # column j: the B-diagonal of tr_A |w_j><w_j| in the marginal's eigenbasis,
+    # sum_a |<a, b_k|w_j>|^2, for every live eigenvector w_j at once
+    overlaps = np.einsum("bk,abj->akj", b_vecs.conj(), live.reshape(da, db, -1))
+    diagonals = (np.abs(overlaps) ** 2).sum(axis=0)
+    p_min = min((_survivor_floor(p, eps) for p in diagonals.T), default=math.inf)
     n_req = 32.0 / (q_min * p_min * delta * delta) * math.log2(dab / eps)
     report = {
         "mode": "arithmetic",

@@ -4,15 +4,17 @@ Each one is the plain, step-by-step form: a loop that drops one eigenvalue
 at a time, a pipeline that decomposes every operator where it needs it, or
 a channel's square unitary dilation on A (x) C with the fixed |0> ancilla,
 or an operator on some labels embedded by kron(I, op) rather than applied
-by contraction. Tests compare the library against these bit for bit, or
+by contraction. The method of types is the per-class form: one object per
+type class from a recursive enumerator, walked once per report. Tests compare the library against these bit for bit, or
 within a stated tolerance where only the order of a sum changed.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from decouplab import decoupling, ensembles, entropy, linalg, quantum
+from decouplab import decoupling, ensembles, entropy, linalg, quantum, typicality
 from decouplab.errors import ComputationError, DomainError
 from decouplab.quantum import DensitySystem
 
@@ -288,3 +290,191 @@ def qtpe_lambda(e, t, samples=2000):
                - ensembles.haar_moment_projector(e.dim, k))
         deviation = max(deviation, (e.dim**k) * float(np.abs(gap).max()))
     return float(linalg.schatten_norm(gap, np.inf)), deviation
+
+
+@dataclass(frozen=True)
+class TypeVector:
+    counts: tuple[int, ...]
+
+    @property
+    def n(self) -> int:
+        return sum(self.counts)
+
+
+def enumerate_types(n, alphabet):
+    """All compositions of n into `alphabet` parts, by recursion, in
+    lexicographic order."""
+    out = []
+
+    def rec(prefix, remaining, slots):
+        if slots == 1:
+            out.append(TypeVector(tuple(prefix + [remaining])))
+            return
+        for c in range(remaining + 1):
+            rec(prefix + [c], remaining - c, slots - 1)
+
+    rec([], n, alphabet)
+    return tuple(out)
+
+
+def multinomial_count(tv):
+    """Exact number of sequences of this type."""
+    total = tv.n
+    out = 1
+    for c in tv.counts:
+        out *= math.comb(total, c)
+        total -= c
+    return out
+
+
+def sequence_prob(tv, probs):
+    q = 1.0
+    for c, p in zip(tv.counts, probs):
+        if c == 0:
+            continue
+        if p == 0.0:
+            return 0.0
+        q *= p**c
+    return q
+
+
+def is_typical(tv, probs, delta):
+    n = tv.n
+    for c, p in zip(tv.counts, probs):
+        if not (n * p * (1 - delta) <= c <= n * p * (1 + delta)):
+            return False
+    return True
+
+
+def typical_report(spec, eps):
+    """`typicality.typical_report`, one type class at a time."""
+    if not 0 < eps < 1:
+        raise DomainError("eps must sit in (0, 1)")
+    probs = tuple(float(p) for p in spec.probs)
+    h = entropy.shannon(np.asarray(probs))
+    n, delta = spec.n, spec.delta
+    mass = 0.0
+    count_total = 0
+    q_lo, q_hi = math.inf, -math.inf
+    typical = []
+    for tv in enumerate_types(n, len(probs)):
+        if not is_typical(tv, probs, delta):
+            continue
+        typical.append(tv)
+        cnt = multinomial_count(tv)
+        q = sequence_prob(tv, probs)
+        mass += cnt * q
+        count_total += cnt
+        q_lo, q_hi = min(q_lo, q), max(q_hi, q)
+    threshold = typicality.aep_threshold(probs, eps, delta)
+    lower_q = 2.0 ** (-n * h * (1 + delta))
+    upper_q = 2.0 ** (-n * h * (1 - delta))
+    count_low = 2.0 ** (n * h * (1 - delta)) * (1 - eps)
+    count_high = 2.0 ** (n * h * (1 + delta))
+    return {
+        "n": n, "delta": delta, "eps": eps, "entropy": h,
+        "n_threshold": threshold,
+        "sub_threshold": bool(n < threshold),
+        "typical_types": len(typical),
+        "typical_mass": mass,
+        "typical_count": count_total,
+        "seq_prob_min": q_lo if typical else None,
+        "seq_prob_max": q_hi if typical else None,
+        "mass_ok": bool(mass >= 1.0 - eps),
+        "sandwich_ok": bool(
+            typical and lower_q <= q_lo * (1 + 1e-12)
+            and q_hi <= upper_q * (1 + 1e-12)
+        ),
+        "count_ok": bool(count_low <= count_total <= count_high),
+    }
+
+
+def quantum_typical_report(state, n, delta, eps):
+    """`typicality.quantum_typical_report` on a state or a spectrum."""
+    vals = np.linalg.eigvalsh(linalg.hermitianize(state.matrix)) \
+        if isinstance(state, DensitySystem) else np.asarray(state, dtype=float)
+    vals = np.clip(vals, 0.0, None)
+    vals = vals / vals.sum()
+    spec = typicality.TypicalSpec(probs=tuple(float(v) for v in vals), n=n, delta=delta)
+    classical = typical_report(spec, eps)
+    return {
+        "n": n, "delta": delta, "eps": eps,
+        "entropy": classical["entropy"],
+        "projector_mass": classical["typical_mass"],
+        "projector_rank": classical["typical_count"],
+        "eigenvalue_min": classical["seq_prob_min"],
+        "eigenvalue_max": classical["seq_prob_max"],
+        "mass_ok": classical["mass_ok"],
+        "sandwich_ok": classical["sandwich_ok"],
+        "rank_ok": classical["count_ok"],
+        "sub_threshold": classical["sub_threshold"],
+    }
+
+
+def hmax_prime_iid_aggregated(probs, n, eps):
+    """`typicality.hmax_prime_iid_aggregated`, spending the budget class by
+    class."""
+    if not 0 <= eps < 1:
+        raise DomainError(f"epsilon must sit in [0, 1), got {eps}")
+    p = np.asarray(probs, dtype=float)
+    classes = []
+    for tv in enumerate_types(n, p.size):
+        lam = sequence_prob(tv, p)
+        if lam > 0:
+            classes.append((lam, multinomial_count(tv)))
+    if not classes:
+        raise DomainError("product spectrum has no positive mass")
+    classes.sort(key=lambda c: c[0])
+    budget = eps
+    for lam, size in classes:
+        class_mass = lam * size
+        if class_mass <= budget + 1e-15:
+            budget -= class_mass
+            continue
+        return float(-math.log2(lam))
+    return float(-math.log2(classes[-1][0]))
+
+
+def hmax_prime_iid_check(state_or_probs, n, eps, delta):
+    """`typicality.hmax_prime_iid_check`, deriving its own n threshold."""
+    if isinstance(state_or_probs, DensitySystem):
+        vals = np.linalg.eigvalsh(linalg.hermitianize(state_or_probs.matrix))
+        vals = np.clip(vals, 0.0, None)
+    else:
+        vals = np.asarray(state_or_probs, dtype=float)
+    vals = vals / vals.sum()
+    h = entropy.shannon(vals)
+    value = hmax_prime_iid_aggregated(vals, n, eps)
+    qv, _ = entropy.hmax_prime_values(vals, eps / 2.0)
+    q_min = 2.0 ** (-qv)
+    n_req = 4.0 / (q_min * delta * delta) * math.log2(vals.size / eps)
+    return {
+        "value_bits": value,
+        "lower": n * (1 - delta) * h,
+        "upper": n * (1 + delta) * h,
+        "sandwich_ok": bool(n * (1 - delta) * h - 1e-9 <= value <= n * (1 + delta) * h + 1e-9),
+        "n_threshold": n_req,
+        "sub_threshold": bool(n < n_req),
+        "q_min": q_min,
+    }
+
+
+def h2_prime_iid_p_min(omega, eps):
+    """`p_min` of `typicality.h2_prime_iid_bound_check`: each live
+    eigenvector's B-diagonal from its own outer product and partial trace."""
+    (a_name, _), (b_name, _) = omega.shape.labels
+    spec = linalg.spectral(omega.matrix)
+    b_spec = linalg.spectral(omega.marginal([b_name]).matrix)
+    p_min = math.inf
+    lmax = float(spec.values.max(initial=0.0))
+    for j, lam in enumerate(spec.values):
+        if lam <= 1e-12 * max(lmax, 1.0):
+            continue
+        w = spec.vectors[:, j]
+        theta = linalg.partial_trace(np.outer(w, w.conj()), omega.shape, [a_name])
+        pj = np.real(np.einsum("ib,ij,jb->b", b_spec.vectors.conj(), theta,
+                               b_spec.vectors))
+        pj = np.clip(pj, 0.0, None)
+        pv, _ = entropy.hmax_prime_values(pj, eps / 2.0)
+        p_min = min(p_min, 2.0 ** (-pv))
+    return p_min

@@ -331,3 +331,13 @@ class TestConsoleEntry:
         )
         assert proc.returncode == 0
         assert "ok:" in proc.stdout
+
+    def test_import_leaves_the_optimizer_unloaded(self):
+        # only the minimized weight mode runs Nelder-Mead, and loading
+        # scipy.optimize is most of a fresh process's import time
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, decouplab.cli; sys.exit('scipy.optimize' in sys.modules)"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr

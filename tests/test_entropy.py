@@ -10,6 +10,7 @@ import re
 
 import numpy as np
 import pytest
+import scipy.optimize
 from scipy.optimize import minimize
 
 from decouplab import entropy, linalg, quantum
@@ -544,7 +545,7 @@ class TestSearchMatchesPerSigmaRoute:
                 return real(*args, **kwargs)
             monkeypatch.setattr(module, name, wrapper)
 
-        real_minimize = entropy.minimize
+        real_minimize = scipy.optimize.minimize
 
         def counted_minimize(*args, **kwargs):
             res = real_minimize(*args, **kwargs)
@@ -556,7 +557,7 @@ class TestSearchMatchesPerSigmaRoute:
         counted(linalg, "schatten_norm", "two_norm", lambda m, p: p == 2)
         # the ball test takes the eigenvalues of rho - op rho op, on the full space
         counted(np.linalg, "eigvalsh", "ball_test", lambda m: m.shape == rho.matrix.shape)
-        monkeypatch.setattr(entropy, "minimize", counted_minimize)
+        monkeypatch.setattr(scipy.optimize, "minimize", counted_minimize)
         entropy.h2_with_witness(rho, cfg, "minimized", "B")
         assert len(nfev) == 2 and sum(nfev) > 100
         # the marginal and rho are decomposed, the marginal is traced out once

@@ -1,5 +1,6 @@
 """Type-class enumeration and the equipartition displays at exact-sum scale."""
 
+import itertools
 import math
 
 import numpy as np
@@ -9,24 +10,31 @@ from decouplab import entropy, linalg, quantum, typicality
 from decouplab.errors import CapError, DimensionError, DomainError
 from decouplab.linalg import shape
 
+import oracles
+
 
 class TestEnumeration:
     @pytest.mark.parametrize("n,k", [(1, 1), (5, 2), (4, 3), (6, 4)])
     def test_count_is_stars_and_bars(self, n, k):
-        types = typicality.enumerate_types(n, k)
-        assert len(types) == math.comb(n + k - 1, k - 1)
+        table = typicality.enumerate_types(n, k)
+        assert table.counts.shape == (math.comb(n + k - 1, k - 1), k)
+        assert len(table.sizes) == table.counts.shape[0]
 
     def test_lexicographic_and_complete(self):
-        types = typicality.enumerate_types(2, 3)
-        got = [t.counts for t in types]
-        assert got == sorted(got)
-        assert all(sum(c) == 2 for c in got)
-        assert len(set(got)) == len(got)
+        got = [tuple(row) for row in typicality.enumerate_types(2, 3).counts.tolist()]
+        assert got == sorted(set(got))
+        assert got == sorted(c for c in itertools.product(range(3), repeat=3)
+                             if sum(c) == 2)
 
     def test_last_enumeration_kept(self):
-        types = typicality.enumerate_types(4, 3)
-        assert isinstance(types, tuple)
-        assert typicality.enumerate_types(4, 3) is types
+        table = typicality.enumerate_types(4, 3)
+        assert typicality.enumerate_types(4, 3) is table
+
+    def test_table_is_read_only(self):
+        table = typicality.enumerate_types(4, 3)
+        assert isinstance(table.sizes, tuple)
+        with pytest.raises(ValueError):
+            table.counts[0, 0] = 7
 
     def test_cap_enforced(self):
         with pytest.raises(CapError):
@@ -36,35 +44,85 @@ class TestEnumeration:
         with pytest.raises(DimensionError):
             typicality.enumerate_types(3, 0)
 
-    def test_type_vector_n(self):
-        assert typicality.TypeVector((2, 0, 3)).n == 5
+
+def _size_of(counts):
+    table = typicality.enumerate_types(sum(counts), len(counts))
+    row = table.counts.tolist().index(list(counts))
+    return table.sizes[row]
 
 
 class TestMultinomialCount:
     @pytest.mark.parametrize("n,k", [(6, 0), (6, 2), (6, 6)])
     def test_binary_is_binomial(self, n, k):
-        tv = typicality.TypeVector((k, n - k))
-        assert typicality.multinomial_count(tv) == math.comb(n, k)
+        assert _size_of((k, n - k)) == math.comb(n, k)
 
     def test_three_letter_hand_value(self):
         # 4! / (2! 1! 1!) = 12
-        assert typicality.multinomial_count(typicality.TypeVector((2, 1, 1))) == 12
+        assert _size_of((2, 1, 1)) == 12
 
     def test_counts_partition_all_sequences(self):
         n, k = 7, 3
-        total = sum(typicality.multinomial_count(t)
-                    for t in typicality.enumerate_types(n, k))
-        assert total == k**n
+        sizes = typicality.enumerate_types(n, k).sizes
+        assert all(type(s) is int for s in sizes)
+        assert sum(sizes) == k**n
 
     def test_probabilities_sum_to_one(self):
         probs = (0.5, 0.3, 0.2)
-        n = 6
-        mass = sum(
-            typicality.multinomial_count(t)
-            * typicality._sequence_prob(t, probs)
-            for t in typicality.enumerate_types(n, len(probs))
-        )
+        table = typicality.enumerate_types(6, len(probs))
+        q = typicality._type_probs(table.counts, probs)
+        mass = sum(size * float(p) for size, p in zip(table.sizes, q))
         assert mass == pytest.approx(1.0, abs=1e-12)
+
+
+def _random_probs(rng, k):
+    p = rng.dirichlet(np.ones(k))
+    if rng.random() < 0.3:
+        p[rng.integers(k)] = 0.0
+    return tuple(float(x) for x in p / p.sum())
+
+
+def _assert_same_report(got, want):
+    """Equal under ==, value for value, with the same Python types."""
+    assert got == want
+    assert {k: type(v) for k, v in got.items()} == {k: type(v) for k, v in want.items()}
+
+
+class TestTableMatchesTypeObjects:
+    """The table-based reports equal the per-class enumeration bit for bit."""
+
+    # |X| from 2 to 4 with some zero entries, n from 1 to 40
+    CASES = [(seed, 2 + seed % 3, 1 + (7 * seed) % 40) for seed in range(64)]
+
+    @pytest.mark.parametrize("seed,k,n", CASES)
+    def test_random_distribution(self, seed, k, n):
+        rng = np.random.default_rng(seed)
+        probs = _random_probs(rng, k)
+        delta = float(rng.uniform(0.05, 0.9))
+        small = float(rng.uniform(1e-4, 0.4))
+        for eps in (0.0, small, 0.5):
+            assert (typicality.hmax_prime_iid_aggregated(probs, n, eps)
+                    == oracles.hmax_prime_iid_aggregated(probs, n, eps))
+            if eps == 0.0:
+                continue
+            self._assert_reports_match(probs, n, delta, eps)
+
+    @pytest.mark.parametrize("probs,n,delta,eps", [
+        ((1 / 3, 1 / 3, 1 / 3), 120, 0.49, 0.5),  # the benchmark's typicality run
+        ((0.7, 0.3), 16, 0.3, 0.4),  # demos/configs/typicality.json
+    ])
+    def test_run_configs(self, probs, n, delta, eps):
+        self._assert_reports_match(probs, n, delta, eps)
+
+    @staticmethod
+    def _assert_reports_match(probs, n, delta, eps):
+        spec = typicality.TypicalSpec(probs=probs, n=n, delta=delta)
+        _assert_same_report(typicality.typical_report(spec, eps),
+                            oracles.typical_report(spec, eps))
+        _assert_same_report(typicality.quantum_typical_report(probs, n, delta, eps),
+                            oracles.quantum_typical_report(probs, n, delta, eps))
+        vals = np.array(probs)
+        _assert_same_report(typicality.hmax_prime_iid_check(vals, n, eps, delta),
+                            oracles.hmax_prime_iid_check(vals, n, eps, delta))
 
 
 class TestTypicalReport:
@@ -135,6 +193,30 @@ class TestQuantumReport:
         assert q["projector_rank"] == c["typical_count"]
         assert q["eigenvalue_min"] == pytest.approx(c["seq_prob_min"])
         assert q["mass_ok"] == c["mass_ok"]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_state_matches_type_objects(self, seed):
+        rng = np.random.default_rng(seed)
+        state = quantum.random_state(shape(("A", 2 + seed % 3)), rng)
+        _assert_same_report(
+            typicality.quantum_typical_report(state, n=9, delta=0.4, eps=0.3),
+            oracles.quantum_typical_report(state, n=9, delta=0.4, eps=0.3))
+        _assert_same_report(
+            typicality.hmax_prime_iid_check(state, n=9, eps=0.3, delta=0.4),
+            oracles.hmax_prime_iid_check(state, n=9, eps=0.3, delta=0.4))
+
+    def test_plain_matrix_and_negative_entry(self):
+        # a density matrix without labels reads as its eigenvalues, like shannon
+        m = np.diag([0.6, 0.4])
+        vals = np.array([0.4, 0.6])
+        q = typicality.quantum_typical_report(m, n=6, delta=0.5, eps=0.4)
+        assert q == typicality.quantum_typical_report(vals, n=6, delta=0.5, eps=0.4)
+        c = typicality.hmax_prime_iid_check(m, n=6, eps=0.4, delta=0.5)
+        assert c == typicality.hmax_prime_iid_check(vals, n=6, eps=0.4, delta=0.5)
+        # an entry below the eigenvalue tolerance is an error, not clipped away
+        with pytest.raises(DomainError):
+            typicality.quantum_typical_report(np.array([1.1, -0.1]), n=6,
+                                              delta=0.5, eps=0.4)
 
     def test_accepts_plain_spectrum(self):
         out = typicality.quantum_typical_report(np.array([0.6, 0.4]), n=6,
@@ -211,6 +293,20 @@ class TestConditionalCollisionWindow:
         assert out["n_threshold"] == pytest.approx(
             32.0 / (out["q_min"] * out["p_min"] * 0.01) * math.log2(dab / 1e-6)
         )
+
+    @pytest.mark.parametrize("da,db,seed", [(2, 2, 0), (2, 3, 1), (3, 2, 2), (1, 4, 3),
+                                            (4, 1, 4), (3, 3, 5)])
+    def test_p_min_matches_per_vector_trace(self, da, db, seed):
+        """Every eigenvector's B-diagonal from one contraction, against a
+        partial trace of each eigenvector's outer product."""
+        rng = np.random.default_rng(seed)
+        omega = quantum.random_state(shape(("A", da), ("B", db)), rng, rank=max(1, da * db - 1))
+        eps, delta = 0.05, 0.1
+        out = typicality.h2_prime_iid_bound_check(omega, n=2, eps=eps, delta=delta)
+        p_min = oracles.h2_prime_iid_p_min(omega, eps)
+        n_req = 32.0 / (out["q_min"] * p_min * delta * delta) * math.log2(da * db / eps)
+        assert out["p_min"] == pytest.approx(p_min, rel=1e-12)
+        assert out["n_threshold"] == pytest.approx(n_req, rel=1e-12)
 
     def test_full_mode_window_holds(self):
         # eps small enough that eps_prime < 1 enables the n-fold evaluation
