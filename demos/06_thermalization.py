@@ -22,7 +22,7 @@ rho = quantum.random_state(shape(("Om", 8), ("R", 2)), rng)
 
 report = decoupling.thermalization_check(
     rho, s_dim=2, e_dim=4, kappa=0.6,
-    ensemble=ensembles.haar_ensemble(8, seed=7), samples=200,
+    us=ensembles.haar_ensemble(8, seed=7).sample_batch(range(200)),
     cfg=SmoothingConfig(),
 )
 
@@ -59,7 +59,7 @@ pinned = quantum.DensitySystem.from_matrix(big, shape(("Om", 16), ("R", 2)))
 
 pin = decoupling.thermalization_check(
     pinned, s_dim=2, e_dim=8, kappa=0.5,
-    ensemble=ensembles.haar_ensemble(16, seed=0), samples=60,
+    us=ensembles.haar_ensemble(16, seed=0).sample_batch(range(60)),
     cfg=SmoothingConfig(),
 )
 print(f"\nengineered pin: h2 = {pin['h2_input']:.6f} (exactly -1),"
@@ -73,7 +73,7 @@ rho3 = quantum.random_state(shape(("Om", 3), ("R", 2)), rng)
 embed = linalg.random_unitary(6, rng)[:, :3]
 rep3 = decoupling.thermalization_check(
     rho3, s_dim=2, e_dim=3, kappa=0.9,
-    ensemble=ensembles.haar_ensemble(3, seed=4), samples=50,
+    us=ensembles.haar_ensemble(3, seed=4).sample_batch(range(50)),
     cfg=SmoothingConfig(), embed=embed,
 )
 print(f"\n3-level system embedded in a 2 x 3 host: "

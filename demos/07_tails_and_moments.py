@@ -48,12 +48,11 @@ for kappa in (2.0, 20.0):
 ens = ensembles.haar_ensemble(4, seed=8)
 values = np.array([decoupling.g_value(inst, ens.sample(i), w)
                    for i in range(600)])
-series = stats.SampleSeries(values=values, seed=8, generator_tag="haar-g")
 center = float(values.mean())
 print(f"\n600 Haar draws of g: mean = {center:.4f}")
 for m in (1, 2, 4):
     for kappa in (0.05, 0.1):
-        row = stats.tail_from_moment(series, center, m, kappa)
+        row = stats.tail_from_moment(values, center, m, kappa)
         print(f"  order {m}, kappa {kappa}: empirical "
               f"{row['empirical']:.4f} <= markov {row['markov_bound']:.4f}"
               f"  ({'ok' if row['dominates'] else 'VIOLATED'})")
@@ -62,10 +61,9 @@ for m in (1, 2, 4):
 # concentrates around its mean at rate exp(-dim * kappa^2 / 4L^2).
 f_vals = np.array([decoupling.f_value(inst, ens.sample(1000 + i))
                    for i in range(600)])
-f_series = stats.SampleSeries(values=f_vals, seed=8, generator_tag="haar-f")
 lip = decoupling.lipschitz_bound(inst, w)
 print(f"\nLipschitz constant for f: {lip:.3f}")
-for row in stats.levy_consistency(f_series, 4, lip, [0.1, 0.3, 0.9]):
+for row in stats.levy_consistency(f_vals, 4, lip, [0.1, 0.3, 0.9]):
     print(f"  kappa {row['kappa']}: empirical {row['empirical']:.4f} "
           f"<= bound {row['bound']:.4f}  ({'ok' if row['ok'] else 'VIOLATED'})")
 

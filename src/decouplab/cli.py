@@ -184,58 +184,59 @@ def _parse_ensemble(desc) -> ensembles.UnitaryEnsemble:
         level, echo = level["base"], echo["base"]
 
 
-def _ensemble(cfg: ExperimentConfig, dim: int) -> ensembles.UnitaryEnsemble:
+def _draw(cfg: ExperimentConfig, dim: int, count: int):
+    """The config's ensemble on `dim` (Haar by default) and the run's one stack
+    of `count` draws from it."""
     if cfg.ensemble is None:
-        return ensembles.haar_ensemble(dim, seed=cfg.seed)
-    e = _parse_ensemble(cfg.ensemble)
-    if e.dim != dim:
-        raise ConfigError(
-            f"ensemble dimension {e.dim} does not match the instance dimension {dim}",
-            field="ensemble",
-        )
-    return e
+        ens = ensembles.haar_ensemble(dim, seed=cfg.seed)
+    else:
+        ens = _parse_ensemble(cfg.ensemble)
+        if ens.dim != dim:
+            raise ConfigError(f"ensemble dimension {ens.dim} does not match the "
+                              f"instance dimension {dim}", field="ensemble")
+    return ens, ens.sample_batch(range(count))
 
 
 def _smoothing(cfg: ExperimentConfig) -> SmoothingConfig:
     return SmoothingConfig(epsilon=cfg.epsilon, delta=cfg.delta)
 
 
-def _random_instance(cfg: ExperimentConfig, channel=None):
-    """Seeded random state on (A, R) with the requested channel on A."""
+def _random_instance(cfg: ExperimentConfig):
+    """Seeded random state on (A, R); the channel traces A down to dims["b"], else is I."""
     a = _dim(cfg, "a")
     r = _dim(cfg, "r")
     rng = np.random.default_rng(cfg.seed)
     rho = quantum.random_state(linalg.shape(("A", a), ("R", r)), rng)
-    if channel is None:
-        b = _dim(cfg, "b", default=0)
-        if b:
-            if a % b != 0:
-                raise ConfigError("dims['b'] must divide dims['a']", field="dims")
-            channel = quantum.trace_out_channel(b, a // b)
-        else:
-            channel = quantum.identity_channel(a)
+    b = _dim(cfg, "b", default=0)
+    if b:
+        if a % b != 0:
+            raise ConfigError("dims['b'] must divide dims['a']", field="dims")
+        channel = quantum.trace_out_channel(b, a // b)
+    else:
+        channel = quantum.identity_channel(a)
     return decoupling.DecouplingInstance(
         rho=rho, channel=channel, cfg=_smoothing(cfg), a_labels=("A",)
     )
 
 
 # ---------------------------------------------------------------------------
-# experiment drivers: each returns (summary dict, {series name: float array})
+# experiment drivers: each returns (summary dict, {series name: float array}).
+# Sampling experiments run the same stages in order: instance, `prepare` where
+# needed, `_draw`, f and/or g over the stack, `stats`, then the bounds.
 
 
 def run_decouple_expect(cfg: ExperimentConfig):
     inst = _random_instance(cfg)
-    ens = _ensemble(cfg, inst.a_dim)
     choi = quantum.choi_state(inst.channel)
-    f = decoupling.f_values(inst, ens.sample_batch(range(cfg.samples)),
-                            choi.marginal(["B"]).matrix)
+    ens, us = _draw(cfg, inst.a_dim, cfg.samples)
+    f = decoupling.f_values(inst, us, choi.marginal(["B"]).matrix)
+    mean_f, se = stats.mean_and_se(f)
     bound = decoupling.dupuis_expectation_bound(inst, choi)
-    se = float(f.std(ddof=1) / math.sqrt(cfg.samples)) if cfg.samples > 1 else 0.0
     summary = {
-        "mean_f": float(f.mean()),
+        "mean_f": mean_f,
         "std_error": se,
         "expectation_bound": bound,
-        "bound_holds": bool(f.mean() <= bound + 3.0 * se),
+        "bound_holds": bool(mean_f <= bound + 3.0 * se),
         "ensemble": ensembles.ensemble_to_json(ens),
         "anchors": {
             "expectation_bound": "2^(-h2(A|R)/2 - h2(Ap|B)/2)",
@@ -247,16 +248,11 @@ def run_decouple_expect(cfg: ExperimentConfig):
 def run_decouple_tail(cfg: ExperimentConfig):
     inst = _random_instance(cfg)
     w = decoupling.prepare(inst)
-    ens = _ensemble(cfg, inst.a_dim)
-    us = ens.sample_batch(range(cfg.samples))
+    ens, us = _draw(cfg, inst.a_dim, cfg.samples)
     f = decoupling.f_values(inst, us, w.choi.marginal(["B"]).matrix)
     g = decoupling.g_values(inst, us, w)
-    moments = decoupling.haar_expected_g_squared(inst, w)
-    mu = moments.mu_upper
-    tail = None
-    if mu < 1.0:
-        tail = decoupling.tail_parameters(inst, w, cfg.kappa, mu)
-    f_series = stats.SampleSeries(f, seed=cfg.seed, generator_tag="f")
+    mu = decoupling.haar_expected_g_squared(inst, w).mu_upper
+    tail = decoupling.applicable_tail(inst, w, cfg.kappa, mu)
     a_marg = inst.rho.marginal(["A"])
     hmin_log = entropy.hmin_smooth(a_marg, cfg.epsilon)
     hmin_printed = 2.0 ** (-hmin_log)
@@ -269,7 +265,7 @@ def run_decouple_tail(cfg: ExperimentConfig):
         "hmax_prime": w.hmax_prime_val,
         "tail": None if tail is None else tail.to_json(),
         "empirical_tail": None if tail is None
-        else stats.empirical_tail(f_series, tail.threshold),
+        else stats.empirical_tail(f, tail.threshold),
         "hmin_minus_log_reading": hmin_log,
         "hmin_printed_reading": hmin_printed,
         "hmin_note": (
@@ -295,38 +291,32 @@ def run_fqsw(cfg: ExperimentConfig):
     r = _dim(cfg, "r")
     inst, w, report = decoupling.fqsw_instance(a1, a2, r, cfg=_smoothing(cfg),
                                                seed=cfg.seed)
-    ens = _ensemble(cfg, inst.a_dim)
-    us = ens.sample_batch(range(cfg.samples))
+    ens, us = _draw(cfg, inst.a_dim, cfg.samples)
     f = decoupling.f_values(inst, us, w.choi.marginal(["B"]).matrix)
     g = decoupling.g_values(inst, us, w)
+    mean_g2, se = stats.mean_and_se(g * g)
+    mean_f, f_se = stats.mean_and_se(f)
     moments = decoupling.haar_expected_g_squared(inst, w)
-    g2 = g * g
-    se = float(g2.std(ddof=1) / math.sqrt(cfg.samples)) if cfg.samples > 1 else 0.0
-    mu = moments.mu_upper
-    tail = None
-    if mu < 1.0:
-        tail = decoupling.tail_parameters(inst, w, cfg.kappa, mu)
-    lam_lo, lam_hi = decoupling.fqsw_lambda_sandwich(
-        a1, a2, w.h2_eps, tail.t if tail is not None else 1.0
-    )
+    tail = decoupling.applicable_tail(inst, w, cfg.kappa, moments.mu_upper)
+    window = decoupling.fqsw_lambda_sandwich(a1, a2, w.h2_eps,
+                                             tail.t if tail is not None else 1.0)
     exp_bound = decoupling.dupuis_expectation_bound(inst, w.choi)
-    f_se = float(f.std(ddof=1) / math.sqrt(cfg.samples)) if cfg.samples > 1 else 0.0
     summary = {
         "closed_form": report,
-        "mean_g_squared": float(g2.mean()),
+        "mean_g_squared": mean_g2,
         "g_squared_std_error": se,
         "closed_form_matches": bool(
-            abs(g2.mean() - moments.expected_g_squared) <= 3.0 * se + 1e-12
+            abs(mean_g2 - moments.expected_g_squared) <= 3.0 * se + 1e-12
         ),
         "expected_g_squared": moments.expected_g_squared,
         "alpha": moments.alpha,
         "beta": moments.beta,
         "eta": moments.eta,
-        "mean_f": float(f.mean()),
+        "mean_f": mean_f,
         "expectation_bound": exp_bound,
-        "expectation_bound_holds": bool(f.mean() <= exp_bound + 3.0 * f_se),
+        "expectation_bound_holds": bool(mean_f <= exp_bound + 3.0 * f_se),
         "tail": None if tail is None else tail.to_json(),
-        "lambda_window": [lam_lo, lam_hi],
+        "lambda_window": list(window),
         "ensemble": ensembles.ensemble_to_json(ens),
         "anchors": {
             "alpha": "(a1^2 a2^2 - a1^2) / (a1^2 a2^2 - 1)",
@@ -344,13 +334,9 @@ def run_thermalize(cfg: ExperimentConfig):
     r = _dim(cfg, "r")
     rng = np.random.default_rng(cfg.seed)
     rho = quantum.random_state(linalg.shape(("Om", s * e), ("R", r)), rng)
-    ens = _ensemble(cfg, s * e)
-    smoothing = None
-    if cfg.epsilon > 0 or cfg.delta > 0:
-        smoothing = _smoothing(cfg)
-    report = decoupling.thermalization_check(
-        rho, s, e, cfg.kappa, ens, cfg.samples, cfg=smoothing
-    )
+    smoothing = _smoothing(cfg) if cfg.epsilon > 0 or cfg.delta > 0 else None
+    ens, us = _draw(cfg, s * e, cfg.samples)
+    report = decoupling.thermalization_check(rho, s, e, cfg.kappa, us, cfg=smoothing)
     distances = np.array(report.pop("distances"))
     report["ensemble"] = ensembles.ensemble_to_json(ens)
     report["anchors"] = {
@@ -466,16 +452,15 @@ def run_typicality(cfg: ExperimentConfig):
 def run_lipschitz(cfg: ExperimentConfig):
     inst = _random_instance(cfg)
     w = decoupling.prepare(inst)
-    ens = _ensemble(cfg, inst.a_dim)
-    lip = decoupling.lipschitz_bound(inst, w)
-    gmax = decoupling.max_g_bound(inst, w)
     # pair i is (draw 2i, draw 2i + 1)
-    us = ens.sample_batch(range(2 * cfg.samples))
+    ens, us = _draw(cfg, inst.a_dim, 2 * cfg.samples)
     both = decoupling.g_values(inst, us, w)
     g, gv = both[0::2], both[1::2]
     dist = np.linalg.norm(us[0::2] - us[1::2], axis=(1, 2))
     ratios = np.zeros(cfg.samples)
     np.divide(np.abs(g - gv), dist, out=ratios, where=dist > 1e-12)
+    lip = decoupling.lipschitz_bound(inst, w)
+    gmax = decoupling.max_g_bound(inst, w)
     summary = {
         "lipschitz_bound": lip,
         "max_ratio": float(ratios.max()),
@@ -495,9 +480,8 @@ def run_lipschitz(cfg: ExperimentConfig):
 def run_moments(cfg: ExperimentConfig):
     inst = _random_instance(cfg)
     w = decoupling.prepare(inst)
-    ens = _ensemble(cfg, inst.a_dim)
-    g = decoupling.g_values(inst, ens.sample_batch(range(cfg.samples)), w)
-    series = stats.SampleSeries(g, seed=cfg.seed, generator_tag="g")
+    ens, us = _draw(cfg, inst.a_dim, cfg.samples)
+    g = decoupling.g_values(inst, us, w)
     moments = decoupling.haar_expected_g_squared(inst, w)
     mu_emp = float(g.mean())
     da = inst.a_dim
@@ -505,7 +489,7 @@ def run_moments(cfg: ExperimentConfig):
     base = 2.0 ** ((1.0 + dlt) * w.hmax_prime_val - w.h2_eps + 4.0) / da
     moment_rows = []
     for m in (1, 2, 3):
-        emp = stats.centralized_moment(series, mu_emp, 2 * m)
+        emp = stats.centralized_moment(g, mu_emp, 2 * m)
         moment_rows.append({
             "m": m,
             "empirical": emp,
@@ -524,8 +508,8 @@ def run_moments(cfg: ExperimentConfig):
         "small_mu": stats.moment_transfer_check(2.0, 1.0, 0.1, 4,
                                                 samples=200_000, seed=cfg.seed),
     }
-    markov = stats.tail_from_moment(series, mu_emp, 2, cfg.kappa)
-    levy = stats.levy_consistency(series, da, lip,
+    markov = stats.tail_from_moment(g, mu_emp, 2, cfg.kappa)
+    levy = stats.levy_consistency(g, da, lip,
                                   [0.25 * lip, 0.5 * lip, lip])
     summary = {
         "mean_g": mu_emp,

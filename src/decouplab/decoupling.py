@@ -27,14 +27,6 @@ from .quantum import ChannelStinespring, DensitySystem
 BATCH_BYTES = 1 << 21
 
 
-def _pow2(x: float) -> float:
-    """2^x as a float, mapping overflow to inf instead of raising."""
-    try:
-        return 2.0 ** x
-    except OverflowError:
-        return math.inf
-
-
 @dataclass(frozen=True, eq=False)
 class DecouplingInstance:
     """A state on A (x) R plus a channel acting on the A block.
@@ -318,6 +310,13 @@ def tail_parameters(inst: DecouplingInstance, w: Weights, kappa: float,
     )
 
 
+def applicable_tail(inst: DecouplingInstance, w: Weights, kappa: float,
+                    mu: float) -> TailParameters | None:
+    """`tail_parameters` at the mean bound mu, or None when mu >= 1, where
+    the tail statement says nothing."""
+    return tail_parameters(inst, w, kappa, mu) if mu < 1.0 else None
+
+
 def mu_squared_clause(a: float, e_g2: float, da: int, hmax_prime_val: float,
                       h2_eps: float, mu_estimate: float) -> dict:
     """Evaluate (never assume) the condition letting the second moment be
@@ -392,11 +391,11 @@ def fqsw_lambda_sandwich(a1: int, a2: int, h2: float, t: float) -> tuple[float, 
 
 
 def thermalization_check(rho: DensitySystem, s_dim: int, e_dim: int,
-                         kappa: float, ensemble, samples: int,
+                         kappa: float, us: np.ndarray,
                          cfg: SmoothingConfig | None = None,
                          embed: np.ndarray | None = None) -> dict:
-    """Fraction of sampled global unitaries after which the small subsystem
-    is close to its fixed output alongside the untouched reference.
+    """Fraction of the global unitaries in the stack us after which the small
+    subsystem is close to its fixed output alongside the untouched reference.
 
     The evolving system is the first label of rho; embed, when given, is an
     isometry from it into S (x) E (defaults to the identity, requiring the
@@ -416,22 +415,20 @@ def thermalization_check(rho: DensitySystem, s_dim: int, e_dim: int,
         channel = quantum.ChannelStinespring(v=embed, b_dim=s_dim)
         if channel.a_dim != d_omega:
             raise DimensionError("embedding does not match the system dimension")
+    if np.ndim(us) != 3 or not len(us) or np.shape(us)[1:] != (d_omega, d_omega):
+        raise DimensionError(f"us must be a nonempty stack of {d_omega} x {d_omega} unitaries")
     if cfg is None:
         cfg = SmoothingConfig(epsilon=kappa * kappa / 60.0, delta=0.0)
     inst = DecouplingInstance(rho=rho, channel=channel, cfg=cfg,
                               a_labels=(omega_label,))
     w = prepare(inst)
     moments = haar_expected_g_squared(inst, w)
-    distances = f_values(inst, ensemble.sample_batch(range(samples)),
-                         w.choi.marginal(["B"]).matrix)
+    distances = f_values(inst, us, w.choi.marginal(["B"]).matrix)
     fraction = float((distances <= kappa).mean())
-    mu = moments.mu_upper
-    tail = None
-    if mu < 1.0:
-        tail = tail_parameters(inst, w, kappa, mu)
+    tail = applicable_tail(inst, w, kappa, moments.mu_upper)
     h2, h2p = w.h2_eps, w.h2_prime_val
     report = {
-        "samples": samples,
+        "samples": len(us),
         "kappa": kappa,
         "distances": [float(d) for d in distances],
         "thermalized_fraction": fraction,
@@ -492,14 +489,14 @@ def iid_parameters(inst: DecouplingInstance, n: int, kappa: float) -> TailParame
         - (n / 2.0) * (h_ap_b - dlt * (3.0 * h_apb + 7.0 * h_b))
     )
     # many-copy exponents overflow floats at modest n, so stay in log2 space
-    mu = _pow2(exponent)
+    mu = entropy._pow2(exponent)
     threshold = mu + 28.0 * eps_prime**0.25 + 2.0 * kappa
-    a = _pow2(
+    a = entropy._pow2(
         n * math.log2(da)
         + n * (h_a_r - dlt * (3.0 * h_ar + 7.0 * h_r))
         - n * h_b * (1.0 + 7.0 * dlt) - 9.0
     )
-    t_raw = _pow2(
+    t_raw = entropy._pow2(
         n * math.log2(da) + 2.0 * math.log2(kappa)
         + n * (h_a_r + 32.0 * math.sqrt(eps_prime))
         + math.log2(1.0 / eps_prime) - n * h_b * (1.0 - 5.0 * dlt) - 6.0
@@ -507,7 +504,7 @@ def iid_parameters(inst: DecouplingInstance, n: int, kappa: float) -> TailParame
     t = math.ceil(t_raw) if math.isfinite(t_raw) else t_raw
     lam = 0.0
     if math.isfinite(t):
-        lam = _pow2(
+        lam = entropy._pow2(
             t * (-8.0 * n * math.log2(da) - 6.0 * n * math.log2(db) + 2.0 * exponent)
         )
     tail_exp = a * kappa * kappa

@@ -72,6 +72,14 @@ class EntropyReport:
         }
 
 
+def _pow2(x: float) -> float:
+    """2^x as a float, mapping overflow to inf instead of raising."""
+    try:
+        return 2.0 ** x
+    except OverflowError:
+        return math.inf
+
+
 def _eigenvalues(x) -> np.ndarray:
     if isinstance(x, DensitySystem):
         vals = np.linalg.eigvalsh(linalg.hermitianize(x.matrix))

@@ -1,4 +1,5 @@
-"""Empirical tails, centralised moments, and moment-transfer checks.
+"""Sample means, empirical tails, centralised moments, and moment-transfer
+checks. Every sample statistic takes the sampled values as a float array.
 
 Moment orders are capped at 16 (2m <= 16): beyond that the folded tails of
 desk-scale sample sizes dominate the estimate and the numbers stop meaning
@@ -9,7 +10,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,14 +19,18 @@ MAX_MOMENT_ORDER = 16
 WILSON_Z = 1.959963984540054  # two-sided 95%
 
 
-@dataclass(frozen=True, eq=False)
-class SampleSeries:
-    values: np.ndarray
-    seed: int
-    generator_tag: str
+def _float_values(values) -> np.ndarray:
+    x = np.asarray(values, dtype=float)
+    if x.size == 0:
+        raise DomainError("empty sample series")
+    return x
 
-    def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
+
+def mean_and_se(values) -> tuple[float, float]:
+    """The sample mean and its standard error std(ddof=1)/sqrt(n), 0.0 at n = 1."""
+    x = _float_values(values)
+    se = float(x.std(ddof=1) / math.sqrt(x.size)) if x.size > 1 else 0.0
+    return float(x.mean()), se
 
 
 def wilson_interval(successes: int, n: int, z: float = WILSON_Z) -> tuple[float, float]:
@@ -40,12 +44,11 @@ def wilson_interval(successes: int, n: int, z: float = WILSON_Z) -> tuple[float,
     return max(0.0, min(centre - half, phat)), min(1.0, max(centre + half, phat))
 
 
-def empirical_tail(s: SampleSeries, threshold: float) -> dict:
+def empirical_tail(values, threshold: float) -> dict:
     """Fraction of samples strictly above the threshold, with a 95% interval."""
-    n = s.values.size
-    if n == 0:
-        raise DomainError("empty sample series")
-    count = int((s.values > threshold).sum())
+    x = _float_values(values)
+    n = x.size
+    count = int((x > threshold).sum())
     lo, hi = wilson_interval(count, n)
     return {
         "threshold": float(threshold),
@@ -57,18 +60,16 @@ def empirical_tail(s: SampleSeries, threshold: float) -> dict:
     }
 
 
-def centralized_moment(s: SampleSeries, center: float, order: int) -> float:
+def centralized_moment(values, center: float, order: int) -> float:
     """E[(X - center)^order] over the samples; order must be even."""
     if order <= 0 or order % 2 != 0:
         raise DomainError(f"moment order must be a positive even integer, got {order}")
     if order > MAX_MOMENT_ORDER:
         raise DomainError(f"moment order capped at {MAX_MOMENT_ORDER}")
-    if s.values.size == 0:
-        raise DomainError("empty sample series")
-    return float(((s.values - center) ** order).mean())
+    return float(((_float_values(values) - center) ** order).mean())
 
 
-def tail_from_moment(s: SampleSeries, center: float, m: int, kappa: float) -> dict:
+def tail_from_moment(values, center: float, m: int, kappa: float) -> dict:
     """Markov-style tail estimate moment / kappa^(2m) next to the direct tail.
 
     Both sides are evaluated on the same empirical measure, so the bound
@@ -76,9 +77,10 @@ def tail_from_moment(s: SampleSeries, center: float, m: int, kappa: float) -> di
     """
     if kappa <= 0:
         raise DomainError("kappa must be positive")
-    moment = centralized_moment(s, center, 2 * m)
+    x = _float_values(values)
+    moment = centralized_moment(x, center, 2 * m)
     bound = moment / kappa ** (2 * m)
-    direct = float((np.abs(s.values - center) > kappa).mean())
+    direct = float((np.abs(x - center) > kappa).mean())
     return {
         "markov_bound": bound,
         "empirical": direct,
@@ -137,17 +139,18 @@ def moment_transfer_check(c: float, a: float, mu: float, m: int,
     }
 
 
-def levy_consistency(s: SampleSeries, dim: int, lipschitz: float,
+def levy_consistency(values, dim: int, lipschitz: float,
                      kappas) -> list[dict]:
     """Empirical deviation tails against the unitary-group concentration bound
     2 exp(-dim kappa^2 / (4 L^2)), padded by three Wilson half-widths."""
     if lipschitz <= 0:
         raise DomainError("Lipschitz constant must be positive")
-    mean = float(s.values.mean())
-    n = s.values.size
+    x = _float_values(values)
+    mean = float(x.mean())
+    n = x.size
     out = []
     for kappa in kappas:
-        count = int((np.abs(s.values - mean) >= kappa).sum())
+        count = int((np.abs(x - mean) >= kappa).sum())
         lo, hi = wilson_interval(count, n)
         half = (hi - lo) / 2.0
         bound = 2.0 * math.exp(-dim * kappa * kappa / (4.0 * lipschitz * lipschitz))

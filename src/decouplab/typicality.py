@@ -89,6 +89,15 @@ def _type_probs(counts: np.ndarray, probs: tuple[float, ...]) -> np.ndarray:
     return q
 
 
+def _class_masses(sizes, qs) -> list[float]:
+    """size * q for each type class, or a CapError once a size passes the float range."""
+    try:
+        return [size * q for size, q in zip(sizes, qs)]
+    except OverflowError as exc:
+        raise CapError(f"a type class of about 2^{max(sizes).bit_length() - 1} "
+                       f"sequences passes the float range") from exc
+
+
 def _survivor_floor(probs, eps: float) -> float:
     """Smallest eigenvalue that survives the eps/2 alternate max-entropy cut."""
     value, _ = entropy.hmax_prime_values(np.asarray(probs, dtype=float), eps / 2.0)
@@ -123,15 +132,13 @@ def typical_report(spec: TypicalSpec, eps: float) -> dict:
     qs = _type_probs(counts[rows], probs)
     typical_sizes = [sizes[i] for i in rows.tolist()]
     # one class at a time in row order: a pairwise sum would move the last bits
-    mass = 0.0
-    for size, q in zip(typical_sizes, qs.tolist()):
-        mass += size * q
+    mass = functools.reduce(operator.add, _class_masses(typical_sizes, qs.tolist()), 0.0)
     count_total = sum(typical_sizes)
     threshold = aep_threshold(probs, eps, delta)
-    lower_q = 2.0 ** (-n * h * (1 + delta))
-    upper_q = 2.0 ** (-n * h * (1 - delta))
-    count_low = 2.0 ** (n * h * (1 - delta)) * (1 - eps)
-    count_high = 2.0 ** (n * h * (1 + delta))
+    lower_q = entropy._pow2(-n * h * (1 + delta))
+    upper_q = entropy._pow2(-n * h * (1 - delta))
+    count_low = entropy._pow2(n * h * (1 - delta)) * (1 - eps)
+    count_high = entropy._pow2(n * h * (1 + delta))
     q_lo = float(qs.min()) if rows.size else None
     q_hi = float(qs.max()) if rows.size else None
     return {
@@ -191,7 +198,7 @@ def hmax_prime_iid_aggregated(probs, n: int, eps: float) -> float:
     if not live.size:
         raise DomainError("product spectrum has no positive mass")
     order = live[np.argsort(lam[live], kind="stable")].tolist()
-    masses = np.array([lam[i] * sizes[i] for i in order])
+    masses = np.array(_class_masses([sizes[i] for i in order], lam[order].tolist()))
     # the first class that does not fit whole holds the smallest survivor;
     # if every class fits, the largest eigenvalue survives by construction
     cut = min(entropy._drop_smallest(masses, eps + 1e-15).size, len(order) - 1)

@@ -304,22 +304,18 @@ def test_criterion_07_tail_machinery(pointwise_run):
 
     rng = np.random.default_rng(73)
     series_list = [
-        stats.SampleSeries(pointwise_run["g"], seed=31, generator_tag="g"),
-        stats.SampleSeries(rng.normal(0.5, 0.2, 4000), seed=73,
-                           generator_tag="normal"),
-        stats.SampleSeries(rng.exponential(1.0, 4000), seed=73,
-                           generator_tag="exp"),
+        pointwise_run["g"],
+        rng.normal(0.5, 0.2, 4000),
+        rng.exponential(1.0, 4000),
     ]
     dominate_ok = all(
-        stats.tail_from_moment(s, float(s.values.mean()), m, kappa)["dominates"]
+        stats.tail_from_moment(s, float(s.mean()), m, kappa)["dominates"]
         for s in series_list for m in (1, 2, 4) for kappa in (0.1, 0.3, 0.9)
     )
 
     inst, w = pointwise_run["inst"], pointwise_run["w"]
     lip = decoupling.lipschitz_bound(inst, w)
-    g_series = stats.SampleSeries(pointwise_run["g"], seed=31,
-                                  generator_tag="g")
-    levy_rows = stats.levy_consistency(g_series, inst.a_dim, lip,
+    levy_rows = stats.levy_consistency(pointwise_run["g"], inst.a_dim, lip,
                                        [0.25 * lip, 0.5 * lip, lip])
     levy_ok = all(r["ok"] for r in levy_rows)
 
@@ -358,7 +354,7 @@ def test_criterion_08_parameter_regressions():
     rho = DensitySystem.from_matrix(big, shape(("Om", 16), ("R", 2)))
     therm = decoupling.thermalization_check(
         rho, s_dim=2, e_dim=8, kappa=0.5,
-        ensemble=ensembles.haar_ensemble(16, seed=81), samples=4,
+        us=ensembles.haar_ensemble(16, seed=81).sample_batch(range(4)),
         cfg=SmoothingConfig(),
     )
     # |Om|/|S| = 8 and h2 = -1, so a = 8 * 2^(-10) = 2^-7

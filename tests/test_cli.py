@@ -166,6 +166,19 @@ class TestRunArtifacts:
         assert "DomainError" in manifest["error"]
         assert not (out / "summary.json").exists()
 
+    @pytest.mark.parametrize("n", [700, 1100])
+    def test_large_typicality_n_ends_cleanly(self, tmp_path, n):
+        # the type-class sizes and count bounds leave the float range here
+        out = tmp_path / "out"
+        p = write_config(tmp_path, experiment="typicality", probs=[0.5, 0.5], n=n,
+                         output_dir=str(out))
+        proc = subprocess.run([sys.executable, "-m", "decouplab.cli", "run", str(p)],
+                              capture_output=True, text=True)
+        assert proc.returncode in (0, 3)
+        assert "Traceback" not in proc.stderr
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == ("complete" if proc.returncode == 0 else "failed")
+
     @pytest.mark.parametrize("overrides", [
         {"samples": 2.5},
         {"samples": "10"},
@@ -299,25 +312,43 @@ class TestSharedWork:
     @pytest.mark.parametrize("payload, prepares", [
         ({"experiment": "fqsw", "dims": {"a1": 2, "a2": 4, "r": 2}}, 1),
         ({"experiment": "decouple-expect", "dims": {"a": 4, "r": 2, "b": 2}}, 0),
-    ], ids=["fqsw", "decouple-expect"])
+        ({"experiment": "decouple-tail", "dims": {"a": 4, "r": 2, "b": 2}}, 1),
+        ({"experiment": "lipschitz", "dims": {"a": 4, "r": 2, "b": 2}}, 1),
+        ({"experiment": "moments", "dims": {"a": 4, "r": 2, "b": 2}}, 1),
+        ({"experiment": "thermalize", "dims": {"s": 2, "e": 2, "r": 2}}, 1),
+    ], ids=["fqsw", "decouple-expect", "decouple-tail", "lipschitz", "moments",
+            "thermalize"])
     def test_prepare_and_choi_once(self, tmp_path, monkeypatch, payload, prepares):
+        # every sampling experiment draws its whole stack in one call
         from decouplab import decoupling, quantum
-        calls = {"prepare": 0, "choi_state": 0}
+        calls = {"prepare": 0, "choi_state": 0, "sample_batch": 0}
 
-        def counted(module, name):
-            orig = getattr(module, name)
+        def counted(owner, name):
+            orig = getattr(owner, name)
 
             def wrapper(*args, **kwargs):
                 calls[name] += 1
                 return orig(*args, **kwargs)
-            monkeypatch.setattr(module, name, wrapper)
+            monkeypatch.setattr(owner, name, wrapper)
 
         counted(decoupling, "prepare")
         counted(quantum, "choi_state")
+        counted(ensembles.UnitaryEnsemble, "sample_batch")
         p = write_config(tmp_path, samples=5, seed=3,
                          output_dir=str(tmp_path / "out"), **payload)
         assert cli.main(["run", str(p)]) == 0
-        assert calls == {"prepare": prepares, "choi_state": 1}
+        assert calls == {"prepare": prepares, "choi_state": 1, "sample_batch": 1}
+
+    @pytest.mark.parametrize("payload, key", [
+        ({"experiment": "decouple-expect", "dims": {"a": 4, "r": 2}}, "std_error"),
+        ({"experiment": "fqsw", "dims": {"a1": 2, "a2": 4, "r": 2}},
+         "g_squared_std_error"),
+    ], ids=["decouple-expect", "fqsw"])
+    def test_one_sample_has_zero_std_error(self, tmp_path, payload, key):
+        out = tmp_path / "out"
+        p = write_config(tmp_path, samples=1, output_dir=str(out), **payload)
+        assert cli.main(["run", str(p)]) == 0
+        assert json.loads((out / "summary.json").read_text())[key] == 0.0
 
 
 class TestConsoleEntry:

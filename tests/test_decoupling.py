@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from decouplab import decoupling, ensembles, linalg, quantum, stats
+from decouplab import decoupling, ensembles, linalg, quantum
 from decouplab.entropy import SmoothingConfig
 from decouplab.errors import ComputationError, DimensionError, DomainError
 from decouplab.linalg import shape
@@ -37,7 +37,6 @@ ARRAY_HOLDERS = {
     "DecouplingInstance": epr_instance,
     "Weights": lambda: decoupling.prepare(epr_instance()),
     "Spectrum": lambda: linalg.spectral(np.diag([0.75, 0.25])),
-    "SampleSeries": lambda: stats.SampleSeries(np.arange(3.0), 0, "tag"),
     "UnitaryEnsemble": lambda: ensembles.haar_ensemble(2),
 }
 
@@ -359,7 +358,7 @@ class TestThermalization:
         )
         report = decoupling.thermalization_check(
             rho, s_dim=2, e_dim=8, kappa=0.5,
-            ensemble=ensembles.haar_ensemble(16, seed=0), samples=10,
+            us=ensembles.haar_ensemble(16, seed=0).sample_batch(range(10)),
             cfg=SmoothingConfig(),
         )
         assert report["h2_input"] == pytest.approx(-1.0, abs=1e-9)
@@ -370,7 +369,7 @@ class TestThermalization:
         rho = quantum.random_state(shape(("Om", 4), ("R", 2)), rng)
         ens = ensembles.haar_ensemble(4, seed=1)
         report = decoupling.thermalization_check(rho, 2, 2, kappa=0.8,
-                                                 ensemble=ens, samples=5,
+                                                 us=ens.sample_batch(range(5)),
                                                  cfg=SmoothingConfig())
         inst = decoupling.DecouplingInstance(
             rho=rho, channel=quantum.trace_out_channel(2, 2),
@@ -383,8 +382,9 @@ class TestThermalization:
         rng = np.random.default_rng(8)
         rho = quantum.random_state(shape(("Om", 4), ("R", 2)), rng)
         report = decoupling.thermalization_check(
-            rho, 2, 2, kappa=0.7, ensemble=ensembles.haar_ensemble(4, seed=2),
-            samples=30, cfg=SmoothingConfig(),
+            rho, 2, 2, kappa=0.7,
+            us=ensembles.haar_ensemble(4, seed=2).sample_batch(range(30)),
+            cfg=SmoothingConfig(),
         )
         dists = np.array(report["distances"])
         assert report["thermalized_fraction"] == pytest.approx(
@@ -397,8 +397,16 @@ class TestThermalization:
         with pytest.raises(DimensionError):
             decoupling.thermalization_check(
                 rho, 4, 2, kappa=0.5,
-                ensemble=ensembles.haar_ensemble(6, seed=0), samples=2,
+                us=ensembles.haar_ensemble(6, seed=0).sample_batch(range(2)),
             )
+
+    @pytest.mark.parametrize("n, dim", [(0, 4), (2, 3)])
+    def test_stack_must_match_system(self, n, dim):
+        rng = np.random.default_rng(11)
+        rho = quantum.random_state(shape(("Om", 4), ("R", 2)), rng)
+        us = np.zeros((n, dim, dim), dtype=complex)
+        with pytest.raises(DimensionError):
+            decoupling.thermalization_check(rho, 2, 2, kappa=0.5, us=us)
 
     def test_embedding_route(self):
         # evolve a 3-level system inside a 2 x 3 host via an isometry
@@ -406,10 +414,11 @@ class TestThermalization:
         rho = quantum.random_state(shape(("Om", 3), ("R", 2)), rng)
         embed = linalg.random_unitary(6, rng)[:, :3]
         report = decoupling.thermalization_check(
-            rho, 2, 3, kappa=0.9, ensemble=ensembles.haar_ensemble(3, seed=4),
-            samples=5, cfg=SmoothingConfig(), embed=embed,
+            rho, 2, 3, kappa=0.9,
+            us=ensembles.haar_ensemble(3, seed=4).sample_batch(range(5)),
+            cfg=SmoothingConfig(), embed=embed,
         )
-        assert len(report["distances"]) == 5
+        assert len(report["distances"]) == report["samples"] == 5
 
 
 class TestIidParameters:

@@ -11,11 +11,6 @@ from decouplab import stats
 from decouplab.errors import DomainError
 
 
-def series(values, seed=0, tag="test"):
-    return stats.SampleSeries(values=np.asarray(values, dtype=float),
-                              seed=seed, generator_tag=tag)
-
-
 class TestWilson:
     def test_degenerate_all_successes(self):
         lo, hi = stats.wilson_interval(10, 10)
@@ -49,43 +44,43 @@ class TestWilson:
 
 class TestEmpiricalTail:
     def test_strict_inequality(self):
-        s = series([1.0, 2.0, 2.0, 3.0])
+        s = np.array([1.0, 2.0, 2.0, 3.0])
         out = stats.empirical_tail(s, 2.0)
         assert out["count"] == 1
         assert out["fraction"] == pytest.approx(0.25)
 
     def test_all_below(self):
-        out = stats.empirical_tail(series([0.1, 0.2]), 5.0)
+        out = stats.empirical_tail(np.array([0.1, 0.2]), 5.0)
         assert out["count"] == 0
         assert out["wilson_low"] == 0.0
 
     def test_interval_brackets_fraction(self):
         rng = np.random.default_rng(0)
-        s = series(rng.exponential(size=400))
+        s = np.array(rng.exponential(size=400))
         out = stats.empirical_tail(s, 1.0)
         assert out["wilson_low"] <= out["fraction"] <= out["wilson_high"]
 
     def test_empty_rejected(self):
         with pytest.raises(DomainError):
-            stats.empirical_tail(series([]), 0.0)
+            stats.empirical_tail(np.array([]), 0.0)
 
 
 class TestCentralizedMoment:
     def test_known_variance(self):
-        s = series([1.0, 3.0])
+        s = np.array([1.0, 3.0])
         assert stats.centralized_moment(s, 2.0, 2) == pytest.approx(1.0)
 
     def test_fourth_moment(self):
-        s = series([0.0, 2.0])
+        s = np.array([0.0, 2.0])
         assert stats.centralized_moment(s, 1.0, 4) == pytest.approx(1.0)
 
     @pytest.mark.parametrize("order", [1, 3, -2, 0])
     def test_odd_or_nonpositive_rejected(self, order):
         with pytest.raises(DomainError):
-            stats.centralized_moment(series([1.0]), 0.0, order)
+            stats.centralized_moment(np.array([1.0]), 0.0, order)
 
     def test_cap_at_sixteen(self):
-        s = series([1.0, 2.0])
+        s = np.array([1.0, 2.0])
         assert stats.centralized_moment(s, 0.0, 16) > 0
         with pytest.raises(DomainError):
             stats.centralized_moment(s, 0.0, 18)
@@ -95,21 +90,21 @@ class TestTailFromMoment:
     @pytest.mark.parametrize("m", [1, 2, 4])
     def test_bound_dominates_direct(self, m):
         rng = np.random.default_rng(m)
-        s = series(rng.normal(0.3, 0.2, size=2000))
+        s = np.array(rng.normal(0.3, 0.2, size=2000))
         out = stats.tail_from_moment(s, 0.3, m, kappa=0.4)
         assert out["dominates"]
         assert out["markov_bound"] >= out["empirical"] - 1e-15
         assert out["order"] == 2 * m
 
     def test_is_chebyshev_at_m_one(self):
-        s = series([0.0, 1.0, 2.0])
+        s = np.array([0.0, 1.0, 2.0])
         out = stats.tail_from_moment(s, 1.0, 1, kappa=0.5)
         assert out["markov_bound"] == pytest.approx((2.0 / 3.0) / 0.25)
         assert out["empirical"] == pytest.approx(2.0 / 3.0)
 
     def test_kappa_positive(self):
         with pytest.raises(DomainError):
-            stats.tail_from_moment(series([1.0]), 0.0, 1, kappa=0.0)
+            stats.tail_from_moment(np.array([1.0]), 0.0, 1, kappa=0.0)
 
 
 class TestMomentTransfer:
@@ -153,29 +148,45 @@ class TestLevyConsistency:
         rng = np.random.default_rng(3)
         dim, lip = 16, 1.0
         sigma = math.sqrt(2.0 * lip * lip / dim)
-        s = series(rng.normal(0.0, sigma, size=5000))
+        s = np.array(rng.normal(0.0, sigma, size=5000))
         rows = stats.levy_consistency(s, dim, lip, kappas=[0.25, 0.5, 1.0])
         assert all(r["ok"] for r in rows)
         assert [r["kappa"] for r in rows] == [0.25, 0.5, 1.0]
 
     def test_bound_capped_at_one(self):
-        s = series(np.zeros(10))
+        s = np.array(np.zeros(10))
         rows = stats.levy_consistency(s, 2, 5.0, kappas=[0.01])
         assert rows[0]["bound"] <= 1.0
 
     def test_bound_formula(self):
-        s = series(np.zeros(10))
+        s = np.array(np.zeros(10))
         rows = stats.levy_consistency(s, 8, 2.0, kappas=[0.5])
         want = 2.0 * math.exp(-8.0 * 0.25 / 16.0)
         assert rows[0]["bound"] == pytest.approx(min(want, 1.0))
 
     def test_lipschitz_positive(self):
         with pytest.raises(DomainError):
-            stats.levy_consistency(series([1.0]), 4, 0.0, kappas=[0.1])
+            stats.levy_consistency(np.array([1.0]), 4, 0.0, kappas=[0.1])
 
 
-class TestSampleSeries:
-    def test_coerces_to_float_array(self):
-        s = series([1, 2, 3])
-        assert s.values.dtype == np.float64
-        assert s.seed == 0
+class TestPlainArrays:
+    def test_integer_values_read_as_floats(self):
+        assert stats.centralized_moment([1, 2, 3], 2, 2) == pytest.approx(2.0 / 3.0)
+        assert stats.empirical_tail(np.array([1, 2, 3]), 1.5)["count"] == 2
+
+
+class TestMeanAndSe:
+    @given(st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=50))
+    @settings(max_examples=50, deadline=None)
+    def test_is_std_over_root_n(self, values):
+        x = np.array(values)
+        mean, se = stats.mean_and_se(x)
+        assert mean == float(x.mean())
+        assert se == float(x.std(ddof=1) / math.sqrt(x.size))
+
+    def test_single_sample_has_zero_error(self):
+        assert stats.mean_and_se([0.25]) == (0.25, 0.0)
+
+    def test_empty_rejected(self):
+        with pytest.raises(DomainError):
+            stats.mean_and_se([])
