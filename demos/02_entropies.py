@@ -48,13 +48,14 @@ print("mass kept by the truncation:",
 
 # The alternate collision entropy evaluates one canonical feasible point,
 # so h2 at radius 4 sqrt(eps) always sits above it.
-h2p, eta = entropy.h2_prime(rho, eps, 0.1, given="B")
+canonical = entropy.h2_prime(rho, eps, 0.1, given="B")
+h2p = canonical.value
 rough = entropy.h2_conditional(rho, SmoothingConfig(epsilon=4 * math.sqrt(eps)),
                                "fixed_marginal", given="B")
 print("\nh2'(A|B)                         =", round(h2p, 6))
 print("h2 at radius 4 sqrt(eps)         =", round(rough, 6), ">= h2'")
 print("feasible point is dominated:",
-      np.real(np.trace(eta.matrix)) <= 1.0 + 1e-12)
+      np.real(np.trace(canonical.eta)) <= 1.0 + 1e-12)
 
 # Min-entropy of the marginal, both printed readings.
 hmin = entropy.hmin_smooth(b, eps)

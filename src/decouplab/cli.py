@@ -375,7 +375,7 @@ def run_entropy(cfg: ExperimentConfig):
     h2_min = entropy.h2_conditional(rho, scfg, "minimized", given="B")
     hmax = entropy.hmax_smooth(b_marg, eps)
     hmaxp, _ = entropy.hmax_prime(b_marg, eps)
-    h2p, _ = entropy.h2_prime(rho, eps, cfg.delta, given="B")
+    h2p = entropy.h2_prime(rho, eps, cfg.delta, given="B").value
     reports = [
         entropy.EntropyReport("shannon_joint", entropy.shannon(rho), "exact",
                               "exact"),
@@ -634,23 +634,17 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        cfg = load_config(args.config)
-        if args.command == "run" and args.output_dir:
+        try:
+            cfg = load_config(args.config)
+        except FileNotFoundError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        if args.command == "validate":
+            print(f"ok: {args.config} describes a valid "
+                  f"{cfg.experiment!r} experiment")
+            return 0
+        if args.output_dir:
             cfg = dataclasses.replace(cfg, output_dir=args.output_dir)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ConfigError as exc:
-        field_note = f" (key: {exc.field})" if exc.field else ""
-        print(f"config error{field_note}: {exc}", file=sys.stderr)
-        return 2
-
-    if args.command == "validate":
-        print(f"ok: {args.config} describes a valid "
-              f"{cfg.experiment!r} experiment")
-        return 0
-
-    try:
         out = run_experiment(cfg)
     except ConfigError as exc:
         field_note = f" (key: {exc.field})" if exc.field else ""

@@ -70,15 +70,13 @@ class DecouplingInstance:
 class Weights:
     """Precomputed smoothing witnesses and weighted operators for g.
 
-    rho_s / xi certify the collision entropy of the input; eta / omega3
+    rho_tilde is the input's collision witness, weighted on R; eta / omega3
     certify the channel side, and omega3_inv_quarter is the weight g applies
     on B. povm is the measurement on the channel's environment Z steering
     the maximally entangled input to eta; it is None when epsilon = 0,
     where the plain channel already does.
     """
 
-    rho_s: np.ndarray
-    xi: np.ndarray
     rho_tilde: np.ndarray
     rho_tilde_r: np.ndarray
     choi: DensitySystem
@@ -86,7 +84,6 @@ class Weights:
     omega3: np.ndarray
     omega3_inv_quarter: np.ndarray
     povm: np.ndarray | None
-    omega_tilde: np.ndarray
     omega_tilde_b: np.ndarray
     h2_eps: float
     h2_prime_val: float
@@ -98,34 +95,31 @@ class Weights:
     warnings: tuple[str, ...]
 
 
-def prepare(inst: DecouplingInstance, weight_mode: str = "fixed_marginal") -> Weights:
+def prepare(inst: DecouplingInstance) -> Weights:
     cfg = inst.cfg
-    h2_eps, rho_s, xi, rho_tilde, warns = entropy._h2_witness(
-        inst.rho, cfg, weight_mode, list(inst.r_labels)
-    )
-    rho_tilde_r = linalg.partial_trace(rho_tilde, inst.rho.shape, list(inst.a_labels))
+    wit_in = entropy.h2_with_witness(inst.rho, cfg, given=list(inst.r_labels))
+    rho_tilde_r = linalg.partial_trace(wit_in.tilde, inst.rho.shape, list(inst.a_labels))
 
     choi = quantum.choi_state(inst.channel, labels=("B", "Ap"))
-    h2_prime_val, hmax_prime_val, eta, omega3, omega3_iq, omega_tilde = entropy._h2_prime(
-        choi, cfg.epsilon, cfg.delta, "B")
+    wit_ch = entropy.h2_prime(choi, cfg.epsilon, cfg.delta, "B")
 
     povm = None
     if cfg.epsilon > 0:
         # the measurement P on Z with (measured channel (x) id)(EPR) = eta
-        povm = quantum.povm_completion(quantum.choi_amplitudes(inst.channel), eta)
+        povm = quantum.povm_completion(quantum.choi_amplitudes(inst.channel), wit_ch.eta)
 
-    omega_tilde_b = linalg.partial_trace(omega_tilde, choi.shape, ["Ap"])
+    omega_tilde_b = linalg.partial_trace(wit_ch.tilde, choi.shape, ["Ap"])
 
     n_r = linalg.schatten_norm(rho_tilde_r, 2) ** 2
-    n_ar = linalg.schatten_norm(rho_tilde, 2) ** 2
+    n_ar = linalg.schatten_norm(wit_in.tilde, 2) ** 2
     n_b = linalg.schatten_norm(omega_tilde_b, 2) ** 2
-    n_ab = linalg.schatten_norm(omega_tilde, 2) ** 2
+    n_ab = linalg.schatten_norm(wit_ch.tilde, 2) ** 2
     return Weights(
-        rho_s=rho_s, xi=xi, rho_tilde=rho_tilde, rho_tilde_r=rho_tilde_r,
-        choi=choi, eta=eta, omega3=omega3, omega3_inv_quarter=omega3_iq, povm=povm,
-        omega_tilde=omega_tilde, omega_tilde_b=omega_tilde_b,
-        h2_eps=h2_eps, h2_prime_val=h2_prime_val, hmax_prime_val=hmax_prime_val,
-        n_r=n_r, n_ar=n_ar, n_b=n_b, n_ab=n_ab, warnings=warns,
+        rho_tilde=wit_in.tilde, rho_tilde_r=rho_tilde_r, choi=choi, eta=wit_ch.eta,
+        omega3=wit_ch.omega3, omega3_inv_quarter=wit_ch.omega3_inv_quarter, povm=povm,
+        omega_tilde_b=omega_tilde_b, h2_eps=wit_in.value, h2_prime_val=wit_ch.value,
+        hmax_prime_val=wit_ch.hmax_prime, n_r=n_r, n_ar=n_ar, n_b=n_b, n_ab=n_ab,
+        warnings=wit_in.warnings,
     )
 
 
@@ -296,7 +290,8 @@ def tail_parameters(inst: DecouplingInstance, w: Weights, kappa: float,
     da, db = float(inst.a_dim), float(inst.channel.b_dim)
     eps, dlt = inst.cfg.epsilon, inst.cfg.delta
     a = da * 2.0 ** (-(1.0 + dlt) * w.hmax_prime_val + w.h2_eps - 9.0)
-    t = math.ceil(8.0 * a * kappa * kappa)
+    t = 8.0 * a * kappa * kappa
+    t = math.ceil(t) if math.isfinite(t) else t
     lam = (da**-8 * db**-6 * mu * mu) ** t
     threshold = (
         2.0 ** (-0.5 * w.h2_eps - 0.5 * w.h2_prime_val + 1.0)

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -168,25 +169,20 @@ def _truncation_candidates(rho: DensitySystem, eps: float) -> list[np.ndarray]:
     return out
 
 
-def h2_with_witness(
-    rho: DensitySystem,
-    cfg: SmoothingConfig,
-    weight_mode: str = "fixed_marginal",
-    given=None,
-) -> tuple[float, np.ndarray, np.ndarray, tuple[str, ...]]:
-    """Certified lower bound on the smoothed conditional collision entropy.
+class H2Witness(NamedTuple):
+    """value = -2 log2 ||tilde||_2 with tilde = (I (x) weight^{-1/4}) sigma (same),
+    sigma in the epsilon-ball around rho and weight the conditioning operator used."""
 
-    Returns (value_bits, sigma, weight, warnings) where sigma sits in the
-    epsilon-ball around rho, weight is the conditioning operator actually
-    used, and value_bits = -2 log2 || (I (x) w^{-1/4}) sigma (same) ||_2.
-    """
-    value, sigma, weight, _, warnings = _h2_witness(rho, cfg, weight_mode, given)
-    return value, sigma, weight, warnings
+    value: float
+    sigma: np.ndarray
+    weight: np.ndarray
+    tilde: np.ndarray
+    warnings: tuple[str, ...]
 
 
-def _h2_witness(rho: DensitySystem, cfg: SmoothingConfig, weight_mode: str, given
-                ) -> tuple[float, np.ndarray, np.ndarray, np.ndarray, tuple[str, ...]]:
-    """`h2_with_witness` with tilde = (I (x) w^{-1/4}) sigma (same) before the warnings."""
+def h2_with_witness(rho: DensitySystem, cfg: SmoothingConfig,
+                    weight_mode: str = "fixed_marginal", given=None) -> H2Witness:
+    """Certified lower bound on the smoothed conditional collision entropy."""
     if weight_mode not in ("fixed_marginal", "minimized"):
         raise DomainError(f"unknown weight mode {weight_mode!r}")
     given = rho.shape.names[-1] if given is None else given
@@ -255,7 +251,7 @@ def _h2_witness(rho: DensitySystem, cfg: SmoothingConfig, weight_mode: str, give
     w = (vecs * linalg._power_above_cutoff(p, -0.25)) @ vecs.conj().T
     tilde = _conj_on_labels(sigma, w, rho.shape, given_list)
     value = float(-2.0 * math.log2(linalg.schatten_norm(tilde, 2)))
-    return value, sigma, weight, tilde, tuple(warnings)
+    return H2Witness(value, sigma, weight, tilde, tuple(warnings))
 
 
 def _simplex_probs(logits) -> np.ndarray:
@@ -335,8 +331,7 @@ def _closed_form_score(rho: DensitySystem, eps: float, given_list: list[str],
 
 def h2_conditional(rho: DensitySystem, cfg: SmoothingConfig,
                    weight_mode: str = "fixed_marginal", given=None) -> float:
-    value, _, _, _ = h2_with_witness(rho, cfg, weight_mode, given)
-    return value
+    return h2_with_witness(rho, cfg, weight_mode, given).value
 
 
 def hmax_smooth(x, eps: float) -> float:
@@ -436,24 +431,28 @@ def _omega_triple_prime(spec: linalg.Spectrum, eps: float, delta: float
     return value, (spec.vectors * vals) @ spec.vectors.conj().T
 
 
+class H2Prime(NamedTuple):
+    """h2' = -2 log2 ||tilde||_2 with what it derives: hmax' of omega's marginal
+    on the given label, the feasible point eta, omega''' of that marginal, its
+    -1/4 power, and tilde, eta conjugated by that power on the given label."""
+
+    value: float
+    hmax_prime: float
+    eta: np.ndarray
+    omega3: np.ndarray
+    omega3_inv_quarter: np.ndarray
+    tilde: np.ndarray
+
+
 def h2_prime(omega: DensitySystem, eps: float, delta: float,
-             given: str = "B") -> tuple[float, DensitySystem]:
+             given: str = "B") -> H2Prime:
     """Conditional collision entropy against the truncated marginal weight.
 
     The canonical feasible point keeps eigenvectors of omega whose overlap
     with the truncated-marginal support is at least 1 - eps, dropping the
     offenders first and then the smallest eigenvalues while the removed
-    mass stays within eps.
+    mass stays within eps. eta = V diag(kept) V^dag is PSD by construction.
     """
-    value, _, eta, _, _, _ = _h2_prime(omega, eps, delta, given)
-    return value, DensitySystem.from_matrix(eta, omega.shape)
-
-
-def _h2_prime(omega: DensitySystem, eps: float, delta: float, given: str
-              ) -> tuple[float, float, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """h2' with what it derives on the way, as (h2', hmax' of omega's
-    marginal, eta, omega''', omega'''^(-1/4), eta conjugated by it on the
-    given label)."""
     b_spec = linalg.spectral(omega.marginal([given]).matrix)
     hmax_value, omega3 = _omega_triple_prime(b_spec, eps, delta)
     w3_spec = linalg.spectral(omega3)
@@ -488,7 +487,7 @@ def _h2_prime(omega: DensitySystem, eps: float, delta: float, given: str
     w3_iq = w3_spec.power(-0.25)
     tilde = _conj_on_labels(eta, w3_iq, omega.shape, [given])
     value = float(-2.0 * math.log2(linalg.schatten_norm(tilde, 2)))
-    return value, hmax_value, eta, omega3, w3_iq, tilde
+    return H2Prime(value, hmax_value, eta, omega3, w3_iq, tilde)
 
 
 def h2_upper_bound_check(rho: DensitySystem, cfg: SmoothingConfig,

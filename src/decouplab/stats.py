@@ -79,7 +79,10 @@ def tail_from_moment(values, center: float, m: int, kappa: float) -> dict:
         raise DomainError("kappa must be positive")
     x = _float_values(values)
     moment = centralized_moment(x, center, 2 * m)
-    bound = moment / kappa ** (2 * m)
+    try:
+        bound = moment / kappa ** (2 * m)
+    except OverflowError:  # kappa^(2m) past the float range
+        bound = 0.0
     direct = float((np.abs(x - center) > kappa).mean())
     return {
         "markov_bound": bound,

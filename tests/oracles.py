@@ -163,31 +163,30 @@ def h2_prime(omega, eps, delta, given="B"):
     return value, DensitySystem.from_matrix(eta, omega.shape)
 
 
-def prepare(inst, weight_mode="fixed_marginal"):
+def prepare(inst):
     """`decoupling.prepare` as a pipeline of the public entropy steps, each
     decomposing what it needs, with the weighted operators rebuilt after."""
     cfg = inst.cfg
     r_labels = list(inst.r_labels)
-    h2_eps, rho_s, xi, warns = entropy.h2_with_witness(
-        inst.rho, cfg, weight_mode=weight_mode, given=r_labels
-    )
-    rho_tilde = conj_by_inverse_quarter(rho_s, inst.rho.shape, xi, r_labels)
+    wit = entropy.h2_with_witness(inst.rho, cfg, given=r_labels)
+    h2_eps, warns = wit.value, wit.warnings
+    rho_tilde = conj_by_inverse_quarter(wit.sigma, inst.rho.shape, wit.weight, r_labels)
     rho_tilde_r = linalg.partial_trace(rho_tilde, inst.rho.shape, list(inst.a_labels))
 
     choi = quantum.choi_state(inst.channel, labels=("B", "Ap"))
     choi_b = choi.marginal(["B"])
     hmax_prime_val, _ = entropy.hmax_prime(choi_b, cfg.epsilon)
     omega3 = entropy.omega_triple_prime(choi_b, cfg.epsilon, cfg.delta)
-    h2_prime_val, eta_ds = entropy.h2_prime(choi, cfg.epsilon, cfg.delta, given="B")
+    canonical = entropy.h2_prime(choi, cfg.epsilon, cfg.delta, given="B")
+    h2_prime_val, eta = canonical.value, canonical.eta
 
     povm = None
     if cfg.epsilon > 0:
-        povm = quantum.povm_completion(quantum.choi_amplitudes(inst.channel),
-                                       eta_ds.matrix)
+        povm = quantum.povm_completion(quantum.choi_amplitudes(inst.channel), eta)
 
     omega3_iq = linalg.pseudo_inverse_power(omega3.matrix, -0.25)
     w_b = kron_embed(omega3_iq, choi.shape, ["B"])
-    omega_tilde = w_b @ eta_ds.matrix @ w_b
+    omega_tilde = w_b @ eta @ w_b
     omega_tilde_b = linalg.partial_trace(omega_tilde, choi.shape, ["Ap"])
 
     n_r = linalg.schatten_norm(rho_tilde_r, 2) ** 2
@@ -199,10 +198,9 @@ def prepare(inst, weight_mode="fixed_marginal"):
     if abs(2.0 ** (-h2_prime_val) - n_ab) > 1e-8 * max(1.0, n_ab):
         raise ComputationError("channel witness norm does not match its entropy value")
     return decoupling.Weights(
-        rho_s=rho_s, xi=xi, rho_tilde=rho_tilde, rho_tilde_r=rho_tilde_r,
-        choi=choi, eta=eta_ds.matrix, omega3=omega3.matrix,
-        omega3_inv_quarter=omega3_iq, povm=povm,
-        omega_tilde=omega_tilde, omega_tilde_b=omega_tilde_b,
+        rho_tilde=rho_tilde, rho_tilde_r=rho_tilde_r,
+        choi=choi, eta=eta, omega3=omega3.matrix,
+        omega3_inv_quarter=omega3_iq, povm=povm, omega_tilde_b=omega_tilde_b,
         h2_eps=h2_eps, h2_prime_val=h2_prime_val, hmax_prime_val=hmax_prime_val,
         n_r=n_r, n_ar=n_ar, n_b=n_b, n_ab=n_ab, warnings=warns,
     )

@@ -179,6 +179,21 @@ class TestRunArtifacts:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["status"] == ("complete" if proc.returncode == 0 else "failed")
 
+    @pytest.mark.parametrize("payload", [
+        {"experiment": "decouple-tail", "dims": {"a": 4, "r": 2, "b": 2}},
+        {"experiment": "fqsw", "dims": {"a1": 2, "a2": 4, "r": 2}},
+        {"experiment": "moments", "dims": {"a": 4, "r": 2, "b": 2}},
+    ], ids=["decouple-tail", "fqsw", "moments"])
+    def test_large_kappa_ends_cleanly(self, tmp_path, payload):
+        # kappa^2 and kappa^4 leave the float range: t reads inf, the Markov bound 0
+        out = tmp_path / "out"
+        p = write_config(tmp_path, samples=3, kappa=1e200, output_dir=str(out), **payload)
+        proc = subprocess.run([sys.executable, "-m", "decouplab.cli", "run", str(p)],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert json.loads((out / "manifest.json").read_text())["status"] == "complete"
+
     @pytest.mark.parametrize("overrides", [
         {"samples": 2.5},
         {"samples": "10"},

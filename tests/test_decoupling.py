@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from decouplab import decoupling, ensembles, linalg, quantum
+from decouplab import decoupling, ensembles, entropy, linalg, quantum
 from decouplab.entropy import SmoothingConfig
 from decouplab.errors import ComputationError, DimensionError, DomainError
 from decouplab.linalg import shape
@@ -572,20 +572,19 @@ def fqsw_two_label_instance(cfg):
     return dataclasses.replace(inst, cfg=cfg)
 
 
-# (instance builder taking a SmoothingConfig, weight mode)
+# instance builders taking a SmoothingConfig
 PREPARE_CASES = {
-    "trace-out": (lambda cfg: random_instance(6, cfg=cfg), "fixed_marginal"),
-    "random-channel": (lambda cfg: random_channel_instance(31, cfg=cfg), "fixed_marginal"),
-    "fqsw-two-label": (fqsw_two_label_instance, "fixed_marginal"),
-    "rank-deficient": (lambda cfg: rank_deficient_instance(8, cfg=cfg), "fixed_marginal"),
-    "minimized": (lambda cfg: random_instance(9, da=2, cfg=cfg), "minimized"),
+    "trace-out": lambda cfg: random_instance(6, cfg=cfg),
+    "random-channel": lambda cfg: random_channel_instance(31, cfg=cfg),
+    "fqsw-two-label": fqsw_two_label_instance,
+    "rank-deficient": lambda cfg: rank_deficient_instance(8, cfg=cfg),
 }
 
 
 # the weighted witnesses and what is read off them: prepare forms them by
 # contraction on the conditioning labels, the pipeline by kron-embedded
 # products, so their sums run in another order
-WEIGHTED = ("rho_tilde", "rho_tilde_r", "omega_tilde", "omega_tilde_b",
+WEIGHTED = ("rho_tilde", "rho_tilde_r", "omega_tilde_b",
             "h2_eps", "h2_prime_val", "n_r", "n_ar", "n_b", "n_ab")
 
 
@@ -599,10 +598,9 @@ class TestPrepareMatchesSequence:
                              ids=["eps0", "smoothed"])
     @pytest.mark.parametrize("name", sorted(PREPARE_CASES))
     def test_bit_identical(self, name, cfg):
-        make, mode = PREPARE_CASES[name]
-        inst = make(cfg)
-        got = decoupling.prepare(inst, mode)
-        want = oracles.prepare(inst, mode)
+        inst = PREPARE_CASES[name](cfg)
+        got = decoupling.prepare(inst)
+        want = oracles.prepare(inst)
         for f in dataclasses.fields(decoupling.Weights):
             a, b = getattr(got, f.name), getattr(want, f.name)
             if isinstance(a, DensitySystem):
@@ -635,3 +633,28 @@ class TestPrepareMatchesSequence:
         monkeypatch.setattr(linalg, "spectral", spectral)
         decoupling.prepare(random_instance(6, da=16, db=4, dr=4, cfg=cfg))
         assert len(counted) == calls
+
+    @pytest.mark.parametrize("cfg,povms", [(SmoothingConfig(), 0),
+                                           (SmoothingConfig(epsilon=0.05, delta=0.1), 1)],
+                             ids=["eps0", "smoothed"])
+    def test_one_call_per_step(self, monkeypatch, cfg, povms):
+        # prepare goes through its public steps by module attribute, so a
+        # tracer that wraps public functions sees each of them
+        calls = {}
+
+        def counted(owner, name):
+            real = getattr(owner, name)
+            calls[name] = 0
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counted(quantum, "choi_state")
+        counted(entropy, "h2_with_witness")
+        counted(entropy, "h2_prime")
+        counted(quantum, "povm_completion")
+        decoupling.prepare(random_instance(6, da=16, db=4, dr=4, cfg=cfg))
+        assert calls == {"choi_state": 1, "h2_with_witness": 1, "h2_prime": 1,
+                         "povm_completion": povms}

@@ -73,11 +73,9 @@ class TestCollisionEntropy:
     def test_witness_identity(self):
         rng = np.random.default_rng(1)
         rho = quantum.random_state(shape(("A", 3), ("B", 2)), rng)
-        val, sigma, xi, _ = entropy.h2_with_witness(
-            rho, SmoothingConfig(), given="B"
-        )
-        tilde = oracles.conj_by_inverse_quarter(sigma, rho.shape, xi, ["B"])
-        assert 2.0 ** (-val) == pytest.approx(
+        wit = entropy.h2_with_witness(rho, SmoothingConfig(), given="B")
+        tilde = oracles.conj_by_inverse_quarter(wit.sigma, rho.shape, wit.weight, ["B"])
+        assert 2.0 ** (-wit.value) == pytest.approx(
             linalg.schatten_norm(tilde, 2) ** 2, rel=1e-9
         )
 
@@ -99,7 +97,7 @@ class TestCollisionEntropy:
         # pure product state: B marginal is rank one
         vec = np.kron(np.array([1.0, 0.0]), np.array([1.0, 0.0]))
         rho = DensitySystem(np.outer(vec, vec), shape(("A", 2), ("B", 2)))
-        _, _, _, warns = entropy.h2_with_witness(rho, SmoothingConfig(), given="B")
+        warns = entropy.h2_with_witness(rho, SmoothingConfig(), given="B").warnings
         assert any("support" in w for w in warns)
 
     def test_dimension_window(self):
@@ -260,7 +258,7 @@ class TestH2Prime:
         rng = np.random.default_rng(8)
         omega = quantum.random_state(shape(("Ap", 2), ("B", 3)), rng)
         omega = omega.permute(["B", "Ap"])
-        v_prime, _ = entropy.h2_prime(omega, 0.0, 0.0, given="B")
+        v_prime = entropy.h2_prime(omega, 0.0, 0.0, given="B").value
         v_fixed = entropy.h2_conditional(omega, SmoothingConfig(), given="B")
         assert v_prime == pytest.approx(v_fixed, abs=1e-9)
 
@@ -268,11 +266,10 @@ class TestH2Prime:
         rng = np.random.default_rng(9)
         omega = quantum.random_state(shape(("B", 2), ("Ap", 3)), rng)
         eps, delta = 0.02, 0.1
-        val, eta = entropy.h2_prime(omega, eps, delta, given="B")
+        canonical = entropy.h2_prime(omega, eps, delta, given="B")
         w3 = entropy.omega_triple_prime(omega.marginal(["B"]), eps, delta)
-        tilde = oracles.conj_by_inverse_quarter(eta.matrix, omega.shape,
-                                                w3.matrix, ["B"])
-        assert 2.0 ** (-val) == pytest.approx(
+        tilde = oracles.conj_by_inverse_quarter(canonical.eta, omega.shape, w3.matrix, ["B"])
+        assert 2.0 ** (-canonical.value) == pytest.approx(
             linalg.schatten_norm(tilde, 2) ** 2, rel=1e-9
         )
 
@@ -282,7 +279,7 @@ class TestH2Prime:
         rng = np.random.default_rng(seed)
         omega = quantum.random_state(shape(("B", 2), ("Ap", 2)), rng)
         eps, delta = 0.01, 0.2
-        v_prime, _ = entropy.h2_prime(omega, eps, delta, given="B")
+        v_prime = entropy.h2_prime(omega, eps, delta, given="B").value
         cfg = SmoothingConfig(epsilon=4.0 * math.sqrt(eps))
         v_rough = entropy.h2_conditional(omega, cfg, given="B")
         assert v_rough >= v_prime - 1e-9
@@ -291,10 +288,10 @@ class TestH2Prime:
         rng = np.random.default_rng(10)
         omega = quantum.random_state(shape(("B", 3), ("Ap", 2)), rng)
         eps = 0.05
-        _, eta = entropy.h2_prime(omega, eps, 0.1, given="B")
-        gap = np.linalg.eigvalsh(linalg.hermitianize(omega.matrix - eta.matrix))
+        eta = entropy.h2_prime(omega, eps, 0.1, given="B").eta
+        gap = np.linalg.eigvalsh(linalg.hermitianize(omega.matrix - eta))
         assert gap.min() >= -1e-10  # 0 <= eta <= omega
-        assert linalg.schatten_norm(omega.matrix - eta.matrix, 1) <= eps + 1e-9
+        assert linalg.schatten_norm(omega.matrix - eta, 1) <= eps + 1e-9
 
 
 class TestTildeMachinery:
@@ -466,7 +463,7 @@ def _assert_matches_per_sigma_route(rho, given, mode, eps, exact):
     within its own xatol. Every reported value is still a dense evaluation.
     """
     cfg = SmoothingConfig(epsilon=eps)
-    value, sigma, weight, tilde, warns = entropy._h2_witness(rho, cfg, mode, given)
+    value, sigma, weight, tilde, warns = entropy.h2_with_witness(rho, cfg, mode, given)
     o_value, o_sigma, o_weight, o_warns = per_sigma_h2_with_witness(rho, cfg, mode, given)
     assert warns == o_warns
     given = [given] if isinstance(given, str) else list(given)
@@ -745,7 +742,7 @@ class TestTruncationRuleMatchesLoops:
             if want is not None:
                 # the weighted eta is formed by contraction, the oracle's by kron
                 assert got[0] == pytest.approx(want[0], rel=1e-12, abs=0)
-                np.testing.assert_array_equal(got[1].matrix, want[1].matrix)
+                np.testing.assert_array_equal(got.eta, want[1].matrix)
             got, want = entropy.hmax_prime(b, eps), oracles.hmax_prime(b, eps)
             assert got[0] == want[0]
             np.testing.assert_array_equal(got[1].matrix, want[1].matrix)
