@@ -1,18 +1,25 @@
 """Unitary ensembles: Haar, structured groups, layered circuits, and their
 moment operators, with tensor-product-expander diagnostics.
 
-Sampling is counter-based: each draw seeds its own generator from
-(root seed, stream index), so runs are reproducible regardless of order
-and safe to parallelise. `sample_batch(streams)` is the one sampler; a
-draw depends only on its stream, so the stack is the same, bit for bit,
-however the streams are split into batches, and `sample(i)` is the
-batch of one.
+Sampling is counter-based: draw s comes from the stream that
+`np.random.default_rng((seed, s))` would start, so runs are reproducible
+regardless of order and safe to parallelise. `sample_batch(streams)` is
+the one sampler. From BULK_SEED_MIN streams on it seeds in bulk: numpy's
+SeedSequence hash and PCG64 seeding run once for all streams, as uint32
+array arithmetic, and one generator is reset to each stream's state in
+turn, at a fraction of the cost of building a generator per draw. Each
+stream's normals then come from one `standard_normal` call into a
+preallocated buffer. A draw depends only on its stream, so the stack is
+the same, bit for bit, however the streams are split into batches, and
+`sample(i)` is the batch of one.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +31,119 @@ KINDS = ("enumerated", "haar", "circuit", "iterated")
 MOMENT_DIM_CAP = 4096  # largest dim**(2t), the superoperator dimension
 # working memory for one stack of flattened U^(x)t in moment_operator
 MOMENT_BATCH_BYTES = 1 << 21
+
+
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx) and PCG64 seeding
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_HASH_A = (0x43B0D7E5, 0x931E8875)  # (initial constant, multiplier) for the pool
+_HASH_B = (0x8B51F9DD, 0x58F38DED)  # the same for generate_state
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = (2549297995355413924 << 64) + 4865540595714422341
+# below this many streams, a generator per stream costs less than the fixed
+# part of seeding them in bulk
+BULK_SEED_MIN = 8
+
+
+@functools.lru_cache(maxsize=None)
+def _hash_constants(init: int, mult: int, count: int):
+    """The read-only (xor, multiplier) columns of `count` successive hashmix
+    calls: each call xors with the running constant, advances it, then
+    multiplies by the new one."""
+    consts = [init]
+    for _ in range(count):
+        consts.append(consts[-1] * mult & _MASK32)
+    c = np.array(consts, dtype=np.uint32)[:, None]
+    c.flags.writeable = False
+    return c[:-1], c[1:]
+
+
+def _hashmix(v, xor, mul):
+    v = (v ^ xor) * mul
+    return v ^ (v >> 16)
+
+
+def _mix(x, y):
+    r = _MIX_L * x - _MIX_R * y
+    return r ^ (r >> 16)
+
+
+def _seed_words(entropy: np.ndarray) -> list[list[int]]:
+    """`SeedSequence(e).generate_state(4, np.uint64)` for every column e of an
+    (L, m) uint32 entropy array, as m lists of four ints.
+
+    The hash constants do not depend on the data, so each step of the
+    sequential pool mixing runs on all m pools at once, in uint32 arithmetic
+    that wraps as the reference does.
+    """
+    length, m = entropy.shape
+    xor, mul = _hash_constants(*_HASH_A, 16 + 4 * max(0, length - 4))
+    pool = np.zeros((4, m), dtype=np.uint32)
+    pool[:length] = entropy[:4]
+    pool = _hashmix(pool, xor[:4], mul[:4])
+    k = 4
+    for src in range(4):
+        # every other pool word absorbs its own hash of word src
+        dst = [j for j in range(4) if j != src]
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], xor[k:k + 3], mul[k:k + 3]))
+        k += 3
+    for word in entropy[4:]:
+        pool = _mix(pool, _hashmix(word, xor[k:k + 4], mul[k:k + 4]))
+        k += 4
+    xor, mul = _hash_constants(*_HASH_B, 8)
+    state = _hashmix(np.concatenate([pool, pool]), xor, mul)
+    # consecutive uint32 words pair up little-endian into the uint64 words
+    return np.ascontiguousarray(state.T, dtype="<u4").view("<u8").tolist()
+
+
+def _words(n: int) -> list[int]:
+    """The little-endian 32-bit words of n >= 0 ([0] for zero), as SeedSequence splits it."""
+    out = [n & _MASK32]
+    while n := n >> 32:
+        out.append(n & _MASK32)
+    return out
+
+
+def _stream_states(seed: int, streams: list[int]) -> list[tuple[int, int]]:
+    """The PCG64 (state, inc) at which `np.random.default_rng((seed, s))`
+    starts, for each stream s.
+
+    The entropy is the words of seed then those of s. Streams with the same
+    number of words hash together; PCG64 then takes (state, inc) from the two
+    halves of the four generated words and steps twice, adding the state half
+    in between.
+    """
+    if seed < 0 or min(streams) < 0:
+        raise DomainError("seeds and stream indices must be nonnegative")
+    head = _words(seed)
+    sizes = [len(_words(s)) for s in streams]
+    out = [None] * len(streams)
+    for size in set(sizes):
+        rows = [i for i, n in enumerate(sizes) if n == size]
+        entropy = np.empty((len(head) + size, len(rows)), dtype=np.uint32)
+        entropy[:len(head)] = np.array(head, dtype=np.uint32)[:, None]
+        for j in range(size):
+            entropy[len(head) + j] = [streams[i] >> 32 * j & _MASK32 for i in rows]
+        for i, (s_hi, s_lo, i_hi, i_lo) in zip(rows, _seed_words(entropy)):
+            inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+            out[i] = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128, inc
+    return out
+
+
+def _stream_generators(seed: int, streams: list[int]):
+    """A generator at the start of each stream's `np.random.default_rng((seed, s))`,
+    in order. From BULK_SEED_MIN streams on it is one generator, reset before
+    each yield."""
+    if len(streams) < BULK_SEED_MIN:
+        for s in streams:
+            yield np.random.default_rng((seed, s))
+        return
+    rng = np.random.Generator(np.random.PCG64(0))
+    start = {"state": 0, "inc": 0}
+    state = {"bit_generator": "PCG64", "state": start, "has_uint32": 0, "uinteger": 0}
+    for start["state"], start["inc"] in _stream_states(seed, streams):
+        rng.bit_generator.state = state
+        yield rng
 
 
 def _strip_phase(m: np.ndarray, tol: float = 1e-8) -> np.ndarray:
@@ -144,7 +264,7 @@ class UnitaryEnsemble:
 
     def sample_batch(self, streams) -> np.ndarray:
         """The draws of `streams`, in order, as an (n, dim, dim) stack."""
-        streams = list(streams)
+        streams = [operator.index(s) for s in streams]
         if not streams:
             return np.empty((0, self.dim, self.dim), dtype=complex)
         if self.kind == "iterated":
@@ -155,13 +275,24 @@ class UnitaryEnsemble:
             for j in range(k):
                 u = draws[j::k] @ u
             return u
-        rngs = [np.random.default_rng((self.seed, s)) for s in streams]
         if self.kind == "enumerated":
             return np.stack([self.members[int(rng.integers(len(self.members)))]
-                             for rng in rngs])
+                             for rng in _stream_generators(self.seed, streams)])
         if self.kind == "haar":
-            return linalg.random_unitaries(self.dim, rngs)
-        return _circuit_unitaries(self.n_qubits, self.circuit_depth, rngs)
+            block = (2, self.dim, self.dim)
+        else:
+            pairs = [p for layer in range(self.circuit_depth)
+                     for p in _ring_pairs(self.n_qubits, layer)]
+            if not pairs:
+                return np.tile(np.eye(self.dim, dtype=complex), (len(streams), 1, 1))
+            block = (len(pairs), 2, 4, 4)  # each gate's Ginibre parts, in gate order
+        normals = np.empty((len(streams),) + block)
+        for out, rng in zip(normals, _stream_generators(self.seed, streams)):
+            rng.standard_normal(out=out)
+        unitaries = linalg.haar_from_normals(normals)
+        if self.kind == "haar":
+            return unitaries
+        return _apply_gates(self.n_qubits, pairs, unitaries)
 
 
 def enumerated_ensemble(members, seed: int = 0, name: str = "") -> UnitaryEnsemble:
@@ -188,21 +319,15 @@ def _ring_pairs(n: int, layer: int) -> list[tuple[int, int]]:
     return pairs
 
 
-def _circuit_unitaries(n: int, depth: int, rngs) -> np.ndarray:
-    """One brickwork circuit per generator, as an (len(rngs), 2**n, 2**n) stack.
+def _apply_gates(n: int, pairs: list[tuple[int, int]], gates: np.ndarray) -> np.ndarray:
+    """One brickwork circuit per row of an (m, len(pairs), 4, 4) gate stack,
+    as an (m, 2**n, 2**n) stack.
 
-    Each generator draws its gates' Ginibre matrices in gate order. A gate on
-    qubits (a, b) acts on the whole stack by one batched matmul over the row
-    axes a and b of the (m, 2, ..., 2, 2**n) tensor, with a first.
+    A gate on qubits (a, b) acts on the whole stack by one batched matmul
+    over the row axes a and b of the (m, 2, ..., 2, 2**n) tensor, with a first.
     """
-    m, dim = len(rngs), 2**n
-    u = np.tile(np.eye(dim, dtype=complex), (m, 1, 1))
-    pairs = [p for layer in range(depth) for p in _ring_pairs(n, layer)]
-    if not pairs:
-        return u
-    gates = linalg.random_unitaries(4, [rng for rng in rngs for _ in pairs])
-    gates = gates.reshape(m, len(pairs), 4, 4)
-    u = u.reshape((m,) + (2,) * n + (dim,))
+    m, dim = len(gates), 2**n
+    u = np.tile(np.eye(dim, dtype=complex), (m, 1, 1)).reshape((m,) + (2,) * n + (dim,))
     for k, (a, b) in enumerate(pairs):
         v = np.moveaxis(u, (1 + a, 1 + b), (1, 2))
         v = (gates[:, k] @ v.reshape(m, 4, -1)).reshape(v.shape)

@@ -282,31 +282,22 @@ def swap_operator(d: int) -> np.ndarray:
 
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed unitary: complex Ginibre, QR, then phase correction."""
-    return _haar_from_ginibre(_ginibre(dim, rng))
-
-
-def random_unitaries(dim: int, rngs) -> np.ndarray:
-    """One Haar unitary per generator, as an (n, dim, dim) stack.
-
-    The Ginibre matrices are drawn one per generator and factored by one
-    stacked QR. That QR factors each matrix on its own, so the stack equals
-    `random_unitary` called with each generator in turn, bit for bit.
-    """
-    return _haar_from_ginibre(np.stack([_ginibre(dim, rng) for rng in rngs]))
-
-
-def _ginibre(dim: int, rng: np.random.Generator) -> np.ndarray:
     if dim < 1:
         raise DimensionError(f"dimension must be positive, got {dim}")
-    z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    return haar_from_normals(rng.standard_normal((2, dim, dim)))
+
+
+def haar_from_normals(x: np.ndarray) -> np.ndarray:
+    """Haar unitaries from standard normals of shape (..., 2, d, d).
+
+    Each (2, d, d) block is the real and the imaginary part of one Ginibre
+    matrix Z = (X0 + i X1) / sqrt(2), in the order one generator draws them.
+    Z goes through QR with the phases of R's diagonal moved into Q (Mezzadri,
+    arXiv:math-ph/0609050). The stacked QR factors each matrix on its own, so
+    a stack gives, bit for bit, what each block gives alone.
+    """
+    z = x[..., 0, :, :] + 1j * x[..., 1, :, :]
     z /= np.sqrt(2.0)
-    return z
-
-
-def _haar_from_ginibre(z: np.ndarray) -> np.ndarray:
-    """QR with the phases of R's diagonal moved into Q (Mezzadri,
-    arXiv:math-ph/0609050), on one matrix or on each of a stack."""
     q, r = np.linalg.qr(z)
     d = np.diagonal(r, axis1=-2, axis2=-1)
     return q * (d / np.abs(d))[..., None, :]
-

@@ -83,6 +83,8 @@ def tail_from_moment(values, center: float, m: int, kappa: float) -> dict:
         bound = moment / kappa ** (2 * m)
     except OverflowError:  # kappa^(2m) past the float range
         bound = 0.0
+    except ZeroDivisionError:  # kappa^(2m) below the smallest float
+        bound = math.inf if moment > 0 else 0.0
     direct = float((np.abs(x - center) > kappa).mean())
     return {
         "markov_bound": bound,
@@ -91,6 +93,19 @@ def tail_from_moment(values, center: float, m: int, kappa: float) -> dict:
         "moment": moment,
         "order": 2 * m,
     }
+
+
+def _power(x: np.ndarray, n: int) -> np.ndarray:
+    """x ** n for an integer n >= 1 by repeated squaring in x's own buffer,
+    which it overwrites. On negative bases numpy's pow is an order of
+    magnitude slower."""
+    result = None
+    while n > 1:
+        if n & 1:
+            result = x.copy() if result is None else np.multiply(result, x, out=result)
+        np.multiply(x, x, out=x)
+        n >>= 1
+    return x if result is None else np.multiply(result, x, out=result)
 
 
 @functools.lru_cache(maxsize=1)
@@ -119,10 +134,10 @@ def moment_transfer_check(c: float, a: float, mu: float, m: int,
     if m < 1 or 2 * m > MAX_MOMENT_ORDER:
         raise DomainError(f"m must satisfy 2 <= 2m <= {MAX_MOMENT_ORDER}")
     x = np.abs(mu + _standard_normals(samples, seed) / math.sqrt(2.0 * a))
-    central = float(((x - mu) ** (2 * m)).mean())
+    central = float(_power(x - mu, 2 * m).mean())
     central_bound = c * (m / a) ** m
     sq = x * x - mu * mu
-    sq_moment = float((sq ** (2 * m)).mean())
+    sq_moment = float(_power(sq, 2 * m).mean())
     split = (9.0 / 64.0) * a * mu * mu
     small_m_regime = m <= split
     if small_m_regime:

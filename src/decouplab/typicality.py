@@ -53,16 +53,22 @@ class TypicalSpec:
             raise DomainError("delta must be positive")
 
 
-@functools.lru_cache(maxsize=1)
-def enumerate_types(n: int, alphabet: int) -> TypeTable:
-    """All compositions of n into `alphabet` parts, lexicographically sorted.
-    The last table is kept, so a typicality run's report and its aggregated
-    max-entropy share it."""
+def _type_count(n: int, alphabet: int) -> int:
+    """The number of type classes, or a CapError past TYPE_ENUM_CAP."""
     if alphabet < 1 or n < 0:
         raise DimensionError("need alphabet >= 1 and n >= 0")
     total = math.comb(n + alphabet - 1, alphabet - 1)
     if total > TYPE_ENUM_CAP:
         raise CapError(f"{total} types exceed the enumeration cap {TYPE_ENUM_CAP}")
+    return total
+
+
+@functools.lru_cache(maxsize=1)
+def enumerate_types(n: int, alphabet: int) -> TypeTable:
+    """All compositions of n into `alphabet` parts, lexicographically sorted.
+    The last table is kept, so a typicality run's report and its aggregated
+    max-entropy share it."""
+    total = _type_count(n, alphabet)
     # stars and bars: the bars' slots among n + alphabet - 1, taken in
     # lexicographic order, give the counts in lexicographic order
     slots = n + alphabet - 1
@@ -94,8 +100,63 @@ def _class_masses(sizes, qs) -> list[float]:
     try:
         return [size * q for size, q in zip(sizes, qs)]
     except OverflowError as exc:
-        raise CapError(f"a type class of about 2^{max(sizes).bit_length() - 1} "
-                       f"sequences passes the float range") from exc
+        raise _float_range_error(max(sizes).bit_length() - 1) from exc
+
+
+def _float_range_error(bits: int) -> CapError:
+    return CapError(f"a type class of about 2^{bits} sequences passes the float range")
+
+
+def _largest_typical_counts(n: int, probs, delta: float) -> list[int] | None:
+    """The letter counts of the largest typical type class, None if no class
+    is typical, found without the table.
+
+    n! / prod c_j! grows as the counts draw together, so the largest class
+    fills every letter's window [n p (1 - delta), n p (1 + delta)] up to one
+    level t, the highest that keeps the total within n, and hands the units
+    left over to letters at t that can still grow.
+    """
+    lo = [max(0, math.ceil(n * p * (1 - delta))) for p in probs]
+    hi = [min(n, math.floor(n * p * (1 + delta))) for p in probs]
+    if any(a > b for a, b in zip(lo, hi)) or not sum(lo) <= n <= sum(hi):
+        return None
+
+    def level(t):
+        return [min(max(t, a), b) for a, b in zip(lo, hi)]
+
+    t, top = 0, n  # level(0) sums to sum(lo) <= n
+    while t < top:
+        mid = (t + top + 1) // 2
+        t, top = (mid, top) if sum(level(mid)) <= n else (t, mid - 1)
+    counts = level(t)
+    spare = n - sum(counts)
+    for j, b in enumerate(hi):
+        if spare and counts[j] == t < b:
+            counts[j] += 1
+            spare -= 1
+    return counts
+
+
+def _check_float_range(counts: list[int]):
+    """The CapError that `_class_masses` raises for a class of these counts,
+    decided without its exact size unless that sits near 2^1024: below the
+    enumeration cap n < 10^6, where lgamma's error is far below the one-bit
+    margin."""
+    bits = (math.lgamma(sum(counts) + 1)
+            - sum(math.lgamma(c + 1) for c in counts)) / math.log(2)
+    if bits < 1023:
+        return
+    if bits <= 1025:
+        size, total = 1, 0
+        for c in counts:
+            total += c
+            size *= math.comb(total, c)
+        try:
+            float(size)
+            return
+        except OverflowError:
+            bits = size.bit_length() - 1
+    raise _float_range_error(int(bits))
 
 
 def _survivor_floor(probs, eps: float) -> float:
@@ -124,6 +185,12 @@ def typical_report(spec: TypicalSpec, eps: float) -> dict:
     probs = tuple(float(p) for p in spec.probs)
     h = entropy.shannon(np.asarray(probs))
     n, delta = spec.n, spec.delta
+    # the masses below convert every typical class size to a float; the
+    # largest one decides, before the table is built, whether they all can
+    _type_count(n, len(probs))
+    largest = _largest_typical_counts(n, probs, delta)
+    if largest is not None:
+        _check_float_range(largest)
     counts, sizes = enumerate_types(n, len(probs))
     typical = np.ones(len(sizes), dtype=bool)
     for c, p in zip(counts.T, probs):

@@ -4,7 +4,7 @@ Each one is the plain, step-by-step form: a loop that drops one eigenvalue
 at a time, a pipeline that decomposes every operator where it needs it, or
 a channel's square unitary dilation on A (x) C with the fixed |0> ancilla,
 or an operator on some labels embedded by kron(I, op) rather than applied
-by contraction. The method of types is the per-class form: one object per
+by contraction. A circuit draw is one generator per draw. The method of types is the per-class form: one object per
 type class from a recursive enumerator, walked once per report. Tests compare the library against these bit for bit, or
 within a stated tolerance where only the order of a sum changed.
 """
@@ -272,6 +272,33 @@ def random_dilation(a_dim, b_dim, rng, trace_preserving=True):
     if trace_preserving:
         return linalg.random_unitary(d, rng)
     return quantum.random_contraction(d, rng)
+
+
+def circuit_unitaries(n, depth, rngs):
+    """One brickwork circuit per generator, as a stack: the draw behind a
+    circuit ensemble before bulk seeding. Each generator draws its gates'
+    Ginibre matrices in gate order, real part then imaginary part, and one
+    stacked QR makes them Haar."""
+    m, dim = len(rngs), 2**n
+    u = np.tile(np.eye(dim, dtype=complex), (m, 1, 1))
+    pairs = [p for layer in range(depth) for p in ensembles._ring_pairs(n, layer)]
+    if not pairs:
+        return u
+    z = []
+    for rng in rngs:
+        for _ in pairs:
+            g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+            g /= np.sqrt(2.0)
+            z.append(g)
+    q, r = np.linalg.qr(np.stack(z))
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    gates = (q * (d / np.abs(d))[..., None, :]).reshape(m, len(pairs), 4, 4)
+    u = u.reshape((m,) + (2,) * n + (dim,))
+    for k, (a, b) in enumerate(pairs):
+        v = np.moveaxis(u, (1 + a, 1 + b), (1, 2))
+        v = (gates[:, k] @ v.reshape(m, 4, -1)).reshape(v.shape)
+        u = np.moveaxis(v, (1, 2), (1 + a, 1 + b))
+    return u.reshape(m, dim, dim)
 
 
 def ancilla_zero(v, a_dim, c_dim):

@@ -194,6 +194,29 @@ class TestRunArtifacts:
         assert "Traceback" not in proc.stderr
         assert json.loads((out / "manifest.json").read_text())["status"] == "complete"
 
+    @pytest.mark.parametrize("payload", [
+        {"experiment": "moments", "dims": {"a": 4, "r": 2, "b": 2}},
+        {"experiment": "decouple-tail", "dims": {"a": 4, "r": 2, "b": 2}},
+        {"experiment": "fqsw", "dims": {"a1": 2, "a2": 4, "r": 2}},
+        {"experiment": "lipschitz", "dims": {"a": 4, "r": 2, "b": 2}},
+    ], ids=["moments", "decouple-tail", "fqsw", "lipschitz"])
+    def test_tiny_kappa_ends_cleanly(self, tmp_path, payload):
+        # kappa^4 underflows to 0.0: the Markov bound reads inf
+        out = tmp_path / "out"
+        p = write_config(tmp_path, samples=3, kappa=1e-200, output_dir=str(out), **payload)
+        proc = subprocess.run([sys.executable, "-m", "decouplab.cli", "run", str(p)],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert json.loads((out / "manifest.json").read_text())["status"] == "complete"
+
+    @pytest.mark.parametrize("n,code", [(700, 0), (1100, 3), (5000, 3)])
+    def test_typicality_float_range_exit_codes(self, tmp_path, n, code):
+        out = tmp_path / "out"
+        p = write_config(tmp_path, experiment="typicality", probs=[0.5, 0.5], n=n,
+                         output_dir=str(out))
+        assert cli.main(["run", str(p)]) == code
+
     @pytest.mark.parametrize("overrides", [
         {"samples": 2.5},
         {"samples": "10"},

@@ -59,18 +59,23 @@ def old_circuit_unitary(n, depth, rng):
 
 
 def old_sample(e, stream):
-    """The per-kind draw body that `sample_batch` replaced."""
+    """The per-kind draw body that `sample_batch` replaced: a generator of
+    its own per draw."""
     rng = np.random.default_rng((e.seed, stream))
     if e.kind == "enumerated":
         return e.members[int(rng.integers(len(e.members)))]
     if e.kind == "haar":
         return linalg.random_unitary(e.dim, rng)
     if e.kind == "circuit":
-        return old_circuit_unitary(e.n_qubits, e.circuit_depth, rng)
+        return oracles.circuit_unitaries(e.n_qubits, e.circuit_depth, [rng])[0]
     u = np.eye(e.dim, dtype=complex)
     for j in range(e.iterations):
         u = old_sample(e.base, stream * e.iterations + j) @ u
     return u
+
+
+SEEDS = [0, 1, 2**31 - 1, 2**32, 2**64 + 5, 10**30]
+STREAMS = [0, 1, 2**32 - 1, 2**32, 2**40 + 7]
 
 
 class TestSampling:
@@ -118,7 +123,8 @@ class TestSampling:
     @pytest.mark.parametrize("depth", [0, 1, 2, 3])
     def test_circuit_matches_kron_oracle(self, n, depth):
         e = ensembles.random_circuit_ensemble(n, depth, seed=n * 10 + depth)
-        want = np.stack([old_sample(e, i) for i in range(6)])
+        want = np.stack([old_circuit_unitary(n, depth, np.random.default_rng((e.seed, i)))
+                         for i in range(6)])
         np.testing.assert_allclose(e.sample_batch(range(6)), want, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("e", [
@@ -135,6 +141,48 @@ class TestSampling:
     def test_draws_equal_old_sample(self, e):
         want = np.stack([old_sample(e, i) for i in range(12)])
         np.testing.assert_array_equal(e.sample_batch(range(12)), want)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("make", [
+        lambda seed: ensembles.haar_ensemble(3, seed=seed),
+        lambda seed: ensembles.random_circuit_ensemble(3, 2, seed=seed),
+        lambda seed: ensembles.enumerated_ensemble(ensembles.clifford_group(1), seed=seed),
+        lambda seed: ensembles.iterate_ensemble(ensembles.haar_ensemble(2, seed=seed), 2),
+    ], ids=["haar", "circuit", "enumerated", "iterated"])
+    def test_wide_seeds_and_streams_equal_old_sample(self, make, seed):
+        # seeds and streams of one, two and three 32-bit words, in one batch
+        # large enough to be seeded in bulk, and each alone
+        e = make(seed)
+        streams = STREAMS * 2
+        assert len(streams) >= ensembles.BULK_SEED_MIN
+        want = np.stack([old_sample(e, s) for s in streams])
+        np.testing.assert_array_equal(e.sample_batch(streams), want)
+        np.testing.assert_array_equal(np.stack([e.sample(s) for s in STREAMS]),
+                                      want[:len(STREAMS)])
+
+    @pytest.mark.parametrize("seed", SEEDS + [2**128 + 3])
+    def test_stream_states_equal_pcg64(self, seed):
+        streams = STREAMS + [2**64, 10**40, 7]
+        want = [np.random.PCG64((seed, s)).state["state"] for s in streams]
+        got = ensembles._stream_states(seed, streams)
+        assert got == [(w["state"], w["inc"]) for w in want]
+
+    def test_negative_stream_rejected(self):
+        with pytest.raises(DomainError):
+            ensembles.haar_ensemble(2, seed=1).sample_batch(range(-1, 10))
+
+    @pytest.mark.parametrize("e", [
+        ensembles.haar_ensemble(4, seed=1),
+        ensembles.random_circuit_ensemble(2, 3, seed=2),
+        ensembles.enumerated_ensemble(ensembles.pauli_group(1), seed=3),
+    ], ids=["haar", "circuit", "enumerated"])
+    def test_bulk_batch_builds_no_generator_per_draw(self, e, monkeypatch):
+        calls = []
+        real = np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda *a, **k: calls.append(a) or real(*a, **k))
+        e.sample_batch(range(200))
+        assert calls == []
 
 
 class TestConstruction:

@@ -106,6 +106,14 @@ class TestTailFromMoment:
         with pytest.raises(DomainError):
             stats.tail_from_moment(np.array([1.0]), 0.0, 1, kappa=0.0)
 
+    def test_kappa_power_below_float_range(self):
+        # kappa^4 underflows to 0.0: a positive moment makes the bound inf
+        out = stats.tail_from_moment(np.array([0.0, 1.0, 2.0]), 1.0, 2, kappa=1e-200)
+        assert out["markov_bound"] == math.inf and out["dominates"]
+        assert out["empirical"] == pytest.approx(2.0 / 3.0)
+        flat = stats.tail_from_moment(np.array([1.0, 1.0]), 1.0, 2, kappa=1e-200)
+        assert flat["markov_bound"] == 0.0 and flat["empirical"] == 0.0
+
 
 class TestMomentTransfer:
     def test_large_m_regime(self):
@@ -134,6 +142,11 @@ class TestMomentTransfer:
     def test_order_cap(self):
         with pytest.raises(DomainError):
             stats.moment_transfer_check(c=2.0, a=1.0, mu=1.0, m=9)
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_power_by_squaring(self, n):
+        x = np.random.default_rng(n).standard_normal(500)
+        np.testing.assert_allclose(stats._power(x.copy(), n), x**n, rtol=1e-14, atol=0)
 
     def test_bad_parameters(self):
         with pytest.raises(DomainError):

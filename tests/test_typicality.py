@@ -171,6 +171,61 @@ class TestTypicalReport:
         with pytest.raises(DomainError):
             typicality.TypicalSpec(probs=(1.0,), n=3, delta=0.0)
 
+    @pytest.mark.parametrize("probs", [(0.5, 0.5), (0.9, 0.1), (0.2, 0.3, 0.5),
+                                       (0.7, 0.0, 0.3), (0.25,) * 4, (1.0,)])
+    @pytest.mark.parametrize("n", [1, 5, 16, 30])
+    def test_largest_typical_class_is_table_max(self, probs, n):
+        counts, sizes = typicality.enumerate_types(n, len(probs))
+        for delta in (0.01, 0.1, 0.3, 0.49, 0.9, 1.5):
+            typical = np.ones(len(sizes), dtype=bool)
+            for c, p in zip(counts.T, probs):
+                typical &= (n * p * (1 - delta) <= c) & (c <= n * p * (1 + delta))
+            want = max((sizes[i] for i in np.flatnonzero(typical)), default=None)
+            got = typicality._largest_typical_counts(n, probs, delta)
+            assert (got and _size_of(got)) == want
+
+    def test_oversized_class_fails_before_the_table(self, monkeypatch):
+        def no_table(n, alphabet):
+            raise AssertionError("the type table was built")
+
+        monkeypatch.setattr(typicality, "enumerate_types", no_table)
+        spec = typicality.TypicalSpec(probs=(0.5, 0.5), n=5000, delta=0.49)
+        with pytest.raises(CapError, match="2\\^4993 sequences"):
+            typicality.typical_report(spec, eps=0.5)
+
+    def test_enumeration_cap_checked_first(self):
+        spec = typicality.TypicalSpec(probs=(0.2, 0.3, 0.5), n=10**8, delta=0.49)
+        with pytest.raises(CapError, match="enumeration cap"):
+            typicality.typical_report(spec, eps=0.5)
+
+    @pytest.mark.parametrize("counts", [(515, 514), (515, 515), (520, 520),
+                                        (600, 600), (0, 1)])
+    def test_float_range_check_matches_exact_size(self, counts):
+        size = math.comb(sum(counts), counts[0])
+        try:
+            float(size)
+        except OverflowError:
+            with pytest.raises(CapError, match=f"2\\^{size.bit_length() - 1} "):
+                typicality._check_float_range(list(counts))
+        else:
+            typicality._check_float_range(list(counts))
+
+    @pytest.mark.parametrize("n,fits", [(1029, True), (1030, False)])
+    def test_float_range_boundary(self, n, fits):
+        # C(1030, 515) is the first central binomial past the float range
+        spec = typicality.TypicalSpec(probs=(0.5, 0.5), n=n, delta=0.49)
+        if fits:
+            assert typicality.typical_report(spec, eps=0.5)["mass_ok"]
+        else:
+            with pytest.raises(CapError):
+                typicality.typical_report(spec, eps=0.5)
+
+    def test_skewed_window_skips_the_balanced_class(self):
+        # the balanced class C(1100, 550) passes the float range but is not
+        # typical for (0.99, 0.01); the typical ones all fit
+        spec = typicality.TypicalSpec(probs=(0.99, 0.01), n=1100, delta=0.49)
+        assert typicality.typical_report(spec, eps=0.5)["typical_types"] == 11
+
     def test_threshold_formula(self):
         # (0.9, 0.1) at eps = 0.2: the eps/2 truncation drops the 0.1 entry,
         # leaving p_min = 0.9
