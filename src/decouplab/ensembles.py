@@ -4,14 +4,14 @@ moment operators, with tensor-product-expander diagnostics.
 Sampling is counter-based: draw s comes from the stream that
 `np.random.default_rng((seed, s))` would start, so runs are reproducible
 regardless of order and safe to parallelise. `sample_batch(streams)` is
-the one sampler. From BULK_SEED_MIN streams on it seeds in bulk: numpy's
-SeedSequence hash and PCG64 seeding run once for all streams, as uint32
-array arithmetic, and one generator is reset to each stream's state in
-turn, at a fraction of the cost of building a generator per draw. Each
-stream's normals then come from one `standard_normal` call into a
-preallocated buffer. A draw depends only on its stream, so the stack is
-the same, bit for bit, however the streams are split into batches, and
-`sample(i)` is the batch of one.
+the one sampler, and it seeds in bulk: numpy's SeedSequence hash, which
+is most of what building a generator costs, runs once for all streams as
+uint32 array arithmetic, PCG64's seeding follows in Python ints, and one
+generator is reset to each stream's state in turn. Each stream's normals
+then come from one `standard_normal` call into a preallocated buffer. A
+draw depends only on its stream, so the stack is the same, bit for bit,
+however the streams are split into batches, and `sample(i)` is the batch
+of one.
 """
 
 from __future__ import annotations
@@ -40,9 +40,6 @@ _HASH_A = (0x43B0D7E5, 0x931E8875)  # (initial constant, multiplier) for the poo
 _HASH_B = (0x8B51F9DD, 0x58F38DED)  # the same for generate_state
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _PCG64_MULT = (2549297995355413924 << 64) + 4865540595714422341
-# below this many streams, a generator per stream costs less than the fixed
-# part of seeding them in bulk
-BULK_SEED_MIN = 8
 
 
 @functools.lru_cache(maxsize=None)
@@ -132,12 +129,7 @@ def _stream_states(seed: int, streams: list[int]) -> list[tuple[int, int]]:
 
 def _stream_generators(seed: int, streams: list[int]):
     """A generator at the start of each stream's `np.random.default_rng((seed, s))`,
-    in order. From BULK_SEED_MIN streams on it is one generator, reset before
-    each yield."""
-    if len(streams) < BULK_SEED_MIN:
-        for s in streams:
-            yield np.random.default_rng((seed, s))
-        return
+    in order: one generator, reset before each yield."""
     rng = np.random.Generator(np.random.PCG64(0))
     start = {"state": 0, "inc": 0}
     state = {"bit_generator": "PCG64", "state": start, "has_uint32": 0, "uinteger": 0}

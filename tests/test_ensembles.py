@@ -151,10 +151,9 @@ class TestSampling:
     ], ids=["haar", "circuit", "enumerated", "iterated"])
     def test_wide_seeds_and_streams_equal_old_sample(self, make, seed):
         # seeds and streams of one, two and three 32-bit words, in one batch
-        # large enough to be seeded in bulk, and each alone
+        # and each alone
         e = make(seed)
         streams = STREAMS * 2
-        assert len(streams) >= ensembles.BULK_SEED_MIN
         want = np.stack([old_sample(e, s) for s in streams])
         np.testing.assert_array_equal(e.sample_batch(streams), want)
         np.testing.assert_array_equal(np.stack([e.sample(s) for s in STREAMS]),
