@@ -298,8 +298,9 @@ def run_fqsw(cfg: ExperimentConfig):
     mean_f, f_se = stats.mean_and_se(f)
     moments = decoupling.haar_expected_g_squared(inst, w)
     tail = decoupling.applicable_tail(inst, w, cfg.kappa, moments.mu_upper)
-    window = decoupling.fqsw_lambda_sandwich(a1, a2, w.h2_eps,
-                                             tail.t if tail is not None else 1.0)
+    window_t = tail.t if tail is not None else 1.0
+    window = decoupling.fqsw_lambda_sandwich(a1, a2, w.h2_eps, window_t)
+    log2_window = decoupling.fqsw_log2_lambda_sandwich(a1, a2, w.h2_eps, window_t)
     exp_bound = decoupling.dupuis_expectation_bound(inst, w.choi)
     summary = {
         "closed_form": report,
@@ -317,6 +318,7 @@ def run_fqsw(cfg: ExperimentConfig):
         "expectation_bound_holds": bool(mean_f <= exp_bound + 3.0 * f_se),
         "tail": None if tail is None else tail.to_json(),
         "lambda_window": list(window),
+        "log2_lambda_window": list(log2_window),
         "ensemble": ensembles.ensemble_to_json(ens),
         "anchors": {
             "alpha": "(a1^2 a2^2 - a1^2) / (a1^2 a2^2 - 1)",

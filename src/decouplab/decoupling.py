@@ -261,6 +261,8 @@ class TailParameters:
     vacuous: bool
     eps_prime: float | None = None
     threshold_exponent: float | None = None
+    # log2 of lambda_required, finite where the float underflows to 0.0
+    log2_lambda_required: float | None = None
 
     def to_json(self) -> dict:
         out = {
@@ -269,6 +271,7 @@ class TailParameters:
             "epsilon": self.epsilon, "delta": self.delta,
             "threshold": self.threshold, "bound": self.bound,
             "vacuous": self.vacuous,
+            "log2_lambda_required": self.log2_lambda_required,
         }
         if self.eps_prime is not None:
             out["eps_prime"] = self.eps_prime
@@ -293,6 +296,8 @@ def tail_parameters(inst: DecouplingInstance, w: Weights, kappa: float,
     t = 8.0 * a * kappa * kappa
     t = math.ceil(t) if math.isfinite(t) else t
     lam = (da**-8 * db**-6 * mu * mu) ** t
+    log2_lam = t * (-8.0 * math.log2(da) - 6.0 * math.log2(db)
+                    + 2.0 * (math.log2(mu) if mu > 0 else -math.inf))
     threshold = (
         2.0 ** (-0.5 * w.h2_eps - 0.5 * w.h2_prime_val + 1.0)
         + 14.0 * math.sqrt(eps) + 2.0 * kappa
@@ -301,7 +306,7 @@ def tail_parameters(inst: DecouplingInstance, w: Weights, kappa: float,
     return TailParameters(
         mu=mu, a=a, t=t, lambda_required=lam, kappa=kappa, epsilon=eps,
         delta=dlt, threshold=threshold, bound=5.0 * 2.0 ** (-exponent),
-        vacuous=bool(exponent < math.log2(5.0)),
+        vacuous=bool(exponent < math.log2(5.0)), log2_lambda_required=log2_lam,
     )
 
 
@@ -383,6 +388,13 @@ def fqsw_lambda_sandwich(a1: int, a2: int, h2: float, t: float) -> tuple[float, 
     """Expander-quality window implied by the second-moment window."""
     base = float(a2) ** -9 * float(a1) ** -13 * 2.0 ** (-h2)
     return ((0.008 * base) ** t, base**t)
+
+
+def fqsw_log2_lambda_sandwich(a1: int, a2: int, h2: float,
+                              t: float) -> tuple[float, float]:
+    """log2 of `fqsw_lambda_sandwich`'s ends, finite where they underflow."""
+    log2_base = -9.0 * math.log2(a2) - 13.0 * math.log2(a1) - h2
+    return (t * (math.log2(0.008) + log2_base), t * log2_base)
 
 
 def thermalization_check(rho: DensitySystem, s_dim: int, e_dim: int,
@@ -497,17 +509,17 @@ def iid_parameters(inst: DecouplingInstance, n: int, kappa: float) -> TailParame
         + math.log2(1.0 / eps_prime) - n * h_b * (1.0 - 5.0 * dlt) - 6.0
     )
     t = math.ceil(t_raw) if math.isfinite(t_raw) else t_raw
-    lam = 0.0
+    log2_lam = -math.inf  # an unbounded t leaves only an exact design
     if math.isfinite(t):
-        lam = entropy._pow2(
-            t * (-8.0 * n * math.log2(da) - 6.0 * n * math.log2(db) + 2.0 * exponent)
-        )
+        log2_lam = t * (-8.0 * n * math.log2(da) - 6.0 * n * math.log2(db) + 2.0 * exponent)
+    lam = entropy._pow2(log2_lam)
     tail_exp = a * kappa * kappa
     return TailParameters(
         mu=mu, a=a, t=t, lambda_required=lam, kappa=kappa, epsilon=eps,
         delta=dlt, threshold=threshold, bound=5.0 * 2.0 ** (-tail_exp),
         vacuous=bool(tail_exp < math.log2(5.0)),
         eps_prime=eps_prime, threshold_exponent=exponent,
+        log2_lambda_required=log2_lam,
     )
 
 

@@ -429,8 +429,62 @@ class DesignReport:
         }
 
 
+@functools.lru_cache(maxsize=None)
+def _isotypic(dim: int, t: int) -> tuple[np.ndarray, ...]:
+    """Read-only real orthonormal bases Q_k, each (dim^t, n_k), of the
+    eigenspaces of the transposition class sum C = sum_(i<j) P_(ij) on
+    (C^dim)^(x)t.
+
+    C is central in the algebra of S_t, so it acts on each isotypic
+    component as the content sum of its Young diagram, an integer: every
+    eigenspace is a sum of isotypic components, and U^(x)t, which commutes
+    with every P_(ij), leaves each one invariant. At t = 1 there is one group.
+    """
+    d_t = dim**t
+    idx = np.arange(d_t).reshape((dim,) * t)
+    c = np.zeros((d_t, d_t))
+    for i, j in itertools.combinations(range(t), 2):
+        axes = list(range(t))
+        axes[i], axes[j] = j, i
+        c[np.arange(d_t), idx.transpose(axes).ravel()] += 1.0
+    vals, vecs = np.linalg.eigh(c)
+    keys = np.round(vals)
+    groups = []
+    for key in np.unique(keys):
+        q = np.ascontiguousarray(vecs[:, keys == key])
+        q.flags.writeable = False
+        groups.append(q)
+    return tuple(groups)
+
+
+def _gap_blocks(gap: np.ndarray, dim: int, t: int):
+    """The diagonal blocks, one per pair (k, l) of `_isotypic` groups, of an
+    operator E[conj W (x) W] with W = U^(x)t, whose entry ((a, b), (c, d))
+    is E[conj W[a, c] W[b, d]].
+
+    Q^T W Q is block diagonal, so the operator is in the basis Q (x) Q:
+    block (k, l) contracts the axes a and c with Q_k and b and d with Q_l.
+    Each group's partial contraction is built once; the fully transformed
+    copy never is.
+    """
+    d_t = dim**t
+    groups = _isotypic(dim, t)
+    rows = gap.reshape(d_t, -1)
+    for qk in groups:
+        n_k = qk.shape[1]
+        x = (qk.T @ rows).reshape(n_k * d_t, d_t, d_t)  # (alpha b, c, d)
+        x = np.matmul(qk.T, x).reshape(n_k, d_t, n_k, d_t)  # (alpha, b, gamma, d)
+        for ql in groups:
+            n_l = ql.shape[1]
+            y = (x @ ql).reshape(n_k, d_t, n_k * n_l)  # (alpha, b, gamma delta)
+            yield np.matmul(ql.T, y).reshape(n_k * n_l, n_k * n_l)
+
+
 def qtpe_lambda(e: UnitaryEnsemble, t: int, samples: int = 2000) -> DesignReport:
     """Expander gap ||G - Haar projector||_inf plus the balanced-monomial check.
+
+    G and the Haar projector are both E[conj W (x) W] with W = U^(x)t, so
+    lambda is the largest top singular value of the gap's `_gap_blocks`.
 
     Every entry of the degree-k moment gap is the expectation error of one
     balanced monomial of degree k; the deviation column reports dim^k times
@@ -440,10 +494,10 @@ def qtpe_lambda(e: UnitaryEnsemble, t: int, samples: int = 2000) -> DesignReport
     gives the degree-k entry, because sum_x |U_xy|^2 = 1 for every draw and
     for Haar, so d^k max|gap_k| <= d^(k+1) max|gap_(k+1)|.
     """
-    g_t = moment_operator(e, t, samples=samples)
-    gap = g_t - haar_moment_projector(e.dim, t)
+    gap = moment_operator(e, t, samples=samples)
+    gap -= haar_moment_projector(e.dim, t)
     deviation = (e.dim**t) * float(np.abs(gap).max())
-    lam = linalg.schatten_norm(gap, np.inf)
+    lam = max(np.linalg.svd(b, compute_uv=False)[0] for b in _gap_blocks(gap, e.dim, t))
     used = samples if e.kind not in ("enumerated",) else len(e.members)
     return DesignReport(t=t, dim=e.dim, lambda_value=float(lam),
                         moment_deviation=float(deviation),

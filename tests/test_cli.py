@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import subprocess
 import sys
 
@@ -209,6 +210,29 @@ class TestRunArtifacts:
         assert proc.returncode == 0, proc.stderr
         assert "Traceback" not in proc.stderr
         assert json.loads((out / "manifest.json").read_text())["status"] == "complete"
+
+    def test_fqsw_log2_lambda_where_the_float_underflows(self, tmp_path):
+        # a2 = 98 is the first non-vacuous tail at a1 = 2, r = 1: t = 38, and
+        # both the requirement and the window fall below the smallest float
+        a1, a2 = 2, 98
+        out = tmp_path / "out"
+        p = write_config(tmp_path, experiment="fqsw", dims={"a1": a1, "a2": a2, "r": 1},
+                         kappa=0.5, samples=2, output_dir=str(out))
+        assert cli.main(["run", str(p)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        tail = summary["tail"]
+        t = tail["t"]
+        assert not tail["vacuous"] and t == 38
+        assert tail["lambda_required"] == 0.0
+        assert summary["lambda_window"] == [0.0, 0.0]
+        log2_lam = t * (-8.0 * math.log2(a1 * a2) - 6.0 * math.log2(a1)
+                        + 2.0 * math.log2(tail["mu"]))
+        assert math.isfinite(tail["log2_lambda_required"])
+        assert tail["log2_lambda_required"] == pytest.approx(log2_lam, rel=1e-12)
+        h2 = math.log2(summary["closed_form"]["tail_a"] / a2) + 9.0
+        log2_base = -9.0 * math.log2(a2) - 13.0 * math.log2(a1) - h2
+        assert summary["log2_lambda_window"] == pytest.approx(
+            [t * (math.log2(0.008) + log2_base), t * log2_base], rel=1e-12)
 
     @pytest.mark.parametrize("n,code", [(700, 0), (1100, 3), (5000, 3)])
     def test_typicality_float_range_exit_codes(self, tmp_path, n, code):

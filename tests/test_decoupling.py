@@ -264,6 +264,9 @@ class TestTailParameters:
             assert tail.lambda_required == pytest.approx(
                 (8.0 ** -8 * 2.0 ** -6 * tail.mu**2) ** tail.t
             )
+            assert tail.log2_lambda_required == pytest.approx(
+                math.log2(tail.lambda_required), rel=1e-12
+            )
             assert tail.bound == pytest.approx(
                 5.0 * 2.0 ** (-tail.a * kappa**2)
             )
@@ -335,6 +338,9 @@ class TestFqsw:
         lo, hi = decoupling.fqsw_lambda_sandwich(2, 4, h2=0.5, t=3)
         assert 0 < lo < hi
         assert hi == pytest.approx((4.0**-9 * 2.0**-13 * 2.0**-0.5) ** 3)
+        log2_lo, log2_hi = decoupling.fqsw_log2_lambda_sandwich(2, 4, h2=0.5, t=3)
+        assert (log2_lo, log2_hi) == pytest.approx((math.log2(lo), math.log2(hi)),
+                                                   rel=1e-12)
 
     def test_label_mismatch_rejected(self):
         rng = np.random.default_rng(6)
@@ -436,6 +442,9 @@ class TestIidParameters:
         assert tail.threshold == pytest.approx(
             tail.mu + 28.0 * tail.eps_prime**0.25 + 0.6
         )
+        assert tail.lambda_required == 2.0**tail.log2_lambda_required
+        assert tail.log2_lambda_required == pytest.approx(tail.t * (
+            -8.0 * 6 - 6.0 * 6 + 2.0 * tail.threshold_exponent), rel=1e-12)
 
     def test_delta_zero_collapse(self):
         from decouplab import entropy as ent

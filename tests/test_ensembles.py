@@ -1,6 +1,7 @@
 """Unitary ensembles, moment operators, and expander diagnostics."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -342,6 +343,9 @@ DESIGN_CASES = {
     "haar-4": lambda: ensembles.haar_ensemble(4, seed=3),
     "iterated-haar": lambda: ensembles.iterate_ensemble(ensembles.haar_ensemble(2, seed=4), 2),
     "circuit-2": lambda: ensembles.random_circuit_ensemble(2, 2, seed=5),
+    # {H, S} is not closed under inverse, so its gap is not Hermitian
+    "hs-squared": lambda: ensembles.iterate_ensemble(
+        ensembles.enumerated_ensemble([HADAMARD, PHASE], name="hs"), 2),
 }
 
 
@@ -424,6 +428,97 @@ class TestDesignDiagnostics:
                                      kind="haar")
         js = rep.to_json()
         assert js["lambda"] == 0.5 and js["t"] == 2
+
+
+def _partitions(t, rows):
+    """The partitions of t into at most `rows` parts."""
+    def rec(left, top, slots):
+        if left == 0:
+            yield ()
+        elif slots:
+            for part in range(min(left, top), 0, -1):
+                for rest in rec(left - part, part, slots - 1):
+                    yield (part,) + rest
+    return list(rec(t, t, rows))
+
+
+class TestIsotypicBlocks:
+    @pytest.mark.parametrize("dim, t", [
+        (d, t) for d in (2, 3, 4) for t in (1, 2, 3, 4) if d**t <= 81
+    ])
+    def test_groups_orthonormal_complete_invariant(self, dim, t):
+        groups = ensembles._isotypic(dim, t)
+        # one group per Young diagram of t boxes with at most dim rows: their
+        # content sums differ for t <= 5
+        assert len(groups) == len(_partitions(t, dim))
+        q = np.hstack(groups)
+        assert q.shape == (dim**t, dim**t)
+        np.testing.assert_allclose(q.T @ q, np.eye(dim**t), atol=1e-12)
+        us = ensembles.haar_ensemble(dim, seed=7).sample_batch(range(3))
+        for w in ensembles._tensor_powers(us, t):
+            for qk in groups:
+                wq = w @ qk
+                np.testing.assert_allclose(wq - qk @ (qk.T @ wq), 0, atol=1e-12)
+
+    def test_groups_cached_read_only(self):
+        groups = ensembles._isotypic(2, 3)
+        assert ensembles._isotypic(2, 3) is groups
+        assert not any(q.flags.writeable for q in groups)
+
+    # haar-3 at t = 3, pauli-2 and circuit-2 at t = 2 are cases of
+    # TestDesignDiagnostics.test_degree_t_matches_every_degree; haar-2 at
+    # t = 4 has the groups (4), (3,1), (2,2), the last two with multiplicity
+    @pytest.mark.parametrize("name, t", [
+        ("haar-2", 4), ("hs-squared", 1), ("hs-squared", 2), ("hs-squared", 3),
+    ])
+    def test_block_lambda_matches_dense_svd(self, name, t):
+        e = DESIGN_CASES[name]()
+        rep = ensembles.qtpe_lambda(e, t, samples=40)
+        lam, deviation = oracles.qtpe_lambda(e, t, samples=40)
+        assert rep.lambda_value == pytest.approx(lam, abs=1e-12, rel=0)
+        assert rep.moment_deviation == pytest.approx(deviation, abs=1e-12, rel=0)
+
+    @pytest.mark.parametrize("name, t", [("haar-2", 4), ("hs-squared", 3),
+                                         ("circuit-2", 2)])
+    def test_blocks_carry_every_singular_value(self, name, t):
+        # lambda only reads the largest; the blocks must hold the whole spectrum
+        e = DESIGN_CASES[name]()
+        gap = ensembles.moment_operator(e, t, samples=40)
+        gap -= ensembles.haar_moment_projector(e.dim, t)
+        blocks = np.concatenate([np.linalg.svd(b, compute_uv=False)
+                                 for b in ensembles._gap_blocks(gap, e.dim, t)])
+        np.testing.assert_allclose(np.sort(blocks)[::-1],
+                                   np.linalg.svd(gap, compute_uv=False), atol=1e-12)
+
+    def test_non_hermitian_gap_covered(self):
+        # so the singular values of its blocks are not their eigenvalues
+        hs2 = DESIGN_CASES["hs-squared"]()
+        for t in (1, 2, 3):
+            gap = (ensembles.moment_operator(hs2, t)
+                   - ensembles.haar_moment_projector(2, t))
+            assert np.abs(gap - gap.conj().T).max() > 1e-3
+
+    @pytest.mark.parametrize("iterations", [1, 2])
+    @pytest.mark.parametrize("t", [1, 2, 3])
+    def test_clifford_one_exact_through_blocks(self, t, iterations):
+        base = ensembles.enumerated_ensemble(ensembles.clifford_group(1),
+                                             name="clifford")
+        e = base if iterations == 1 else ensembles.iterate_ensemble(base, iterations)
+        assert ensembles.qtpe_lambda(e, t).lambda_value <= 1e-10
+
+    @pytest.mark.parametrize("name, t", [("pauli-2", 2), ("haar-3", 3)])
+    def test_holds_two_superoperators_at_most(self, name, t):
+        # the moment operator and the Haar projector; the gap is formed in
+        # place and the blocks are contracted one group at a time
+        e = DESIGN_CASES[name]()
+        ensembles.qtpe_lambda(e, t, samples=40)
+        tracemalloc.start()
+        try:
+            ensembles.qtpe_lambda(e, t, samples=40)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * 16 * e.dim ** (4 * t)
 
 
 class TestSerialization:
