@@ -51,7 +51,8 @@ print(f"tail coefficient a = {info['tail_a']:.6f}")
 # moment order. The window shrinks geometrically in t.
 print("\nspectral-gap window for an approximate design:")
 for t in (1, 2, 3):
-    lam_lo, lam_hi = decoupling.fqsw_lambda_sandwich(a1, a2, w.h2_eps, t)
+    log2_lo, log2_hi = decoupling.fqsw_log2_lambda_sandwich(a1, a2, w.h2_eps, t)
+    lam_lo, lam_hi = 2.0 ** log2_lo, 2.0 ** log2_hi
     print(f"  t={t}:  {lam_lo:.3e} .. {lam_hi:.3e}")
 print("gaps this small are far below anything reachable at desk scale;")
 print("the sandwich documents what the argument would demand, not a test")

@@ -24,17 +24,6 @@ from . import __version__, decoupling, ensembles, entropy, linalg, quantum, stat
 from .entropy import SmoothingConfig
 from .errors import ConfigError, DecouplabError
 
-EXPERIMENTS = (
-    "decouple-expect",
-    "decouple-tail",
-    "fqsw",
-    "thermalize",
-    "design-verify",
-    "entropy",
-    "typicality",
-    "lipschitz",
-    "moments",
-)
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -52,10 +41,10 @@ class ExperimentConfig:
     probs: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        if self.experiment not in EXPERIMENTS:
+        if self.experiment not in DRIVERS:
             raise ConfigError(
                 f"unknown experiment {self.experiment!r}; pick one of "
-                f"{', '.join(EXPERIMENTS)}", field="experiment",
+                f"{', '.join(DRIVERS)}", field="experiment",
             )
         # bool is an int subclass, so JSON true would otherwise pass as 1
         for name in ("samples", "seed", "t", "n"):
@@ -113,7 +102,7 @@ def _distribution(probs) -> tuple[float, ...]:
 
 
 def load_config(path) -> ExperimentConfig:
-    text = Path(path).read_text()
+    text = Path(path).read_text(encoding="utf-8")
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -299,7 +288,6 @@ def run_fqsw(cfg: ExperimentConfig):
     moments = decoupling.haar_expected_g_squared(inst, w)
     tail = decoupling.applicable_tail(inst, w, cfg.kappa, moments.mu_upper)
     window_t = tail.t if tail is not None else 1.0
-    window = decoupling.fqsw_lambda_sandwich(a1, a2, w.h2_eps, window_t)
     log2_window = decoupling.fqsw_log2_lambda_sandwich(a1, a2, w.h2_eps, window_t)
     exp_bound = decoupling.dupuis_expectation_bound(inst, w.choi)
     summary = {
@@ -317,7 +305,7 @@ def run_fqsw(cfg: ExperimentConfig):
         "expectation_bound": exp_bound,
         "expectation_bound_holds": bool(mean_f <= exp_bound + 3.0 * f_se),
         "tail": None if tail is None else tail.to_json(),
-        "lambda_window": list(window),
+        "lambda_window": [entropy._pow2(x) for x in log2_window],
         "log2_lambda_window": list(log2_window),
         "ensemble": ensembles.ensemble_to_json(ens),
         "anchors": {
@@ -636,11 +624,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        try:
-            cfg = load_config(args.config)
-        except FileNotFoundError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        cfg = load_config(args.config)
         if args.command == "validate":
             print(f"ok: {args.config} describes a valid "
                   f"{cfg.experiment!r} experiment")
@@ -655,6 +639,9 @@ def main(argv=None) -> int:
     except DecouplabError as exc:
         print(f"computation error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
+    except (OSError, UnicodeDecodeError) as exc:  # reading the config, writing the output
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(f"wrote {out}/manifest.json, results.csv, summary.json")
     return 0
 

@@ -100,7 +100,7 @@ def prepare(inst: DecouplingInstance) -> Weights:
     wit_in = entropy.h2_with_witness(inst.rho, cfg, given=list(inst.r_labels))
     rho_tilde_r = linalg.partial_trace(wit_in.tilde, inst.rho.shape, list(inst.a_labels))
 
-    choi = quantum.choi_state(inst.channel, labels=("B", "Ap"))
+    choi = quantum.choi_state(inst.channel)
     wit_ch = entropy.h2_prime(choi, cfg.epsilon, cfg.delta, "B")
 
     povm = None
@@ -226,7 +226,7 @@ def dupuis_expectation_bound(inst: DecouplingInstance,
     h2_in = entropy.h2_conditional(inst.rho, cfg0, "fixed_marginal",
                                    given=list(inst.r_labels))
     if choi is None:
-        choi = quantum.choi_state(inst.channel, labels=("B", "Ap"))
+        choi = quantum.choi_state(inst.channel)
     h2_ch = entropy.h2_conditional(choi, cfg0, "fixed_marginal", given="B")
     return 2.0 ** (-0.5 * h2_in - 0.5 * h2_ch)
 
@@ -247,22 +247,32 @@ def max_g_bound(inst: DecouplingInstance, w: Weights) -> float:
 
 @dataclass(frozen=True)
 class TailParameters:
-    """Everything needed to state the expander tail bound for one instance."""
+    """Everything needed to state the expander tail bound for one instance.
+    lambda_required, the bound 5 * 2^(-a kappa^2) and its vacuity derive from
+    the fields; log2_lambda_required stays finite where lambda underflows."""
 
     mu: float
     a: float
     t: float
-    lambda_required: float
+    log2_lambda_required: float
     kappa: float
     epsilon: float
     delta: float
     threshold: float
-    bound: float
-    vacuous: bool
     eps_prime: float | None = None
     threshold_exponent: float | None = None
-    # log2 of lambda_required, finite where the float underflows to 0.0
-    log2_lambda_required: float | None = None
+
+    @property
+    def lambda_required(self) -> float:
+        return entropy._pow2(self.log2_lambda_required)
+
+    @property
+    def bound(self) -> float:
+        return 5.0 * 2.0 ** (-self.a * self.kappa * self.kappa)
+
+    @property
+    def vacuous(self) -> bool:
+        return bool(self.a * self.kappa * self.kappa < math.log2(5.0))
 
     def to_json(self) -> dict:
         out = {
@@ -295,19 +305,16 @@ def tail_parameters(inst: DecouplingInstance, w: Weights, kappa: float,
     a = da * 2.0 ** (-(1.0 + dlt) * w.hmax_prime_val + w.h2_eps - 9.0)
     t = 8.0 * a * kappa * kappa
     t = math.ceil(t) if math.isfinite(t) else t
-    lam = (da**-8 * db**-6 * mu * mu) ** t
-    log2_lam = t * (-8.0 * math.log2(da) - 6.0 * math.log2(db)
-                    + 2.0 * (math.log2(mu) if mu > 0 else -math.inf))
+    log2_lam = 0.0  # x^0 = 1 at t = 0, even at mu = 0 where 0 * -inf is nan
+    if t:
+        log2_lam = t * (-8.0 * math.log2(da) - 6.0 * math.log2(db)
+                        + 2.0 * (math.log2(mu) if mu > 0 else -math.inf))
     threshold = (
         2.0 ** (-0.5 * w.h2_eps - 0.5 * w.h2_prime_val + 1.0)
         + 14.0 * math.sqrt(eps) + 2.0 * kappa
     )
-    exponent = a * kappa * kappa
-    return TailParameters(
-        mu=mu, a=a, t=t, lambda_required=lam, kappa=kappa, epsilon=eps,
-        delta=dlt, threshold=threshold, bound=5.0 * 2.0 ** (-exponent),
-        vacuous=bool(exponent < math.log2(5.0)), log2_lambda_required=log2_lam,
-    )
+    return TailParameters(mu=mu, a=a, t=t, log2_lambda_required=log2_lam,
+                          kappa=kappa, epsilon=eps, delta=dlt, threshold=threshold)
 
 
 def applicable_tail(inst: DecouplingInstance, w: Weights, kappa: float,
@@ -354,7 +361,6 @@ def fqsw_instance(a1: int, a2: int, r: int, rho: DensitySystem | None = None,
                               cfg=cfg or SmoothingConfig(),
                               a_labels=("A1", "A2"))
     w = prepare(inst)
-    moments = haar_expected_g_squared(inst, w)
     denom = float(a1 * a1 * a2 * a2 - 1)
     alpha_closed = (a1 * a1 * a2 * a2 - a1 * a1) / denom
     beta_closed = (a1 / a2) * (a1 * a1 * a2 * a2 - a2 * a2) / denom
@@ -384,15 +390,11 @@ def fqsw_instance(a1: int, a2: int, r: int, rho: DensitySystem | None = None,
     return inst, w, report
 
 
-def fqsw_lambda_sandwich(a1: int, a2: int, h2: float, t: float) -> tuple[float, float]:
-    """Expander-quality window implied by the second-moment window."""
-    base = float(a2) ** -9 * float(a1) ** -13 * 2.0 ** (-h2)
-    return ((0.008 * base) ** t, base**t)
-
-
 def fqsw_log2_lambda_sandwich(a1: int, a2: int, h2: float,
                               t: float) -> tuple[float, float]:
-    """log2 of `fqsw_lambda_sandwich`'s ends, finite where they underflow."""
+    """log2 of the expander-quality window implied by the second-moment
+    window, (0.008 b)^t .. b^t with b = a2^-9 a1^-13 2^-h2; finite where
+    the window's ends underflow."""
     log2_base = -9.0 * math.log2(a2) - 13.0 * math.log2(a1) - h2
     return (t * (math.log2(0.008) + log2_base), t * log2_base)
 
@@ -481,7 +483,7 @@ def iid_parameters(inst: DecouplingInstance, n: int, kappa: float) -> TailParame
         raise DomainError("many-copy parameters require epsilon > 0")
     da, db = float(inst.a_dim), float(inst.channel.b_dim)
     r_labels = list(inst.r_labels)
-    choi = quantum.choi_state(inst.channel, labels=("B", "Ap"))
+    choi = quantum.choi_state(inst.channel)
     h_a_r = entropy.shannon(inst.rho, given=r_labels)
     h_ar = entropy.shannon(inst.rho)
     h_r = entropy.shannon(inst.rho.marginal(r_labels))
@@ -512,14 +514,10 @@ def iid_parameters(inst: DecouplingInstance, n: int, kappa: float) -> TailParame
     log2_lam = -math.inf  # an unbounded t leaves only an exact design
     if math.isfinite(t):
         log2_lam = t * (-8.0 * n * math.log2(da) - 6.0 * n * math.log2(db) + 2.0 * exponent)
-    lam = entropy._pow2(log2_lam)
-    tail_exp = a * kappa * kappa
     return TailParameters(
-        mu=mu, a=a, t=t, lambda_required=lam, kappa=kappa, epsilon=eps,
-        delta=dlt, threshold=threshold, bound=5.0 * 2.0 ** (-tail_exp),
-        vacuous=bool(tail_exp < math.log2(5.0)),
-        eps_prime=eps_prime, threshold_exponent=exponent,
-        log2_lambda_required=log2_lam,
+        mu=mu, a=a, t=t, log2_lambda_required=log2_lam, kappa=kappa,
+        epsilon=eps, delta=dlt, threshold=threshold, eps_prime=eps_prime,
+        threshold_exponent=exponent,
     )
 
 

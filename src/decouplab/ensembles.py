@@ -275,8 +275,6 @@ class UnitaryEnsemble:
         else:
             pairs = [p for layer in range(self.circuit_depth)
                      for p in _ring_pairs(self.n_qubits, layer)]
-            if not pairs:
-                return np.tile(np.eye(self.dim, dtype=complex), (len(streams), 1, 1))
             block = (len(pairs), 2, 4, 4)  # each gate's Ginibre parts, in gate order
         normals = np.empty((len(streams),) + block)
         for out, rng in zip(normals, _stream_generators(self.seed, streams)):

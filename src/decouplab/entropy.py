@@ -62,7 +62,6 @@ class EntropyReport:
     value_bits: float
     mode: str
     certified_side: str
-    warnings: tuple[str, ...] = ()
 
     def to_json(self) -> dict:
         return {
@@ -370,8 +369,6 @@ def hmin_smooth(x, eps: float) -> float:
     total = float(vals.sum())
     if eps >= total:
         raise DomainError("epsilon at least the total mass leaves an empty ball point")
-    if eps == 0 or vals.size == 1:
-        return float(-math.log2(vals[0] - eps)) if vals.size == 1 else float(-math.log2(vals[0]))
     prefix = 0.0
     for j in range(1, vals.size + 1):
         prefix += vals[j - 1]

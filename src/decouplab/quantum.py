@@ -227,11 +227,11 @@ def choi_amplitudes(t: ChannelStinespring) -> np.ndarray:
     return t.v.reshape(db, dz, da).transpose(0, 2, 1).reshape(db * da, dz) / np.sqrt(da)
 
 
-def choi_state(t: ChannelStinespring, labels: tuple[str, str] = ("B", "Ap")) -> DensitySystem:
-    """(T (x) id) applied to the maximally entangled state; output label first."""
+def choi_state(t: ChannelStinespring) -> DensitySystem:
+    """(T (x) id) applied to the maximally entangled state, on labels (B, Ap)."""
     m = choi_amplitudes(t)
     return DensitySystem.from_matrix(
-        m @ m.conj().T, linalg.shape((labels[0], t.b_dim), (labels[1], t.a_dim)))
+        m @ m.conj().T, linalg.shape(("B", t.b_dim), ("Ap", t.a_dim)))
 
 
 def identity_channel(d: int) -> ChannelStinespring:

@@ -173,7 +173,7 @@ def prepare(inst):
     rho_tilde = conj_by_inverse_quarter(wit.sigma, inst.rho.shape, wit.weight, r_labels)
     rho_tilde_r = linalg.partial_trace(rho_tilde, inst.rho.shape, list(inst.a_labels))
 
-    choi = quantum.choi_state(inst.channel, labels=("B", "Ap"))
+    choi = quantum.choi_state(inst.channel)
     choi_b = choi.marginal(["B"])
     hmax_prime_val, _ = entropy.hmax_prime(choi_b, cfg.epsilon)
     omega3 = entropy.omega_triple_prime(choi_b, cfg.epsilon, cfg.delta)

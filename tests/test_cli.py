@@ -117,6 +117,39 @@ class TestValidateCommand:
             cli.main([])
 
 
+def a_file(tmp_path):
+    p = tmp_path / "a_file"
+    p.write_text("")
+    return p
+
+
+def latin1_config(tmp_path):
+    p = tmp_path / "latin1.json"
+    p.write_bytes(b'{"experiment": "entropy", "output_dir": "caf\xe9"}')
+    return p
+
+
+# argv for each input that is a file problem rather than a config problem
+FILE_PROBLEMS = {
+    "run-a-directory": lambda d: ["run", str(d)],
+    "validate-a-directory": lambda d: ["validate", str(d)],
+    "config-not-utf8": lambda d: ["run", str(latin1_config(d))],
+    "output-dir-is-a-file": lambda d: ["run", str(tiny_expect_config(d, a_file(d)))],
+    "output-dir-flag-is-a-file": lambda d: [
+        "run", str(tiny_expect_config(d, d / "out")), "--output-dir", str(a_file(d))],
+    "output-parent-is-a-file": lambda d: [
+        "run", str(tiny_expect_config(d, a_file(d) / "out"))],
+}
+
+
+class TestFileProblems:
+    @pytest.mark.parametrize("case", sorted(FILE_PROBLEMS))
+    def test_exits_two_with_one_line(self, tmp_path, capsys, case):
+        assert cli.main(FILE_PROBLEMS[case](tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
 class TestRunArtifacts:
     def test_three_files_and_echo(self, tmp_path):
         out = tmp_path / "run1"
@@ -424,6 +457,19 @@ class TestConsoleEntry:
         )
         assert proc.returncode == 0
         assert "ok:" in proc.stdout
+
+    def test_package_import_loads_no_module(self):
+        # the API is the modules: the package itself exposes only __version__
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, decouplab; "
+             "print(sorted(m for m in sys.modules if m == 'numpy' "
+             "or m.startswith('decouplab.'))); "
+             "print(sorted(n for n in vars(decouplab) if not n.startswith('__')))"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["[]", "[]"]
 
     def test_import_leaves_the_optimizer_unloaded(self):
         # only the minimized weight mode runs Nelder-Mead, and loading

@@ -335,12 +335,11 @@ class TestFqsw:
             assert lo - 1e-12 <= m.expected_g_squared <= hi + 1e-12
 
     def test_lambda_sandwich_ordering(self):
-        lo, hi = decoupling.fqsw_lambda_sandwich(2, 4, h2=0.5, t=3)
+        log2_lo, log2_hi = decoupling.fqsw_log2_lambda_sandwich(2, 4, h2=0.5, t=3)
+        lo, hi = 2.0**log2_lo, 2.0**log2_hi
         assert 0 < lo < hi
         assert hi == pytest.approx((4.0**-9 * 2.0**-13 * 2.0**-0.5) ** 3)
-        log2_lo, log2_hi = decoupling.fqsw_log2_lambda_sandwich(2, 4, h2=0.5, t=3)
-        assert (log2_lo, log2_hi) == pytest.approx((math.log2(lo), math.log2(hi)),
-                                                   rel=1e-12)
+        assert lo == pytest.approx((0.008 * 4.0**-9 * 2.0**-13 * 2.0**-0.5) ** 3)
 
     def test_label_mismatch_rejected(self):
         rng = np.random.default_rng(6)
@@ -467,6 +466,55 @@ class TestIidParameters:
         inst = random_instance(4, cfg=SmoothingConfig())
         with pytest.raises(DomainError):
             decoupling.iid_parameters(inst, n=4, kappa=0.5)
+
+
+# (|A|, |B|, |R|, smoothing) of the instances whose tails are read below
+TAIL_INSTANCES = [
+    (4, 2, 2, SmoothingConfig(epsilon=1e-8)),
+    (8, 2, 3, SmoothingConfig(epsilon=0.02, delta=0.1)),
+    (6, 3, 2, SmoothingConfig(epsilon=1e-6)),
+    (2, 2, 2, SmoothingConfig(epsilon=1e-10, delta=0.05)),
+]
+
+
+def tails(case, kappa):
+    """Single-shot tails at three mean bounds, mu = 0 included, then the
+    many-copy tail, for one instance of TAIL_INSTANCES."""
+    da, db, dr, cfg = TAIL_INSTANCES[case]
+    inst = random_instance(case, da=da, db=db, dr=dr, cfg=cfg)
+    w = decoupling.prepare(inst)
+    out = [decoupling.tail_parameters(inst, w, kappa, mu) for mu in (0.0, 0.3, 0.9)]
+    return out + [decoupling.iid_parameters(inst, n=4, kappa=kappa)]
+
+
+class TestDerivedTailValues:
+    @pytest.mark.parametrize("kappa", [0.05, 0.3, 0.9, 2.0])
+    @pytest.mark.parametrize("case", range(len(TAIL_INSTANCES)))
+    def test_derived_from_the_fields(self, case, kappa):
+        for tail in tails(case, kappa):
+            assert tail.lambda_required == 2.0**tail.log2_lambda_required
+            exponent = tail.a * kappa * kappa
+            assert tail.bound == 5.0 * 2.0 ** (-exponent)
+            assert tail.vacuous is (exponent < math.log2(5.0))
+            json = tail.to_json()
+            assert (json["lambda_required"], json["bound"], json["vacuous"]) == (
+                tail.lambda_required, tail.bound, tail.vacuous)
+
+    @pytest.mark.parametrize("case", range(len(TAIL_INSTANCES)))
+    def test_zero_order_reads_one(self, case):
+        # kappa^2 underflows, so t = 0 and the requirement is x^0 = 1, mu = 0 too
+        for tail in tails(case, kappa=1e-200)[:-1]:
+            assert tail.t == 0
+            assert tail.log2_lambda_required == 0.0
+            assert tail.lambda_required == 1.0
+
+    def test_zero_order_reads_one_many_copy(self):
+        # eps' = 8 * 8^4 * 1e-10 keeps the exponent of t finite; kappa^2 sends t to 0
+        inst = random_instance(5, da=2, db=2, dr=2, cfg=SmoothingConfig(epsilon=1e-40))
+        tail = decoupling.iid_parameters(inst, n=4, kappa=1e-200)
+        assert tail.t == 0
+        assert tail.log2_lambda_required == 0.0
+        assert tail.lambda_required == 1.0
 
 
 class TestChannelSwapNorm:

@@ -753,7 +753,7 @@ class TestTruncationRuleMatchesLoops:
 
 class TestReports:
     def test_entropy_report_json_keys(self):
-        rep = entropy.EntropyReport("x", 1.0, "exact", "lower", warnings=("w",))
+        rep = entropy.EntropyReport("x", 1.0, "exact", "lower")
         assert set(rep.to_json()) == {"name", "value_bits", "mode",
                                       "certified_side"}
 
