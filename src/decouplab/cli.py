@@ -124,66 +124,68 @@ def load_config(path) -> ExperimentConfig:
     return ExperimentConfig(**raw)
 
 
-def _dim(cfg: ExperimentConfig, key: str, default: int | None = None) -> int:
-    if key in cfg.dims:
-        return int(cfg.dims[key])
-    if default is None:
-        raise ConfigError(f"experiment {cfg.experiment!r} needs dims[{key!r}]",
-                          field="dims")
-    return default
-
-
 def _parse_ensemble(desc) -> ensembles.UnitaryEnsemble:
-    """The ensemble a config describes; a malformed descriptor is a ConfigError,
-    and so is a level with a key that `ensemble_to_json` does not write for the
-    ensemble built, or with a `dim` other than that ensemble's."""
-    inner = desc
-    while isinstance(inner, dict):
-        for key in ("dim", "n_qubits", "depth", "iterations", "seed"):
-            v = inner.get(key, 0)
-            if isinstance(v, bool) or not isinstance(v, int):
-                raise ConfigError(f"ensemble {key} must be an integer, got {v!r}",
-                                  field="ensemble")
-        if inner.get("seed", 0) < 0:
-            raise ConfigError("ensemble seed must be nonnegative", field="ensemble")
-        if inner.get("kind") != "iterated":
-            break
-        inner = inner.get("base")
+    """The ensemble a descriptor builds, checked level by level on the way
+    down an `iterated` chain: a malformed level is a ConfigError, and so is a
+    key that `ensemble_to_json` does not write for the ensemble it builds,
+    or a `dim` other than that ensemble's."""
+    if not isinstance(desc, dict) or desc.get("kind") not in ensembles.KINDS:
+        raise ConfigError(f"malformed ensemble descriptor: kind must be one of "
+                          f"{', '.join(ensembles.KINDS)}", field="ensemble")
+    for key in ("dim", "n_qubits", "depth", "iterations", "seed"):
+        v = desc.get(key, 0)
+        if isinstance(v, bool) or not isinstance(v, int):
+            raise ConfigError(f"ensemble {key} must be an integer, got {v!r}",
+                              field="ensemble")
+    if desc.get("seed", 0) < 0:
+        raise ConfigError("ensemble seed must be nonnegative", field="ensemble")
     try:
-        if not isinstance(inner, dict) or inner.get("kind") not in ensembles.KINDS:
-            raise ValueError(f"kind must be one of {', '.join(ensembles.KINDS)}")
-        built = ensembles.ensemble_from_json(desc)
+        if desc["kind"] == "iterated":
+            built = ensembles.iterate_ensemble(_parse_ensemble(desc["base"]),
+                                               desc["iterations"])
+        else:
+            built = ensembles.ensemble_from_json(desc)
     except DecouplabError:
         raise
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed ensemble descriptor: {exc!r}",
                           field="ensemble") from exc
-    level, echo = desc, ensembles.ensemble_to_json(built)
-    while True:
-        unread = sorted(set(level) - set(echo))
-        if unread:
-            raise ConfigError(f"{echo['kind']} ensemble descriptor has keys it does "
-                              f"not read: {', '.join(unread)}", field="ensemble")
-        if level.get("dim", echo["dim"]) != echo["dim"]:
-            raise ConfigError(f"ensemble dim {level['dim']} does not match its "
-                              f"{echo['dim']}-dimensional {echo['kind']} ensemble",
-                              field="ensemble")
-        if echo["kind"] != "iterated":
-            return built
-        level, echo = level["base"], echo["base"]
+    unread = sorted(set(desc) - set(ensembles.ensemble_to_json(built)))
+    if unread:
+        raise ConfigError(f"{built.kind} ensemble descriptor has keys it does "
+                          f"not read: {', '.join(unread)}", field="ensemble")
+    if desc.get("dim", built.dim) != built.dim:
+        raise ConfigError(f"ensemble dim {desc['dim']} does not match its "
+                          f"{built.dim}-dimensional {built.kind} ensemble",
+                          field="ensemble")
+    return built
 
 
-def _draw(cfg: ExperimentConfig, dim: int, count: int):
-    """The config's ensemble on `dim` (Haar by default) and the run's one stack
-    of `count` draws from it."""
+def _checked_ensemble(cfg: ExperimentConfig) -> ensembles.UnitaryEnsemble | None:
+    """Every check a run makes before it computes; returns the ensemble its
+    driver draws from, built: the descriptor's, else Haar on the drawn
+    dimension, and None for an experiment that draws nothing."""
+    _, needs, drawn = DRIVERS[cfg.experiment]
+    for key in needs:
+        if key not in cfg.dims:
+            raise ConfigError(f"experiment {cfg.experiment!r} needs dims[{key!r}]",
+                              field="dims")
+    # the random instance, drawn on A, traces A down to dims["b"]
+    if drawn == ("a",) and cfg.dims["a"] % cfg.dims.get("b", 1):
+        raise ConfigError("dims['b'] must divide dims['a']", field="dims")
+    if drawn is None:
+        return None
+    if cfg.ensemble is None and not drawn:
+        raise ConfigError(f"{cfg.experiment} needs an ensemble descriptor",
+                          field="ensemble")
+    dim = math.prod(cfg.dims[k] for k in drawn)
     if cfg.ensemble is None:
-        ens = ensembles.haar_ensemble(dim, seed=cfg.seed)
-    else:
-        ens = _parse_ensemble(cfg.ensemble)
-        if ens.dim != dim:
-            raise ConfigError(f"ensemble dimension {ens.dim} does not match the "
-                              f"instance dimension {dim}", field="ensemble")
-    return ens, ens.sample_batch(range(count))
+        return ensembles.haar_ensemble(dim, seed=cfg.seed)
+    ens = _parse_ensemble(cfg.ensemble)
+    if drawn and ens.dim != dim:
+        raise ConfigError(f"ensemble dimension {ens.dim} does not match the "
+                          f"instance dimension {dim}", field="ensemble")
+    return ens
 
 
 def _smoothing(cfg: ExperimentConfig) -> SmoothingConfig:
@@ -192,15 +194,11 @@ def _smoothing(cfg: ExperimentConfig) -> SmoothingConfig:
 
 def _random_instance(cfg: ExperimentConfig):
     """Seeded random state on (A, R); the channel traces A down to dims["b"], else is I."""
-    a = _dim(cfg, "a")
-    r = _dim(cfg, "r")
+    a, r = cfg.dims["a"], cfg.dims["r"]
     rng = np.random.default_rng(cfg.seed)
     rho = quantum.random_state(linalg.shape(("A", a), ("R", r)), rng)
-    b = _dim(cfg, "b", default=0)
-    if b:
-        if a % b != 0:
-            raise ConfigError("dims['b'] must divide dims['a']", field="dims")
-        channel = quantum.trace_out_channel(b, a // b)
+    if "b" in cfg.dims:
+        channel = quantum.trace_out_channel(cfg.dims["b"], a // cfg.dims["b"])
     else:
         channel = quantum.identity_channel(a)
     return decoupling.DecouplingInstance(
@@ -209,15 +207,17 @@ def _random_instance(cfg: ExperimentConfig):
 
 
 # ---------------------------------------------------------------------------
-# experiment drivers: each returns (summary dict, {series name: float array}).
-# Sampling experiments run the same stages in order: instance, `prepare` where
-# needed, `_draw`, f and/or g over the stack, `stats`, then the bounds.
+# experiment drivers: each takes the config and its checked ensemble (None
+# when it draws nothing) and returns (summary dict, {series name: float
+# array}). Sampling experiments run the same stages in order: instance,
+# `prepare` where needed, one `sample_batch`, f and/or g over the stack,
+# `stats`, then the bounds.
 
 
-def run_decouple_expect(cfg: ExperimentConfig):
+def run_decouple_expect(cfg: ExperimentConfig, ens):
     inst = _random_instance(cfg)
     choi = quantum.choi_state(inst.channel)
-    ens, us = _draw(cfg, inst.a_dim, cfg.samples)
+    us = ens.sample_batch(range(cfg.samples))
     f = decoupling.f_values(inst, us, choi.marginal(["B"]).matrix)
     mean_f, se = stats.mean_and_se(f)
     bound = decoupling.dupuis_expectation_bound(inst, choi)
@@ -226,7 +226,6 @@ def run_decouple_expect(cfg: ExperimentConfig):
         "std_error": se,
         "expectation_bound": bound,
         "bound_holds": bool(mean_f <= bound + 3.0 * se),
-        "ensemble": ensembles.ensemble_to_json(ens),
         "anchors": {
             "expectation_bound": "2^(-h2(A|R)/2 - h2(Ap|B)/2)",
         },
@@ -234,10 +233,10 @@ def run_decouple_expect(cfg: ExperimentConfig):
     return summary, {"decouple-expect:f": f}
 
 
-def run_decouple_tail(cfg: ExperimentConfig):
+def run_decouple_tail(cfg: ExperimentConfig, ens):
     inst = _random_instance(cfg)
     w = decoupling.prepare(inst)
-    ens, us = _draw(cfg, inst.a_dim, cfg.samples)
+    us = ens.sample_batch(range(cfg.samples))
     f = decoupling.f_values(inst, us, w.choi.marginal(["B"]).matrix)
     g = decoupling.g_values(inst, us, w)
     mu = decoupling.haar_expected_g_squared(inst, w).mu_upper
@@ -264,7 +263,6 @@ def run_decouple_tail(cfg: ExperimentConfig):
         ),
         "alt_concentration_denominator_minus_log": 2.0 ** (hmin_log + 4.0),
         "alt_concentration_denominator_printed": 2.0 ** (hmin_printed + 4.0),
-        "ensemble": ensembles.ensemble_to_json(ens),
         "anchors": {
             "tail_a": "|A| 2^(-(1+delta) hmaxp + h2 - 9)",
             "threshold": "2^(-h2/2 - h2p/2 + 1) + 14 sqrt(eps) + 2 kappa",
@@ -274,13 +272,11 @@ def run_decouple_tail(cfg: ExperimentConfig):
     return summary, {"decouple-tail:f": f, "decouple-tail:g": g}
 
 
-def run_fqsw(cfg: ExperimentConfig):
-    a1 = _dim(cfg, "a1")
-    a2 = _dim(cfg, "a2")
-    r = _dim(cfg, "r")
+def run_fqsw(cfg: ExperimentConfig, ens):
+    a1, a2, r = cfg.dims["a1"], cfg.dims["a2"], cfg.dims["r"]
     inst, w, report = decoupling.fqsw_instance(a1, a2, r, cfg=_smoothing(cfg),
                                                seed=cfg.seed)
-    ens, us = _draw(cfg, inst.a_dim, cfg.samples)
+    us = ens.sample_batch(range(cfg.samples))
     f = decoupling.f_values(inst, us, w.choi.marginal(["B"]).matrix)
     g = decoupling.g_values(inst, us, w)
     mean_g2, se = stats.mean_and_se(g * g)
@@ -307,7 +303,6 @@ def run_fqsw(cfg: ExperimentConfig):
         "tail": None if tail is None else tail.to_json(),
         "lambda_window": [entropy._pow2(x) for x in log2_window],
         "log2_lambda_window": list(log2_window),
-        "ensemble": ensembles.ensemble_to_json(ens),
         "anchors": {
             "alpha": "(a1^2 a2^2 - a1^2) / (a1^2 a2^2 - 1)",
             "beta": "(a1/a2) (a1^2 a2^2 - a2^2) / (a1^2 a2^2 - 1)",
@@ -318,17 +313,14 @@ def run_fqsw(cfg: ExperimentConfig):
     return summary, {"fqsw:f": f, "fqsw:g": g}
 
 
-def run_thermalize(cfg: ExperimentConfig):
-    s = _dim(cfg, "s")
-    e = _dim(cfg, "e")
-    r = _dim(cfg, "r")
+def run_thermalize(cfg: ExperimentConfig, ens):
+    s, e, r = cfg.dims["s"], cfg.dims["e"], cfg.dims["r"]
     rng = np.random.default_rng(cfg.seed)
     rho = quantum.random_state(linalg.shape(("Om", s * e), ("R", r)), rng)
     smoothing = _smoothing(cfg) if cfg.epsilon > 0 or cfg.delta > 0 else None
-    ens, us = _draw(cfg, s * e, cfg.samples)
+    us = ens.sample_batch(range(cfg.samples))
     report = decoupling.thermalization_check(rho, s, e, cfg.kappa, us, cfg=smoothing)
     distances = np.array(report.pop("distances"))
-    report["ensemble"] = ensembles.ensemble_to_json(ens)
     report["anchors"] = {
         "epsilon_default": "kappa^2 / 60",
         "tail_a": "(|Om|/|S|) 2^(h2 - 9)",
@@ -336,15 +328,10 @@ def run_thermalize(cfg: ExperimentConfig):
     return report, {"thermalize:distance": distances}
 
 
-def run_design_verify(cfg: ExperimentConfig):
-    if cfg.ensemble is None:
-        raise ConfigError("design-verify needs an ensemble descriptor",
-                          field="ensemble")
-    ens = _parse_ensemble(cfg.ensemble)
+def run_design_verify(cfg: ExperimentConfig, ens):
     report = ensembles.qtpe_lambda(ens, cfg.t, samples=cfg.samples)
     summary = {
         "design": report.to_json(),
-        "ensemble": ensembles.ensemble_to_json(ens),
         "anchors": {
             "lambda": "||moment operator - Haar projector||_inf at order t",
             "moment_deviation": "max over degrees k <= t of d^k entrywise gap",
@@ -353,9 +340,8 @@ def run_design_verify(cfg: ExperimentConfig):
     return summary, {"design-verify:lambda": np.array([report.lambda_value])}
 
 
-def run_entropy(cfg: ExperimentConfig):
-    a = _dim(cfg, "a")
-    b = _dim(cfg, "b")
+def run_entropy(cfg: ExperimentConfig, ens):
+    a, b = cfg.dims["a"], cfg.dims["b"]
     rng = np.random.default_rng(cfg.seed)
     rho = quantum.random_state(linalg.shape(("A", a), ("B", b)), rng)
     scfg = _smoothing(cfg)
@@ -416,11 +402,11 @@ def run_entropy(cfg: ExperimentConfig):
     return summary, {}
 
 
-def run_typicality(cfg: ExperimentConfig):
+def run_typicality(cfg: ExperimentConfig, ens):
     if cfg.probs is not None:
         probs = tuple(cfg.probs)
     else:
-        x = _dim(cfg, "x", default=2)
+        x = cfg.dims.get("x", 2)
         probs = tuple(1.0 / x for _ in range(x))
     eps = cfg.epsilon if cfg.epsilon > 0 else 0.5
     delta = cfg.delta if cfg.delta > 0 else 0.49
@@ -439,11 +425,11 @@ def run_typicality(cfg: ExperimentConfig):
     return summary, {}
 
 
-def run_lipschitz(cfg: ExperimentConfig):
+def run_lipschitz(cfg: ExperimentConfig, ens):
     inst = _random_instance(cfg)
     w = decoupling.prepare(inst)
     # pair i is (draw 2i, draw 2i + 1)
-    ens, us = _draw(cfg, inst.a_dim, 2 * cfg.samples)
+    us = ens.sample_batch(range(2 * cfg.samples))
     both = decoupling.g_values(inst, us, w)
     g, gv = both[0::2], both[1::2]
     dist = np.linalg.norm(us[0::2] - us[1::2], axis=(1, 2))
@@ -458,7 +444,6 @@ def run_lipschitz(cfg: ExperimentConfig):
         "max_g_bound": gmax,
         "max_g_observed": float(g.max()),
         "max_g_ok": bool(g.max() - gmax <= 1e-9),
-        "ensemble": ensembles.ensemble_to_json(ens),
         "anchors": {
             "lipschitz": "2 * 2^((1+delta)/2 hmaxp - h2/2)",
             "max_g": "sqrt(2|A|) 2^((1+delta)/2 hmaxp - h2/2)",
@@ -467,10 +452,10 @@ def run_lipschitz(cfg: ExperimentConfig):
     return summary, {"lipschitz:ratio": ratios, "lipschitz:g": g}
 
 
-def run_moments(cfg: ExperimentConfig):
+def run_moments(cfg: ExperimentConfig, ens):
     inst = _random_instance(cfg)
     w = decoupling.prepare(inst)
-    ens, us = _draw(cfg, inst.a_dim, cfg.samples)
+    us = ens.sample_batch(range(cfg.samples))
     g = decoupling.g_values(inst, us, w)
     moments = decoupling.haar_expected_g_squared(inst, w)
     mu_emp = float(g.mean())
@@ -510,7 +495,6 @@ def run_moments(cfg: ExperimentConfig):
         "markov_tail": markov,
         "levy": levy,
         "lipschitz_bound": lip,
-        "ensemble": ensembles.ensemble_to_json(ens),
         "anchors": {
             "haar_moment_bound": "2 (m 2^((1+delta) hmaxp - h2 + 4) / |A|)^m",
             "levy_bound": "2 exp(-|A| kappa^2 / (4 L^2))",
@@ -519,16 +503,18 @@ def run_moments(cfg: ExperimentConfig):
     return summary, {"moments:g": g}
 
 
+# experiment: (driver, the dims it needs, the dims whose product is the
+# dimension it draws on: () for any, which needs a descriptor; None for no draws)
 DRIVERS = {
-    "decouple-expect": run_decouple_expect,
-    "decouple-tail": run_decouple_tail,
-    "fqsw": run_fqsw,
-    "thermalize": run_thermalize,
-    "design-verify": run_design_verify,
-    "entropy": run_entropy,
-    "typicality": run_typicality,
-    "lipschitz": run_lipschitz,
-    "moments": run_moments,
+    "decouple-expect": (run_decouple_expect, ("a", "r"), ("a",)),
+    "decouple-tail": (run_decouple_tail, ("a", "r"), ("a",)),
+    "fqsw": (run_fqsw, ("a1", "a2", "r"), ("a1", "a2")),
+    "thermalize": (run_thermalize, ("s", "e", "r"), ("s", "e")),
+    "design-verify": (run_design_verify, (), ()),
+    "entropy": (run_entropy, ("a", "b"), None),
+    "typicality": (run_typicality, (), None),
+    "lipschitz": (run_lipschitz, ("a", "r"), ("a",)),
+    "moments": (run_moments, ("a", "r"), ("a",)),
 }
 
 
@@ -595,10 +581,13 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
     out.mkdir(parents=True, exist_ok=True)
     _write_manifest(out, cfg, "running")
     try:
-        summary, series = DRIVERS[cfg.experiment](cfg)
+        ens = _checked_ensemble(cfg)
+        summary, series = DRIVERS[cfg.experiment][0](cfg, ens)
     except Exception as exc:
         _write_manifest(out, cfg, "failed", error=f"{type(exc).__name__}: {exc}")
         raise
+    if ens is not None:
+        summary["ensemble"] = ensembles.ensemble_to_json(ens)
     _write_results(out, cfg, series)
     _write_summary(out, summary)
     _write_manifest(out, cfg, "complete")
@@ -626,6 +615,7 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         if args.command == "validate":
+            _checked_ensemble(cfg)
             print(f"ok: {args.config} describes a valid "
                   f"{cfg.experiment!r} experiment")
             return 0

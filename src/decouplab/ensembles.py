@@ -138,9 +138,9 @@ def _stream_generators(seed: int, streams: list[int]):
         yield rng
 
 
-def _strip_phase(m: np.ndarray, tol: float = 1e-8) -> np.ndarray:
+def _strip_phase(m: np.ndarray) -> np.ndarray:
     flat = m.ravel()
-    idx = np.flatnonzero(np.abs(flat) > tol)
+    idx = np.flatnonzero(np.abs(flat) > 1e-8)
     pivot = flat[idx[0]]
     return m * (abs(pivot) / pivot)
 

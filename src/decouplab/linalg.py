@@ -166,10 +166,10 @@ def _power_above_cutoff(values: np.ndarray, exponent: float) -> np.ndarray:
     return out
 
 
-def _pin_phases(vectors: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-    above = np.abs(vectors) > tol
+def _pin_phases(vectors: np.ndarray) -> np.ndarray:
+    above = np.abs(vectors) > 1e-9
     pivot = vectors[above.argmax(axis=0), np.arange(vectors.shape[1])]
-    # a column with no entry above tol keeps its phase
+    # a column with no entry above 1e-9 keeps its phase
     pivot = np.where(above.any(axis=0), pivot, 1.0)
     # hypot rounds as abs() of one complex scalar does; np.abs on an array
     # may differ in the last bit, which would move every pinned phase

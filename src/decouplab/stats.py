@@ -33,9 +33,10 @@ def mean_and_se(values) -> tuple[float, float]:
     return float(x.mean()), se
 
 
-def wilson_interval(successes: int, n: int, z: float = WILSON_Z) -> tuple[float, float]:
+def wilson_interval(successes: int, n: int) -> tuple[float, float]:
     if n <= 0:
         raise DomainError("interval needs at least one sample")
+    z = WILSON_Z
     phat = successes / n
     denom = 1.0 + z * z / n
     centre = (phat + z * z / (2 * n)) / denom
@@ -73,7 +74,8 @@ def tail_from_moment(values, center: float, m: int, kappa: float) -> dict:
     """Markov-style tail estimate moment / kappa^(2m) next to the direct tail.
 
     Both sides are evaluated on the same empirical measure, so the bound
-    column always dominates the direct column.
+    column always dominates the direct column. A bound of 1 or more says
+    nothing about a probability and is flagged `vacuous`.
     """
     if kappa <= 0:
         raise DomainError("kappa must be positive")
@@ -90,6 +92,7 @@ def tail_from_moment(values, center: float, m: int, kappa: float) -> dict:
         "markov_bound": bound,
         "empirical": direct,
         "dominates": bool(bound >= direct - 1e-15),
+        "vacuous": bool(bound >= 1.0),
         "moment": moment,
         "order": 2 * m,
     }
@@ -160,7 +163,9 @@ def moment_transfer_check(c: float, a: float, mu: float, m: int,
 def levy_consistency(values, dim: int, lipschitz: float,
                      kappas) -> list[dict]:
     """Empirical deviation tails against the unitary-group concentration bound
-    2 exp(-dim kappa^2 / (4 L^2)), padded by three Wilson half-widths."""
+    2 exp(-dim kappa^2 / (4 L^2)), padded by three Wilson half-widths. The
+    bound is reported clipped to 1, and flagged `vacuous` when its unclipped
+    value is 1 or more."""
     if lipschitz <= 0:
         raise DomainError("Lipschitz constant must be positive")
     x = _float_values(values)
@@ -178,5 +183,6 @@ def levy_consistency(values, dim: int, lipschitz: float,
             "bound": min(bound, 1.0),
             "halfwidth": half,
             "ok": bool(count / n <= min(bound, 1.0) + 3.0 * half),
+            "vacuous": bool(bound >= 1.0),
         })
     return out

@@ -5,8 +5,12 @@ import json
 import math
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import decouplab
 from decouplab import cli, ensembles
@@ -444,6 +448,80 @@ class TestSharedWork:
         p = write_config(tmp_path, samples=1, output_dir=str(out), **payload)
         assert cli.main(["run", str(p)]) == 0
         assert json.loads((out / "summary.json").read_text())[key] == 0.0
+
+
+# each experiment's own dims keys; the fuzz drops one or adds a foreign one
+FUZZ_DIMS = {
+    "decouple-expect": ("a", "r", "b"),
+    "decouple-tail": ("a", "r", "b"),
+    "fqsw": ("a1", "a2", "r"),
+    "thermalize": ("s", "e", "r"),
+    "design-verify": (),
+    "entropy": ("a", "b"),
+    "typicality": ("x",),
+    "lipschitz": ("a", "r", "b"),
+    "moments": ("a", "r", "b"),
+}
+FUZZ_OPTIONAL = {
+    "epsilon": (0.0, 0.01, 0.2),
+    "delta": (0.0, 0.1, 0.4),
+    "kappa": (0.05, 0.5, 2.0),
+}
+# every dimension is at most 4, so with t <= 2 no design check passes
+# d^(2t) = 256; Clifford(2), which takes about a second to build, is left out
+FUZZ_ENSEMBLES = (
+    None,
+    {"kind": "haar", "dim": 2},
+    {"kind": "haar", "dim": 4},
+    {"kind": "circuit", "n_qubits": 2, "depth": 1},
+    {"kind": "enumerated", "name": "pauli", "n_qubits": 1},
+    {"kind": "enumerated", "name": "clifford", "n_qubits": 1},
+    {"kind": "iterated", "iterations": 2,
+     "base": {"kind": "enumerated", "name": "pauli", "n_qubits": 1}},
+    {"kind": "haar"},
+    {"kind": "nonsense", "dim": 2},
+    {"kind": "iterated", "iterations": 1.5, "base": {"kind": "haar", "dim": 2}},
+    {"kind": "haar", "dim": 2, "bogus": 1},
+)
+
+
+@st.composite
+def small_configs(draw):
+    experiment = draw(st.sampled_from(sorted(cli.DRIVERS)))
+    dims = {k: draw(st.integers(1, 4)) for k in FUZZ_DIMS[experiment]}
+    change = draw(st.sampled_from(["none", "none", "none", "drop", "add"]))
+    if change == "drop" and dims:
+        del dims[draw(st.sampled_from(sorted(dims)))]
+    if change == "add":
+        dims[draw(st.sampled_from(["a", "b", "e", "r", "x", "z"]))] = draw(st.integers(1, 4))
+    cfg = {"experiment": experiment, "dims": dims, "samples": draw(st.integers(1, 3)),
+           "t": draw(st.integers(1, 2)), "n": draw(st.integers(1, 12))}
+    for key, values in FUZZ_OPTIONAL.items():
+        if draw(st.booleans()):
+            cfg[key] = draw(st.sampled_from(values))
+    ensemble = draw(st.sampled_from(FUZZ_ENSEMBLES))
+    if ensemble is not None:
+        cfg["ensemble"] = ensemble
+    return cfg
+
+
+class TestRunContract:
+    @settings(max_examples=60, deadline=None)
+    @given(small_configs())
+    def test_validate_agrees_with_run(self, payload):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "cfg.json"
+            path.write_text(json.dumps(payload))
+            out = Path(tmp) / "out"
+            checked = cli.main(["validate", str(path)])
+            ran = cli.main(["run", str(path), "--output-dir", str(out)])
+            assert checked in (0, 2, 3) and ran in (0, 2, 3)
+            assert (checked == 2) == (ran == 2)
+            assert checked != 3 or ran == 3
+            if out.joinpath("manifest.json").exists():
+                manifest = json.loads(out.joinpath("manifest.json").read_text())
+                assert manifest["status"] == ("complete" if ran == 0 else "failed")
+                assert (ran == 0) != ("error" in manifest)
 
 
 class TestConsoleEntry:

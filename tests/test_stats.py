@@ -110,9 +110,19 @@ class TestTailFromMoment:
         # kappa^4 underflows to 0.0: a positive moment makes the bound inf
         out = stats.tail_from_moment(np.array([0.0, 1.0, 2.0]), 1.0, 2, kappa=1e-200)
         assert out["markov_bound"] == math.inf and out["dominates"]
+        assert out["vacuous"]
         assert out["empirical"] == pytest.approx(2.0 / 3.0)
         flat = stats.tail_from_moment(np.array([1.0, 1.0]), 1.0, 2, kappa=1e-200)
         assert flat["markov_bound"] == 0.0 and flat["empirical"] == 0.0
+        assert not flat["vacuous"]
+
+    @pytest.mark.parametrize("kappa,bound,vacuous", [
+        (0.5, 4.0, True), (1.0, 1.0, True), (2.0, 0.25, False)])
+    def test_vacuous_flag(self, kappa, bound, vacuous):
+        # the second moment about 1 of {0, 2} is 1: Chebyshev reads 1 / kappa^2
+        out = stats.tail_from_moment(np.array([0.0, 2.0]), 1.0, 1, kappa=kappa)
+        assert out["markov_bound"] == bound
+        assert out["vacuous"] is vacuous
 
 
 class TestMomentTransfer:
@@ -167,15 +177,23 @@ class TestLevyConsistency:
         assert [r["kappa"] for r in rows] == [0.25, 0.5, 1.0]
 
     def test_bound_capped_at_one(self):
+        # unclipped, 2 exp(-2e-4 / 100) is nearly 2: clipped and flagged
         s = np.array(np.zeros(10))
         rows = stats.levy_consistency(s, 2, 5.0, kappas=[0.01])
-        assert rows[0]["bound"] <= 1.0
+        assert rows[0]["bound"] == 1.0
+        assert rows[0]["vacuous"] is True
 
     def test_bound_formula(self):
         s = np.array(np.zeros(10))
         rows = stats.levy_consistency(s, 8, 2.0, kappas=[0.5])
         want = 2.0 * math.exp(-8.0 * 0.25 / 16.0)
         assert rows[0]["bound"] == pytest.approx(min(want, 1.0))
+        assert rows[0]["vacuous"] is True
+
+    def test_biting_bound_not_vacuous(self):
+        rows = stats.levy_consistency(np.zeros(10), 8, 1.0, kappas=[1.0])
+        assert rows[0]["bound"] == pytest.approx(2.0 * math.exp(-2.0))
+        assert rows[0]["vacuous"] is False
 
     def test_lipschitz_positive(self):
         with pytest.raises(DomainError):
