@@ -174,6 +174,9 @@ def _checked_ensemble(cfg: ExperimentConfig) -> ensembles.UnitaryEnsemble | None
     if drawn == ("a",) and cfg.dims["a"] % cfg.dims.get("b", 1):
         raise ConfigError("dims['b'] must divide dims['a']", field="dims")
     if drawn is None:
+        if cfg.ensemble is not None:
+            raise ConfigError(f"{cfg.experiment} draws no unitaries, so it takes no "
+                              f"ensemble descriptor", field="ensemble")
         return None
     if cfg.ensemble is None and not drawn:
         raise ConfigError(f"{cfg.experiment} needs an ensemble descriptor",
@@ -384,7 +387,7 @@ def run_entropy(cfg: ExperimentConfig, ens):
         summary["hmax_prime_dimension_ok"] = bool(
             hmaxp <= math.log2(b / eps) + 1e-9
         )
-        summary["h2_upper_bound"] = entropy.h2_upper_bound_check(rho, scfg,
+        summary["h2_upper_bound"] = entropy.h2_upper_bound_check(rho, scfg, h2_fixed,
                                                                  given="B")
         rough = 4.0 * math.sqrt(eps)
         if rough < 1.0:

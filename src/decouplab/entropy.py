@@ -219,13 +219,18 @@ def h2_with_witness(rho: DensitySystem, cfg: SmoothingConfig,
         # imported here: scipy.optimize costs most of a fresh process's import time
         from scipy.optimize import minimize
 
+        def full(free: np.ndarray) -> np.ndarray:
+            """The support logits with the last one pinned at 0: softmax is
+            constant along (1, ..., 1), so rank - 1 logits span the simplex."""
+            return np.append(free, 0.0)
+
         sup_vals = marg_spec.values[support]
         for start in (np.log(np.clip(sup_vals, 1e-12, None)), np.zeros(rank)):
             consider(_simplex_weight(basis, start), on_support(_simplex_probs(start)))
             if rank > 1:
                 res = minimize(
-                    lambda x: -score(on_support(_simplex_probs(x)))[0],
-                    start,
+                    lambda x: -score(on_support(_simplex_probs(full(x))))[0],
+                    start[:-1] - start[-1],
                     method="Nelder-Mead",
                     options={
                         "maxiter": MINIMIZER_ITERATIONS,
@@ -233,7 +238,8 @@ def h2_with_witness(rho: DensitySystem, cfg: SmoothingConfig,
                         "xatol": MINIMIZER_TOLERANCE,
                     },
                 )
-                consider(_simplex_weight(basis, res.x), on_support(_simplex_probs(res.x)))
+                x = full(res.x)
+                consider(_simplex_weight(basis, x), on_support(_simplex_probs(x)))
         # renormalised truncations of the marginal spectrum as extra starts
         asc = np.argsort(sup_vals)
         for k in range(1, rank):
@@ -294,10 +300,11 @@ def _closed_form_score(rho: DensitySystem, eps: float, given_list: list[str],
     op rho op (op = I (x) P_K) keeps rho's S on K x K and leaks nothing; it
     is built, and its ball test run, once per support. Where rho is feasible
     and K holds every q_k > 0 the projection scores exactly as rho does, so
-    it is skipped there.
+    it is skipped there. The m points' tables are stacked once, as S (m, r, r),
+    d (m, r) and t (m,), so one product scores them all.
     """
-    tables = [_collision_table(sig, rho.shape, given_list, basis) for sig in points]
-    s_rho = tables[0][0]
+    s, d, t = (np.array(part) for part in zip(
+        *(_collision_table(sig, rho.shape, given_list, basis) for sig in points)))
     projected: dict[bytes, np.ndarray | None] = {}
 
     def projection(keep: np.ndarray) -> np.ndarray | None:
@@ -314,16 +321,21 @@ def _closed_form_score(rho: DensitySystem, eps: float, given_list: list[str],
     def score(p: np.ndarray) -> tuple[float, np.ndarray | None]:
         keep = p > RANK_FLOOR * max(float(p.max()), 1.0)
         q = linalg._power_above_cutoff(p, -0.5)
-        feasible = [t - d[keep].sum() <= LEAK_TOLERANCE for _, d, t in tables]
-        scored = [(q @ s @ q, sig) for (s, _, _), sig, ok in zip(tables, points, feasible)
-                  if ok]
+        feasible = t - d[:, keep].sum(axis=1) <= LEAK_TOLERANCE
+        norms = np.where(feasible, q @ s @ q, 0.0)
+        found = points
         if eps > 0 and not (feasible[0] and keep[q > 0].all()):
             sig = projection(keep)
             if sig is not None:
                 q_kept = np.where(keep, q, 0.0)
-                scored.append((q_kept @ s_rho @ q_kept, sig))
-        return max(((-math.log2(n), sig) for n, sig in scored if n > 0),
-                   key=lambda c: c[0], default=(-1e6, None))
+                norms = np.append(norms, q_kept @ s[0] @ q_kept)
+                found = points + [sig]
+        # the best value is the smallest positive norm; argmin takes the earliest
+        live = np.flatnonzero(norms > 0)
+        if not live.size:
+            return -1e6, None
+        best = live[np.argmin(norms[live])]
+        return -math.log2(norms[best]), found[best]
 
     return score
 
@@ -487,10 +499,11 @@ def h2_prime(omega: DensitySystem, eps: float, delta: float,
     return H2Prime(value, hmax_value, eta, omega3, w3_iq, tilde)
 
 
-def h2_upper_bound_check(rho: DensitySystem, cfg: SmoothingConfig,
+def h2_upper_bound_check(rho: DensitySystem, cfg: SmoothingConfig, value: float,
                          given=None) -> dict:
-    """Compare the certified collision value against its dimension bound:
-    the smoothed value may not exceed H(A|B) + 8 eps log|A| + 2 + 2 log(1/eps).
+    """Compare the certified collision value, `value` =
+    h2_conditional(rho, cfg, "fixed_marginal", given), against its dimension
+    bound: it may not exceed H(A|B) + 8 eps log|A| + 2 + 2 log(1/eps).
     """
     if cfg.epsilon <= 0:
         raise DomainError("the dimension bound needs epsilon > 0")
@@ -498,7 +511,6 @@ def h2_upper_bound_check(rho: DensitySystem, cfg: SmoothingConfig,
     given_list = [given] if isinstance(given, str) else list(given)
     a_labels = [n for n in rho.shape.names if n not in given_list]
     dim_a = rho.shape.dim_of_all(a_labels)
-    value = h2_conditional(rho, cfg, "fixed_marginal", given)
     rhs = (
         shannon(rho, given=given_list)
         + 8.0 * cfg.epsilon * math.log2(dim_a)

@@ -369,6 +369,21 @@ class TestRunArtifacts:
         assert cli.main(["run", str(p)]) == 2
         assert "ensemble" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("payload", [
+        {"experiment": "entropy", "dims": {"a": 2, "b": 2}, "ensemble": {"kind": "nonsense"}},
+        {"experiment": "typicality", "ensemble": {"kind": "haar", "dim": 2}},
+    ], ids=["entropy", "typicality"])
+    def test_ensemble_on_an_experiment_without_draws(self, tmp_path, capsys, payload):
+        # an experiment that draws nothing would ignore the descriptor
+        p = write_config(tmp_path, **payload)
+        assert cli.main(["validate", str(p)]) == 2
+        assert cli.main(["run", str(p), "--output-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("config error") == 2 and "takes no ensemble" in err
+        assert "Traceback" not in err
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["status"] == "failed"
+
     def test_design_verify_exact_pauli(self, tmp_path):
         out = tmp_path / "run5"
         p = write_config(

@@ -116,15 +116,16 @@ class TestUpperBoundFact:
     def test_certificate_below_dimension_bound(self, seed):
         rng = np.random.default_rng(seed)
         rho = quantum.random_state(shape(("A", 2), ("B", 2)), rng)
-        out = entropy.h2_upper_bound_check(rho, SmoothingConfig(epsilon=0.01),
-                                           given="B")
+        cfg = SmoothingConfig(epsilon=0.01)
+        value = entropy.h2_conditional(rho, cfg, "fixed_marginal", "B")
+        out = entropy.h2_upper_bound_check(rho, cfg, value, given="B")
         assert out["ok"]
 
     def test_needs_positive_epsilon(self):
         rng = np.random.default_rng(5)
         rho = quantum.random_state(shape(("A", 2), ("B", 2)), rng)
         with pytest.raises(DomainError):
-            entropy.h2_upper_bound_check(rho, SmoothingConfig(), given="B")
+            entropy.h2_upper_bound_check(rho, SmoothingConfig(), 0.0, given="B")
 
 
 class TestHmax:
@@ -525,6 +526,20 @@ class TestSearchMatchesPerSigmaRoute:
             for mode in ("fixed_marginal", "minimized"):
                 _assert_matches_per_sigma_route(rho, given, mode, eps, exact=False)
 
+    @pytest.mark.parametrize("eps", [0.0, 0.05, 0.2])
+    @pytest.mark.parametrize("d_given", [3, 4])
+    def test_random_instances_past_rank_two(self, d_given, eps):
+        """The search on rank - 1 free logits against the oracle's Nelder-Mead
+        on all `rank` logits, where the conditioning marginal has rank 3 or 4."""
+        rng = np.random.default_rng(100 * d_given + int(eps * 100))
+        for i in range(4):
+            labels = ((("A", 2), ("B", d_given)), (("B", d_given), ("A", 2)))[i % 2]
+            shp = shape(*labels)
+            rho = quantum.random_state(shp, rng, rank=(shp.dim, shp.dim // 2)[i // 2])
+            assert int(_marginal_support(rho, ["B"])[1].sum()) == d_given
+            for mode in ("fixed_marginal", "minimized"):
+                _assert_matches_per_sigma_route(rho, "B", mode, eps, exact=False)
+
     def test_one_weight_decomposition_per_evaluation(self, monkeypatch):
         rho = quantum.random_state(shape(("A", 4), ("B", 2)),
                                    np.random.default_rng(24))
@@ -565,6 +580,27 @@ class TestSearchMatchesPerSigmaRoute:
         assert counts["partial_trace"] == 1
         assert counts["two_norm"] == 1
         assert counts["ball_test"] <= 2
+
+    def test_evaluation_budget(self, monkeypatch):
+        """Each search runs on rank - 1 free logits: the score is constant
+        along (1, ..., 1), so a full-logit simplex spends one direction on
+        nothing. On this rank-2 instance the full-logit searches took 270
+        evaluations together."""
+        rho = quantum.random_state(shape(("A", 4), ("B", 2)),
+                                   np.random.default_rng(24))
+        runs = []
+        real_minimize = scipy.optimize.minimize
+
+        def counted_minimize(fun, x0, *args, **kwargs):
+            res = real_minimize(fun, x0, *args, **kwargs)
+            runs.append((np.shape(x0), res.nfev))
+            return res
+
+        monkeypatch.setattr(scipy.optimize, "minimize", counted_minimize)
+        entropy.h2_with_witness(rho, SmoothingConfig(epsilon=0.05, delta=0.1),
+                                "minimized", "B")
+        assert [x0 for x0, _ in runs] == [(1,), (1,)]
+        assert sum(nfev for _, nfev in runs) <= 160
 
     @pytest.mark.parametrize("eps", [0.0, 0.05])
     def test_live_direction_under_the_rank_floor(self, eps):
