@@ -165,11 +165,15 @@ def _checked_ensemble(cfg: ExperimentConfig) -> ensembles.UnitaryEnsemble | None
     """Every check a run makes before it computes; returns the ensemble its
     driver draws from, built: the descriptor's, else Haar on the drawn
     dimension, and None for an experiment that draws nothing."""
-    _, needs, drawn = DRIVERS[cfg.experiment]
+    _, needs, optional, drawn = DRIVERS[cfg.experiment]
     for key in needs:
         if key not in cfg.dims:
             raise ConfigError(f"experiment {cfg.experiment!r} needs dims[{key!r}]",
                               field="dims")
+    unread = sorted(set(cfg.dims) - set(needs) - set(optional))
+    if unread:
+        raise ConfigError(f"experiment {cfg.experiment!r} does not read "
+                          f"{', '.join(f'dims[{k!r}]' for k in unread)}", field="dims")
     # the random instance, drawn on A, traces A down to dims["b"]
     if drawn == ("a",) and cfg.dims["a"] % cfg.dims.get("b", 1):
         raise ConfigError("dims['b'] must divide dims['a']", field="dims")
@@ -193,6 +197,13 @@ def _checked_ensemble(cfg: ExperimentConfig) -> ensembles.UnitaryEnsemble | None
 
 def _smoothing(cfg: ExperimentConfig) -> SmoothingConfig:
     return SmoothingConfig(epsilon=cfg.epsilon, delta=cfg.delta)
+
+
+def _hmin_readings(marg, eps: float) -> dict:
+    """`entropy.hmin_smooth` on both readings of its source definition: the
+    -log2 of the clip level it returns, and the clip level itself."""
+    hmin_log = entropy.hmin_smooth(marg, eps)
+    return {"hmin_minus_log_reading": hmin_log, "hmin_printed_reading": 2.0 ** (-hmin_log)}
 
 
 def _random_instance(cfg: ExperimentConfig):
@@ -244,9 +255,7 @@ def run_decouple_tail(cfg: ExperimentConfig, ens):
     g = decoupling.g_values(inst, us, w)
     mu = decoupling.haar_expected_g_squared(inst, w).mu_upper
     tail = decoupling.applicable_tail(inst, w, cfg.kappa, mu)
-    a_marg = inst.rho.marginal(["A"])
-    hmin_log = entropy.hmin_smooth(a_marg, cfg.epsilon)
-    hmin_printed = 2.0 ** (-hmin_log)
+    hmin = _hmin_readings(inst.rho.marginal(["A"]), cfg.epsilon)
     summary = {
         "mean_f": float(f.mean()),
         "mean_g": float(g.mean()),
@@ -257,15 +266,16 @@ def run_decouple_tail(cfg: ExperimentConfig, ens):
         "tail": None if tail is None else tail.to_json(),
         "empirical_tail": None if tail is None
         else stats.empirical_tail(f, tail.threshold),
-        "hmin_minus_log_reading": hmin_log,
-        "hmin_printed_reading": hmin_printed,
+        **hmin,
         "hmin_note": (
             "printed definition reads as the clipped sup-norm itself; both "
             "readings are reported and the -log2 one feeds the alternate "
             "concentration denominator"
         ),
-        "alt_concentration_denominator_minus_log": 2.0 ** (hmin_log + 4.0),
-        "alt_concentration_denominator_printed": 2.0 ** (hmin_printed + 4.0),
+        "alt_concentration_denominator_minus_log":
+            2.0 ** (hmin["hmin_minus_log_reading"] + 4.0),
+        "alt_concentration_denominator_printed":
+            2.0 ** (hmin["hmin_printed_reading"] + 4.0),
         "anchors": {
             "tail_a": "|A| 2^(-(1+delta) hmaxp + h2 - 9)",
             "threshold": "2^(-h2/2 - h2p/2 + 1) + 14 sqrt(eps) + 2 kappa",
@@ -355,25 +365,21 @@ def run_entropy(cfg: ExperimentConfig, ens):
     hmax = entropy.hmax_smooth(b_marg, eps)
     hmaxp, _ = entropy.hmax_prime(b_marg, eps)
     h2p = entropy.h2_prime(rho, eps, cfg.delta, given="B").value
-    reports = [
-        entropy.EntropyReport("shannon_joint", entropy.shannon(rho), "exact",
-                              "exact"),
-        entropy.EntropyReport("shannon_conditional",
-                              entropy.shannon(rho, given="B"), "exact", "exact"),
-        entropy.EntropyReport("h2_conditional", h2_fixed, "fixed_marginal",
-                              "lower"),
-        entropy.EntropyReport("h2_conditional_minimized", h2_min, "minimized",
-                              "lower"),
-        entropy.EntropyReport("hmax_b", hmax, "truncation", "upper"),
-        entropy.EntropyReport("hmax_prime_b", hmaxp, "truncation", "upper"),
-        entropy.EntropyReport("h2_prime_conditional", h2p, "canonical_point",
-                              "lower"),
+    rows = [
+        ("shannon_joint", entropy.shannon(rho), "exact", "exact"),
+        ("shannon_conditional", entropy.shannon(rho, given="B"), "exact", "exact"),
+        ("h2_conditional", h2_fixed, "fixed_marginal", "lower"),
+        ("h2_conditional_minimized", h2_min, "minimized", "lower"),
+        ("hmax_b", hmax, "truncation", "upper"),
+        ("hmax_prime_b", hmaxp, "truncation", "upper"),
+        ("h2_prime_conditional", h2p, "canonical_point", "lower"),
     ]
     summary: dict = {
         "dims": {"a": a, "b": b},
         "epsilon": eps,
         "delta": cfg.delta,
-        "values": [r.to_json() for r in reports],
+        "values": [{"name": name, "value_bits": float(value), "mode": mode,
+                    "certified_side": side} for name, value, mode, side in rows],
         "minimized_at_least_fixed": bool(h2_min >= h2_fixed - 1e-9),
         "hmax_sandwich_ok": bool(hmax <= hmaxp + 1e-9),
         "anchors": {
@@ -399,9 +405,7 @@ def run_entropy(cfg: ExperimentConfig, ens):
                 "h2_prime": h2p,
                 "ok": bool(h2_rough >= h2p - 1e-9),
             }
-        hmin_log = entropy.hmin_smooth(b_marg, eps)
-        summary["hmin_minus_log_reading"] = hmin_log
-        summary["hmin_printed_reading"] = 2.0 ** (-hmin_log)
+        summary.update(_hmin_readings(b_marg, eps))
     return summary, {}
 
 
@@ -506,18 +510,19 @@ def run_moments(cfg: ExperimentConfig, ens):
     return summary, {"moments:g": g}
 
 
-# experiment: (driver, the dims it needs, the dims whose product is the
-# dimension it draws on: () for any, which needs a descriptor; None for no draws)
+# experiment: (driver, the dims it needs, the other dims it may read, the
+# dims whose product is the dimension it draws on: () for any, which needs a
+# descriptor; None for no draws)
 DRIVERS = {
-    "decouple-expect": (run_decouple_expect, ("a", "r"), ("a",)),
-    "decouple-tail": (run_decouple_tail, ("a", "r"), ("a",)),
-    "fqsw": (run_fqsw, ("a1", "a2", "r"), ("a1", "a2")),
-    "thermalize": (run_thermalize, ("s", "e", "r"), ("s", "e")),
-    "design-verify": (run_design_verify, (), ()),
-    "entropy": (run_entropy, ("a", "b"), None),
-    "typicality": (run_typicality, (), None),
-    "lipschitz": (run_lipschitz, ("a", "r"), ("a",)),
-    "moments": (run_moments, ("a", "r"), ("a",)),
+    "decouple-expect": (run_decouple_expect, ("a", "r"), ("b",), ("a",)),
+    "decouple-tail": (run_decouple_tail, ("a", "r"), ("b",), ("a",)),
+    "fqsw": (run_fqsw, ("a1", "a2", "r"), (), ("a1", "a2")),
+    "thermalize": (run_thermalize, ("s", "e", "r"), (), ("s", "e")),
+    "design-verify": (run_design_verify, (), (), ()),
+    "entropy": (run_entropy, ("a", "b"), (), None),
+    "typicality": (run_typicality, (), ("x",), None),
+    "lipschitz": (run_lipschitz, ("a", "r"), ("b",), ("a",)),
+    "moments": (run_moments, ("a", "r"), ("b",), ("a",)),
 }
 
 

@@ -192,7 +192,6 @@ class HaarMoments:
     eta: float
     expected_g_squared: float
     mu_upper: float
-    strict_upper: float
 
 
 def haar_expected_g_squared(inst: DecouplingInstance, w: Weights) -> HaarMoments:
@@ -210,7 +209,6 @@ def haar_expected_g_squared(inst: DecouplingInstance, w: Weights) -> HaarMoments
         alpha=alpha, beta=beta, eta=eta_ratio,
         expected_g_squared=float(e_g2),
         mu_upper=float(math.sqrt(max(e_g2, 0.0))),
-        strict_upper=float(w.n_ab * w.n_ar),
     )
 
 

@@ -206,6 +206,10 @@ def clifford_group(n_qubits: int) -> list[np.ndarray]:
     return members
 
 
+# the named groups a descriptor regenerates from its qubit count
+GROUPS = {"pauli": pauli_group, "clifford": clifford_group}
+
+
 @dataclass(frozen=True, eq=False)
 class UnitaryEnsemble:
     """A distribution over unitaries with a reproducible stream sampler."""
@@ -331,6 +335,12 @@ def iterate_ensemble(e: UnitaryEnsemble, k: int) -> UnitaryEnsemble:
                            base=e, iterations=k, name=f"{e.name}^{k}")
 
 
+def _exact(e: UnitaryEnsemble) -> bool:
+    """Whether moment_operator builds e's moment operator without drawing:
+    an enumerated ensemble, or an iterate of one at any depth."""
+    return e.kind == "enumerated" or (e.kind == "iterated" and _exact(e.base))
+
+
 def _check_moment_cap(dim: int, t: int):
     if dim ** (2 * t) > MOMENT_DIM_CAP:
         raise CapError(
@@ -361,7 +371,7 @@ def moment_operator(e: UnitaryEnsemble, t: int, samples: int = 2000) -> np.ndarr
     if t < 1:
         raise DomainError("moment order t must be at least 1")
     _check_moment_cap(e.dim, t)
-    if e.kind == "iterated" and e.base.kind == "enumerated":
+    if e.kind == "iterated" and _exact(e.base):
         # a product of independent draws twirls by the product of their twirls
         return np.linalg.matrix_power(moment_operator(e.base, t), e.iterations)
     if e.kind == "enumerated":
@@ -511,30 +521,26 @@ def ensemble_to_json(e: UnitaryEnsemble) -> dict:
     if e.kind == "iterated":
         out["iterations"] = e.iterations
         out["base"] = ensemble_to_json(e.base)
-    if e.kind == "enumerated" and e.name not in ("pauli", "clifford"):
-        out["members"] = [linalg.matrix_to_json(m) for m in e.members]
-    if e.kind == "enumerated" and e.name in ("pauli", "clifford"):
+    if e.kind == "enumerated" and e.name in GROUPS:
         out["n_qubits"] = int(math.log2(e.dim))
+    elif e.kind == "enumerated":
+        out["members"] = [linalg.matrix_to_json(m) for m in e.members]
     return out
 
 
 def ensemble_from_json(d: dict) -> UnitaryEnsemble:
-    kind = d.get("kind")
+    kind, seed = d.get("kind"), int(d.get("seed", 0))
     if kind == "haar":
-        return haar_ensemble(int(d["dim"]), seed=int(d.get("seed", 0)))
+        return haar_ensemble(int(d["dim"]), seed=seed)
     if kind == "circuit":
-        return random_circuit_ensemble(int(d["n_qubits"]), int(d["depth"]),
-                                       seed=int(d.get("seed", 0)))
+        return random_circuit_ensemble(int(d["n_qubits"]), int(d["depth"]), seed=seed)
     if kind == "iterated":
         return iterate_ensemble(ensemble_from_json(d["base"]), int(d["iterations"]))
     if kind == "enumerated":
         name = d.get("name", "")
-        if name == "pauli":
-            return enumerated_ensemble(pauli_group(int(d["n_qubits"])),
-                                       seed=int(d.get("seed", 0)), name="pauli")
-        if name == "clifford":
-            return enumerated_ensemble(clifford_group(int(d["n_qubits"])),
-                                       seed=int(d.get("seed", 0)), name="clifford")
-        members = [linalg.matrix_from_json(m) for m in d["members"]]
-        return enumerated_ensemble(members, seed=int(d.get("seed", 0)), name=name)
+        if name in GROUPS:
+            members = GROUPS[name](int(d["n_qubits"]))
+        else:
+            members = [linalg.matrix_from_json(m) for m in d["members"]]
+        return enumerated_ensemble(members, seed=seed, name=name)
     raise DomainError(f"unknown ensemble descriptor kind {kind!r}")

@@ -56,28 +56,18 @@ class SmoothingConfig:
             raise DomainError("smoothing parameters must be nonnegative")
 
 
-@dataclass(frozen=True)
-class EntropyReport:
-    name: str
-    value_bits: float
-    mode: str
-    certified_side: str
-
-    def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "value_bits": float(self.value_bits),
-            "mode": self.mode,
-            "certified_side": self.certified_side,
-        }
-
-
 def _pow2(x: float) -> float:
     """2^x as a float, mapping overflow to inf instead of raising."""
     try:
         return 2.0 ** x
     except OverflowError:
         return math.inf
+
+
+def _above_rank_floor(values: np.ndarray) -> np.ndarray:
+    """The mask of values that count as nonzero: above RANK_FLOOR times the
+    largest value, or times 1 when that is smaller."""
+    return values > RANK_FLOOR * max(float(values.max(initial=0.0)), 1.0)
 
 
 def _eigenvalues(x) -> np.ndarray:
@@ -102,7 +92,6 @@ def shannon(x, given=None) -> float:
         return float(-(vals * np.log2(vals)).sum()) if vals.size else 0.0
     if not isinstance(x, DensitySystem):
         raise DimensionError("conditional entropy needs a labelled state")
-    given = [given] if isinstance(given, str) else list(given)
     return shannon(x) - shannon(x.marginal(given))
 
 
@@ -185,13 +174,12 @@ def h2_with_witness(rho: DensitySystem, cfg: SmoothingConfig,
     if weight_mode not in ("fixed_marginal", "minimized"):
         raise DomainError(f"unknown weight mode {weight_mode!r}")
     given = rho.shape.names[-1] if given is None else given
-    given_list = [given] if isinstance(given, str) else list(given)
+    given_list = linalg._label_list(given)
     warnings: list[str] = []
 
     marg = rho.marginal(given_list).matrix
     marg_spec = linalg.spectral(marg)
-    lmax = float(marg_spec.values.max(initial=0.0))
-    support = marg_spec.values > RANK_FLOOR * max(lmax, 1.0)
+    support = _above_rank_floor(marg_spec.values)
     rank = int(support.sum())
     if rank < marg.shape[0]:
         warnings.append("conditioning marginal is rank deficient; "
@@ -319,7 +307,7 @@ def _closed_form_score(rho: DensitySystem, eps: float, given_list: list[str],
         return projected[key]
 
     def score(p: np.ndarray) -> tuple[float, np.ndarray | None]:
-        keep = p > RANK_FLOOR * max(float(p.max()), 1.0)
+        keep = _above_rank_floor(p)
         q = linalg._power_above_cutoff(p, -0.5)
         feasible = t - d[:, keep].sum(axis=1) <= LEAK_TOLERANCE
         norms = np.where(feasible, q @ s @ q, 0.0)
@@ -354,7 +342,7 @@ def hmax_smooth(x, eps: float) -> float:
     if eps < 0:
         raise DomainError("epsilon must be nonnegative")
     vals = _eigenvalues(x)
-    vals = vals[vals > RANK_FLOOR * max(float(vals.max(initial=0.0)), 1.0)]
+    vals = vals[_above_rank_floor(vals)]
     if vals.size == 0:
         raise DomainError("state has no mass above the rank floor")
     asc = np.sort(vals)
@@ -465,8 +453,7 @@ def h2_prime(omega: DensitySystem, eps: float, delta: float,
     b_spec = linalg.spectral(omega.marginal([given]).matrix)
     hmax_value, omega3 = _omega_triple_prime(b_spec, eps, delta)
     w3_spec = linalg.spectral(omega3)
-    lmax3 = float(w3_spec.values.max(initial=0.0))
-    cols = w3_spec.vectors[:, w3_spec.values > RANK_FLOOR * max(lmax3, 1.0)]
+    cols = w3_spec.vectors[:, _above_rank_floor(w3_spec.values)]
 
     spec = linalg.spectral(omega.matrix)
     # <v_i| I (x) P |v_i> for every eigenvector at once, P omega3's support projector
@@ -508,7 +495,7 @@ def h2_upper_bound_check(rho: DensitySystem, cfg: SmoothingConfig, value: float,
     if cfg.epsilon <= 0:
         raise DomainError("the dimension bound needs epsilon > 0")
     given = rho.shape.names[-1] if given is None else given
-    given_list = [given] if isinstance(given, str) else list(given)
+    given_list = linalg._label_list(given)
     a_labels = [n for n in rho.shape.names if n not in given_list]
     dim_a = rho.shape.dim_of_all(a_labels)
     rhs = (

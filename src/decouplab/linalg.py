@@ -108,10 +108,6 @@ class SystemShape:
             raise DimensionError("cannot drop every label from a shape")
         return SystemShape(kept)
 
-    def keep(self, names: Iterable[str]) -> "SystemShape":
-        names = list(names)
-        return self.drop([n for n in self.names if n not in names])
-
     def check_matrix(self, m: np.ndarray):
         m = as_matrix(m)
         if m.shape[0] != self.dim:
@@ -122,6 +118,11 @@ class SystemShape:
 
 def shape(*labels: tuple[str, int]) -> SystemShape:
     return SystemShape(tuple(labels))
+
+
+def _label_list(labels) -> list[str]:
+    """One label, or an iterable of labels, as a list of labels."""
+    return [labels] if isinstance(labels, str) else list(labels)
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,13 +195,6 @@ def spectral(m: np.ndarray) -> Spectrum:
     if err > 1e-9 * scale:
         raise DomainError(f"spectral reconstruction error {err:.3e} exceeds tolerance")
     return spec
-
-
-def tensor(*ms: np.ndarray) -> np.ndarray:
-    out = np.asarray(ms[0], dtype=complex)
-    for m in ms[1:]:
-        out = np.kron(out, np.asarray(m, dtype=complex))
-    return out
 
 
 def _to_tensor(m: np.ndarray, shp: SystemShape) -> np.ndarray:

@@ -67,7 +67,7 @@ class DensitySystem:
         return DensitySystem(out, self.shape.drop(traced), mass=self.mass)
 
     def marginal(self, kept) -> "DensitySystem":
-        kept = [kept] if isinstance(kept, str) else list(kept)
+        kept = linalg._label_list(kept)
         traced = [n for n in self.shape.names if n not in kept]
         return self.partial_trace(traced)
 
@@ -75,13 +75,6 @@ class DensitySystem:
         out = linalg.permute_systems(self.matrix, self.shape, order)
         labels = tuple((n, self.shape.dim_of(n)) for n in order)
         return DensitySystem(out, SystemShape(labels), mass=self.mass)
-
-    def tensor(self, other: "DensitySystem") -> "DensitySystem":
-        return DensitySystem(
-            linalg.tensor(self.matrix, other.matrix),
-            SystemShape(self.shape.labels + other.shape.labels),
-            mass=self.mass * other.mass,
-        )
 
 
 def maximally_mixed(d: int, label: str = "A") -> DensitySystem:

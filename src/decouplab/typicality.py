@@ -319,8 +319,7 @@ def h2_prime_iid_bound_check(omega: DensitySystem, n: int, eps: float,
     spec = linalg.spectral(omega.matrix)
     q_min = _survivor_floor(spec.values, eps)
     b_vecs = linalg.spectral(omega.marginal([b_name]).matrix).vectors
-    lmax = float(spec.values.max(initial=0.0))
-    live = spec.vectors[:, spec.values > 1e-12 * max(lmax, 1.0)]
+    live = spec.vectors[:, entropy._above_rank_floor(spec.values)]
     # column j: the B-diagonal of tr_A |w_j><w_j| in the marginal's eigenbasis,
     # sum_a |<a, b_k|w_j>|^2, for every live eigenvector w_j at once
     overlaps = np.einsum("bk,abj->akj", b_vecs.conj(), live.reshape(da, db, -1))

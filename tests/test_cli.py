@@ -384,6 +384,34 @@ class TestRunArtifacts:
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert manifest["status"] == "failed"
 
+    @pytest.mark.parametrize("payload, key", [
+        ({"experiment": "decouple-expect", "dims": {"a": 4, "r": 2, "z": 3}}, "'z'"),
+        ({"experiment": "entropy", "dims": {"a": 2, "b": 2, "r": 2}}, "'r'"),
+        ({"experiment": "typicality", "dims": {"a": 2}}, "'a'"),
+        ({"experiment": "design-verify", "dims": {"a": 2},
+          "ensemble": {"kind": "enumerated", "name": "pauli", "n_qubits": 1}}, "'a'"),
+    ], ids=["decouple-expect", "entropy", "typicality", "design-verify"])
+    def test_unread_dims_key(self, tmp_path, capsys, payload, key):
+        # a dims key the experiment never reads would be silently ignored
+        p = write_config(tmp_path, samples=2, **payload)
+        assert cli.main(["validate", str(p)]) == 2
+        assert cli.main(["run", str(p), "--output-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("(key: dims)") == 2 and err.count(f"does not read dims[{key}]") == 2
+        assert "Traceback" not in err
+
+    def test_design_verify_nested_clifford_iterate_is_exact(self, tmp_path):
+        # iterated(iterated(Clifford(1), 2), 2) is as exact as its flat iterate
+        out = tmp_path / "nested"
+        clifford = {"kind": "enumerated", "name": "clifford", "n_qubits": 1}
+        nested = {"kind": "iterated", "iterations": 2,
+                  "base": {"kind": "iterated", "iterations": 2, "base": clifford}}
+        p = write_config(tmp_path, experiment="design-verify", t=2, samples=20,
+                         ensemble=nested, output_dir=str(out))
+        assert cli.main(["run", str(p)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["design"]["lambda"] <= 1e-10
+
     def test_design_verify_exact_pauli(self, tmp_path):
         out = tmp_path / "run5"
         p = write_config(

@@ -224,7 +224,7 @@ class TestHaarMoments:
         inst = random_instance(7)
         w = decoupling.prepare(inst)
         m = decoupling.haar_expected_g_squared(inst, w)
-        assert m.expected_g_squared <= m.strict_upper + 1e-12
+        assert m.expected_g_squared <= w.n_ab * w.n_ar + 1e-12
         assert m.mu_upper == pytest.approx(math.sqrt(m.expected_g_squared))
 
 

@@ -254,6 +254,16 @@ class TestMomentOperator:
         g3 = ensembles.moment_operator(ensembles.iterate_ensemble(base, 3), 1)
         np.testing.assert_allclose(g3, np.linalg.matrix_power(g1, 3), atol=1e-12)
 
+    @pytest.mark.parametrize("t", [2, 3])
+    def test_nested_iterate_is_exact(self, t):
+        # an iterate of an iterate draws nothing either: matrix_power of a
+        # matrix_power squares the same products as the flat fourth power
+        base = ensembles.enumerated_ensemble(ensembles.clifford_group(1), name="clifford")
+        nested = ensembles.iterate_ensemble(ensembles.iterate_ensemble(base, 2), 2)
+        np.testing.assert_array_equal(
+            ensembles.moment_operator(nested, t, samples=3),
+            ensembles.moment_operator(ensembles.iterate_ensemble(base, 4), t))
+
 
 def kron_moment_reference(e, t, samples):
     """The per-term sum of kron(conj W, W), W = U^(x)t, that the Gram form replaced."""

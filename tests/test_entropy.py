@@ -788,11 +788,6 @@ class TestTruncationRuleMatchesLoops:
 
 
 class TestReports:
-    def test_entropy_report_json_keys(self):
-        rep = entropy.EntropyReport("x", 1.0, "exact", "lower")
-        assert set(rep.to_json()) == {"name", "value_bits", "mode",
-                                      "certified_side"}
-
     def test_smoothing_config_validation(self):
         with pytest.raises(DomainError):
             SmoothingConfig(epsilon=-0.1)

@@ -53,7 +53,6 @@ class TestSystemShape:
         assert shp.dim_of("C") == 5
         assert shp.dim_of_all(["A", "C"]) == 10
         assert shp.drop(["B"]).names == ("A", "C")
-        assert shp.keep(["B"]).names == ("B",)
 
     def test_duplicate_label_rejected(self):
         with pytest.raises(DimensionError):
@@ -273,13 +272,6 @@ class TestSerialization:
 
 
 class TestTensor:
-    def test_matches_kron_chain(self):
-        rng = np.random.default_rng(13)
-        a, b, c = (random_complex(rng, d) for d in (2, 2, 3))
-        np.testing.assert_allclose(
-            linalg.tensor(a, b, c), np.kron(np.kron(a, b), c), atol=0
-        )
-
     def test_hermitian_checks(self):
         h = np.array([[1.0, 1j], [-1j, 2.0]])
         assert linalg.is_hermitian(h)
