@@ -174,6 +174,11 @@ def _checked_ensemble(cfg: ExperimentConfig) -> ensembles.UnitaryEnsemble | None
     if unread:
         raise ConfigError(f"experiment {cfg.experiment!r} does not read "
                           f"{', '.join(f'dims[{k!r}]' for k in unread)}", field="dims")
+    for group in AT_LEAST_TWO.get(cfg.experiment, ()):
+        if math.prod(cfg.dims[k] for k in group) < 2:
+            raise ConfigError(f"experiment {cfg.experiment!r} needs "
+                              f"{' * '.join(f'dims[{k!r}]' for k in group)} >= 2",
+                              field="dims")
     # the random instance, drawn on A, traces A down to dims["b"]
     if drawn == ("a",) and cfg.dims["a"] % cfg.dims.get("b", 1):
         raise ConfigError("dims['b'] must divide dims['a']", field="dims")
@@ -523,6 +528,15 @@ DRIVERS = {
     "typicality": (run_typicality, (), ("x",), None),
     "lipschitz": (run_lipschitz, ("a", "r"), ("b",), ("a",)),
     "moments": (run_moments, ("a", "r"), ("b",), ("a",)),
+}
+
+# experiment: the groups of dims whose product must be at least 2, for the
+# Haar second moment on the drawn dimension and for fqsw's two registers
+AT_LEAST_TWO = {
+    "decouple-tail": (("a",),),
+    "moments": (("a",),),
+    "thermalize": (("s", "e"),),
+    "fqsw": (("a1",), ("a2",)),
 }
 
 

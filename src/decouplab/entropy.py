@@ -408,13 +408,13 @@ def hmax_prime(state: DensitySystem, eps: float) -> tuple[float, DensitySystem]:
     value, keep = hmax_prime_values(spec.values, eps)
     vals = np.where(keep, spec.values, 0.0)
     omega2 = (spec.vectors * vals) @ spec.vectors.conj().T
-    return value, DensitySystem.from_matrix(omega2, state.shape)
+    return value, DensitySystem._derived(omega2, state.shape)
 
 
 def omega_triple_prime(state: DensitySystem, eps: float, delta: float) -> DensitySystem:
     """Zero out eigenvalues below 2^(-(1+delta) * alternate max-entropy)."""
     _, out = _omega_triple_prime(linalg.spectral(state.matrix), eps, delta)
-    return DensitySystem.from_matrix(out, state.shape)
+    return DensitySystem._derived(out, state.shape)
 
 
 def _omega_triple_prime(spec: linalg.Spectrum, eps: float, delta: float

@@ -32,6 +32,8 @@ class DensitySystem:
 
     Normalised states have mass 1; smoothing steps produce subnormalised
     ones, so the mass is stored explicitly and checked against the matrix.
+    Only the constructor and `from_matrix` check; what the package derives
+    from checked operators is PSD by construction and built by `_derived`.
     """
 
     matrix: np.ndarray
@@ -40,6 +42,7 @@ class DensitySystem:
 
     def __post_init__(self):
         m = linalg.as_matrix(self.matrix)
+        object.__setattr__(self, "matrix", m)
         self.shape.check_matrix(m)
         if not linalg.is_hermitian(m, tol=linalg.HERM_TOL):
             raise DomainError("density matrix is not Hermitian within tolerance")
@@ -55,8 +58,17 @@ class DensitySystem:
     @classmethod
     def from_matrix(cls, m: np.ndarray, shape: SystemShape) -> "DensitySystem":
         """Build with the mass read off from the matrix itself."""
-        return cls(matrix=np.asarray(m, dtype=complex), shape=shape,
-                   mass=float(np.real(np.trace(m))))
+        return cls(m, shape, mass=float(np.real(np.trace(m))))
+
+    @classmethod
+    def _derived(cls, m: np.ndarray, shape: SystemShape,
+                 mass: float | None = None) -> "DensitySystem":
+        """The three fields set without the checks; mass defaults to the trace."""
+        if mass is None:
+            mass = float(np.real(np.trace(m)))
+        out = object.__new__(cls)
+        out.__dict__.update(matrix=m, shape=shape, mass=mass)
+        return out
 
     @property
     def dim(self) -> int:
@@ -64,7 +76,7 @@ class DensitySystem:
 
     def partial_trace(self, traced) -> "DensitySystem":
         out = linalg.partial_trace(self.matrix, self.shape, traced)
-        return DensitySystem(out, self.shape.drop(traced), mass=self.mass)
+        return DensitySystem._derived(out, self.shape.drop(traced), self.mass)
 
     def marginal(self, kept) -> "DensitySystem":
         kept = linalg._label_list(kept)
@@ -74,11 +86,12 @@ class DensitySystem:
     def permute(self, order) -> "DensitySystem":
         out = linalg.permute_systems(self.matrix, self.shape, order)
         labels = tuple((n, self.shape.dim_of(n)) for n in order)
-        return DensitySystem(out, SystemShape(labels), mass=self.mass)
+        return DensitySystem._derived(out, SystemShape(labels), self.mass)
 
 
 def maximally_mixed(d: int, label: str = "A") -> DensitySystem:
-    return DensitySystem(np.eye(d, dtype=complex) / d, linalg.shape((label, d)))
+    return DensitySystem._derived(np.eye(d, dtype=complex) / d,
+                                  linalg.shape((label, d)), 1.0)
 
 
 def epr_state(d: int, labels: tuple[str, str] = ("A", "Ap")) -> DensitySystem:
@@ -87,7 +100,7 @@ def epr_state(d: int, labels: tuple[str, str] = ("A", "Ap")) -> DensitySystem:
         raise DimensionError(f"dimension must be positive, got {d}")
     v = np.eye(d, dtype=complex).reshape(-1) / np.sqrt(d)
     shp = linalg.shape((labels[0], d), (labels[1], d))
-    return DensitySystem(np.outer(v, v.conj()), shp)
+    return DensitySystem._derived(np.outer(v, v.conj()), shp, 1.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,7 +162,7 @@ class ChannelStinespring:
 
     def apply(self, state: DensitySystem, block=None, out_label: str = "B") -> DensitySystem:
         out, new_shape = self.apply_matrix(state.matrix, state.shape, block, out_label)
-        return DensitySystem.from_matrix(out, new_shape)
+        return DensitySystem._derived(out, new_shape)
 
     def apply_adjoint_matrix(
         self,
@@ -223,7 +236,7 @@ def choi_amplitudes(t: ChannelStinespring) -> np.ndarray:
 def choi_state(t: ChannelStinespring) -> DensitySystem:
     """(T (x) id) applied to the maximally entangled state, on labels (B, Ap)."""
     m = choi_amplitudes(t)
-    return DensitySystem.from_matrix(
+    return DensitySystem._derived(
         m @ m.conj().T, linalg.shape(("B", t.b_dim), ("Ap", t.a_dim)))
 
 
@@ -304,7 +317,7 @@ def random_density(dim: int, rng: np.random.Generator,
 
 def random_state(shape: SystemShape, rng: np.random.Generator,
                  rank: int | None = None) -> DensitySystem:
-    return DensitySystem(random_density(shape.dim, rng, rank), shape)
+    return DensitySystem._derived(random_density(shape.dim, rng, rank), shape, 1.0)
 
 
 def random_pure_vector(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -361,4 +361,4 @@ def _tensor_power_bipartite(omega: DensitySystem, n: int) -> DensitySystem:
     order = [f"{a_name}{i}" for i in range(n)] + [f"{b_name}{i}" for i in range(n)]
     big = linalg.permute_systems(big, shp, order)
     grouped = linalg.shape(("A", da**n), ("B", db**n))
-    return DensitySystem.from_matrix(big, grouped)
+    return DensitySystem._derived(big, grouped)

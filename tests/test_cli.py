@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import decouplab
-from decouplab import cli, ensembles
+from decouplab import cli, ensembles, quantum
 from decouplab.errors import ConfigError
 
 
@@ -399,6 +399,48 @@ class TestRunArtifacts:
         err = capsys.readouterr().err
         assert err.count("(key: dims)") == 2 and err.count(f"does not read dims[{key}]") == 2
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("payload, key", [
+        ({"experiment": "decouple-tail", "dims": {"a": 1, "r": 2}}, "dims['a']"),
+        ({"experiment": "moments", "dims": {"a": 1, "r": 2}}, "dims['a']"),
+        ({"experiment": "thermalize", "dims": {"s": 1, "e": 1, "r": 2}},
+         "dims['s'] * dims['e']"),
+        ({"experiment": "fqsw", "dims": {"a1": 1, "a2": 4, "r": 2}}, "dims['a1']"),
+    ], ids=["decouple-tail", "moments", "thermalize", "fqsw"])
+    def test_dims_outside_the_closed_forms(self, tmp_path, capsys, payload, key):
+        # the Haar second moment needs |A| >= 2 and fqsw two registers of at
+        # least 2, which the dims decide before any compute
+        p = write_config(tmp_path, samples=3, **payload)
+        assert cli.main(["validate", str(p)]) == 2
+        assert cli.main(["run", str(p), "--output-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("(key: dims)") == 2 and err.count(f"needs {key} >= 2") == 2
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("payload", [
+        {"experiment": "lipschitz", "dims": {"a": 1, "r": 2}},
+        {"experiment": "decouple-expect", "dims": {"a": 1, "r": 2}},
+        {"experiment": "thermalize", "dims": {"s": 1, "e": 2, "r": 2}},
+    ], ids=["lipschitz", "decouple-expect", "thermalize"])
+    def test_dims_inside_the_closed_forms(self, tmp_path, payload):
+        p = write_config(tmp_path, samples=3, **payload)
+        assert cli.main(["validate", str(p)]) == 0
+        assert cli.main(["run", str(p), "--output-dir", str(tmp_path / "out")]) == 0
+
+    @pytest.mark.parametrize("payload", [
+        {"experiment": "decouple-tail", "dims": {"a": 4, "r": 2, "b": 2},
+         "epsilon": 0.05, "delta": 0.1},
+        {"experiment": "fqsw", "dims": {"a1": 2, "a2": 4, "r": 2}},
+    ], ids=["decouple-tail", "fqsw"])
+    def test_runs_no_density_check(self, tmp_path, monkeypatch, payload):
+        # a run builds its state with random_state and derives every other
+        # operator from it, so DensitySystem's eigen-check never runs
+        counted = []
+        monkeypatch.setattr(quantum.DensitySystem, "__post_init__",
+                            lambda self: counted.append(self.shape))
+        p = write_config(tmp_path, samples=3, **payload)
+        assert cli.main(["run", str(p), "--output-dir", str(tmp_path / "out")]) == 0
+        assert counted == []
 
     def test_design_verify_nested_clifford_iterate_is_exact(self, tmp_path):
         # iterated(iterated(Clifford(1), 2), 2) is as exact as its flat iterate

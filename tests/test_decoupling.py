@@ -691,6 +691,25 @@ class TestPrepareMatchesSequence:
         decoupling.prepare(random_instance(6, da=16, db=4, dr=4, cfg=cfg))
         assert len(counted) == calls
 
+    @pytest.mark.parametrize("cfg", [SmoothingConfig(),
+                                     SmoothingConfig(epsilon=0.05, delta=0.1)],
+                             ids=["eps0", "smoothed"])
+    def test_no_density_check(self, monkeypatch, cfg):
+        # every operator prepare builds is derived from the checked state,
+        # so the eigen-check of DensitySystem's constructor runs only there
+        counted = []
+        real = DensitySystem.__post_init__
+
+        def post_init(self):
+            counted.append(self.shape)
+            real(self)
+
+        monkeypatch.setattr(DensitySystem, "__post_init__", post_init)
+        DensitySystem(np.eye(2, dtype=complex) / 2, shape(("A", 2)))
+        assert len(counted) == 1
+        decoupling.prepare(random_instance(6, cfg=cfg))
+        assert len(counted) == 1
+
     @pytest.mark.parametrize("cfg,povms", [(SmoothingConfig(), 0),
                                            (SmoothingConfig(epsilon=0.05, delta=0.1), 1)],
                              ids=["eps0", "smoothed"])

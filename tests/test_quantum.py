@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from decouplab import linalg, quantum
+from decouplab import decoupling, entropy, linalg, quantum
+from decouplab.entropy import SmoothingConfig
 from decouplab.errors import ComputationError, DimensionError, DomainError
 from decouplab.linalg import shape
 from decouplab.quantum import ChannelStinespring, DensitySystem
@@ -38,6 +39,33 @@ class TestDensitySystem:
     def test_rejects_wrong_trace(self):
         with pytest.raises(DomainError):
             DensitySystem(np.eye(2, dtype=complex), shape(("A", 2)))
+
+    @pytest.mark.parametrize("m", [
+        np.array([[0.5, 0.5], [0.0, 0.5]]),
+        np.diag([1.5, -0.5]).astype(complex),
+        np.eye(3, dtype=complex) / 3,
+    ], ids=["non-hermitian", "negative", "wrong-size"])
+    def test_from_matrix_rejects(self, m):
+        # from_matrix reads the mass off the trace, so a shape mismatch
+        # stands in for the constructor's wrong-trace case
+        with pytest.raises((DomainError, DimensionError)):
+            DensitySystem.from_matrix(m, shape(("A", 2)))
+
+    @pytest.mark.parametrize("m", [[[0.5, 0.0], [0.0, 0.5]], np.eye(2) / 2],
+                             ids=["list", "real"])
+    def test_stores_the_checked_complex_array(self, m):
+        rho = DensitySystem(m, shape(("A", 2)))
+        assert isinstance(rho.matrix, np.ndarray) and rho.matrix.dtype == complex
+        np.testing.assert_array_equal(rho.matrix, np.eye(2) / 2)
+
+    def test_list_state_reaches_h2_and_f(self):
+        m = (np.kron(np.diag([0.7, 0.3]), np.eye(2) / 2)).tolist()
+        rho = DensitySystem(m, shape(("A", 2), ("B", 2)))
+        assert np.isfinite(entropy.h2_conditional(rho, SmoothingConfig(), given="B"))
+        inst = decoupling.DecouplingInstance(
+            rho=DensitySystem(m, shape(("A", 2), ("R", 2))),
+            channel=quantum.identity_channel(2), cfg=SmoothingConfig())
+        assert decoupling.f_value(inst, np.eye(2)) >= 0.0
 
     def test_marginals_of_product(self):
         rng = np.random.default_rng(0)
