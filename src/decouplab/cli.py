@@ -59,10 +59,11 @@ class ExperimentConfig:
             raise ConfigError("samples must be a positive integer", field="samples")
         if self.seed < 0:
             raise ConfigError("seed must be nonnegative", field="seed")
-        if self.epsilon < 0 or self.delta < 0:
-            raise ConfigError("epsilon and delta must be nonnegative",
-                              field="epsilon" if self.epsilon < 0 else "delta")
-        if self.kappa <= 0:
+        if not 0 <= self.epsilon < 1:
+            raise ConfigError("epsilon must sit in [0, 1)", field="epsilon")
+        if not 0 <= self.delta:
+            raise ConfigError("delta must be nonnegative", field="delta")
+        if not self.kappa > 0:
             raise ConfigError("kappa must be positive", field="kappa")
         if self.t < 1:
             raise ConfigError("moment order t must be at least 1", field="t")
@@ -165,7 +166,7 @@ def _checked_ensemble(cfg: ExperimentConfig) -> ensembles.UnitaryEnsemble | None
     """Every check a run makes before it computes; returns the ensemble its
     driver draws from, built: the descriptor's, else Haar on the drawn
     dimension, and None for an experiment that draws nothing."""
-    _, needs, optional, drawn = DRIVERS[cfg.experiment]
+    _, needs, optional, drawn, at_least_two = DRIVERS[cfg.experiment]
     for key in needs:
         if key not in cfg.dims:
             raise ConfigError(f"experiment {cfg.experiment!r} needs dims[{key!r}]",
@@ -174,11 +175,16 @@ def _checked_ensemble(cfg: ExperimentConfig) -> ensembles.UnitaryEnsemble | None
     if unread:
         raise ConfigError(f"experiment {cfg.experiment!r} does not read "
                           f"{', '.join(f'dims[{k!r}]' for k in unread)}", field="dims")
-    for group in AT_LEAST_TWO.get(cfg.experiment, ()):
+    for group in at_least_two:
         if math.prod(cfg.dims[k] for k in group) < 2:
             raise ConfigError(f"experiment {cfg.experiment!r} needs "
                               f"{' * '.join(f'dims[{k!r}]' for k in group)} >= 2",
                               field="dims")
+    # a config's epsilon sits below 1, so only thermalize's default gets here
+    if _smoothing(cfg).epsilon >= 1:
+        raise ConfigError(f"thermalize without epsilon or delta smooths at epsilon "
+                          f"= kappa^2 / 60, which kappa = {cfg.kappa} takes to 1 "
+                          f"or more", field="kappa")
     # the random instance, drawn on A, traces A down to dims["b"]
     if drawn == ("a",) and cfg.dims["a"] % cfg.dims.get("b", 1):
         raise ConfigError("dims['b'] must divide dims['a']", field="dims")
@@ -201,6 +207,9 @@ def _checked_ensemble(cfg: ExperimentConfig) -> ensembles.UnitaryEnsemble | None
 
 
 def _smoothing(cfg: ExperimentConfig) -> SmoothingConfig:
+    """The config's smoothing radii, or thermalize's default when it sets neither."""
+    if cfg.experiment == "thermalize" and cfg.epsilon == cfg.delta == 0:
+        return decoupling.thermal_smoothing(cfg.kappa)
     return SmoothingConfig(epsilon=cfg.epsilon, delta=cfg.delta)
 
 
@@ -335,9 +344,8 @@ def run_thermalize(cfg: ExperimentConfig, ens):
     s, e, r = cfg.dims["s"], cfg.dims["e"], cfg.dims["r"]
     rng = np.random.default_rng(cfg.seed)
     rho = quantum.random_state(linalg.shape(("Om", s * e), ("R", r)), rng)
-    smoothing = _smoothing(cfg) if cfg.epsilon > 0 or cfg.delta > 0 else None
     us = ens.sample_batch(range(cfg.samples))
-    report = decoupling.thermalization_check(rho, s, e, cfg.kappa, us, cfg=smoothing)
+    report = decoupling.thermalization_check(rho, s, e, cfg.kappa, us, cfg=_smoothing(cfg))
     distances = np.array(report.pop("distances"))
     report["anchors"] = {
         "epsilon_default": "kappa^2 / 60",
@@ -516,27 +524,20 @@ def run_moments(cfg: ExperimentConfig, ens):
 
 
 # experiment: (driver, the dims it needs, the other dims it may read, the
-# dims whose product is the dimension it draws on: () for any, which needs a
-# descriptor; None for no draws)
+# dims whose product is the dimension it draws on, the groups of dims whose
+# product must be at least 2). The drawn dims are () for any, which needs a
+# descriptor, and None for no draws; the groups keep the Haar second moment
+# on the drawn dimension and fqsw's two registers in their closed forms.
 DRIVERS = {
-    "decouple-expect": (run_decouple_expect, ("a", "r"), ("b",), ("a",)),
-    "decouple-tail": (run_decouple_tail, ("a", "r"), ("b",), ("a",)),
-    "fqsw": (run_fqsw, ("a1", "a2", "r"), (), ("a1", "a2")),
-    "thermalize": (run_thermalize, ("s", "e", "r"), (), ("s", "e")),
-    "design-verify": (run_design_verify, (), (), ()),
-    "entropy": (run_entropy, ("a", "b"), (), None),
-    "typicality": (run_typicality, (), ("x",), None),
-    "lipschitz": (run_lipschitz, ("a", "r"), ("b",), ("a",)),
-    "moments": (run_moments, ("a", "r"), ("b",), ("a",)),
-}
-
-# experiment: the groups of dims whose product must be at least 2, for the
-# Haar second moment on the drawn dimension and for fqsw's two registers
-AT_LEAST_TWO = {
-    "decouple-tail": (("a",),),
-    "moments": (("a",),),
-    "thermalize": (("s", "e"),),
-    "fqsw": (("a1",), ("a2",)),
+    "decouple-expect": (run_decouple_expect, ("a", "r"), ("b",), ("a",), ()),
+    "decouple-tail": (run_decouple_tail, ("a", "r"), ("b",), ("a",), (("a",),)),
+    "fqsw": (run_fqsw, ("a1", "a2", "r"), (), ("a1", "a2"), (("a1",), ("a2",))),
+    "thermalize": (run_thermalize, ("s", "e", "r"), (), ("s", "e"), (("s", "e"),)),
+    "design-verify": (run_design_verify, (), (), (), ()),
+    "entropy": (run_entropy, ("a", "b"), (), None, ()),
+    "typicality": (run_typicality, (), ("x",), None, ()),
+    "lipschitz": (run_lipschitz, ("a", "r"), ("b",), ("a",), ()),
+    "moments": (run_moments, ("a", "r"), ("b",), ("a",), (("a",),)),
 }
 
 

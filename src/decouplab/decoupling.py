@@ -317,9 +317,10 @@ def tail_parameters(inst: DecouplingInstance, w: Weights, kappa: float,
 
 def applicable_tail(inst: DecouplingInstance, w: Weights, kappa: float,
                     mu: float) -> TailParameters | None:
-    """`tail_parameters` at the mean bound mu, or None when mu >= 1, where
-    the tail statement says nothing."""
-    return tail_parameters(inst, w, kappa, mu) if mu < 1.0 else None
+    """`tail_parameters` at the mean bound mu, or None when mu >= 1 or
+    delta >= 1/3, where the tail statement says nothing."""
+    applies = mu < 1.0 and inst.cfg.delta < 1.0 / 3.0
+    return tail_parameters(inst, w, kappa, mu) if applies else None
 
 
 def mu_squared_clause(a: float, e_g2: float, da: int, hmax_prime_val: float,
@@ -397,6 +398,11 @@ def fqsw_log2_lambda_sandwich(a1: int, a2: int, h2: float,
     return (t * (math.log2(0.008) + log2_base), t * log2_base)
 
 
+def thermal_smoothing(kappa: float) -> SmoothingConfig:
+    """The thermalisation statement's smoothing, epsilon = kappa^2 / 60."""
+    return SmoothingConfig(epsilon=kappa * kappa / 60.0, delta=0.0)
+
+
 def thermalization_check(rho: DensitySystem, s_dim: int, e_dim: int,
                          kappa: float, us: np.ndarray,
                          cfg: SmoothingConfig | None = None,
@@ -425,7 +431,7 @@ def thermalization_check(rho: DensitySystem, s_dim: int, e_dim: int,
     if np.ndim(us) != 3 or not len(us) or np.shape(us)[1:] != (d_omega, d_omega):
         raise DimensionError(f"us must be a nonempty stack of {d_omega} x {d_omega} unitaries")
     if cfg is None:
-        cfg = SmoothingConfig(epsilon=kappa * kappa / 60.0, delta=0.0)
+        cfg = thermal_smoothing(kappa)
     inst = DecouplingInstance(rho=rho, channel=channel, cfg=cfg,
                               a_labels=(omega_label,))
     w = prepare(inst)

@@ -16,7 +16,6 @@ of one.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import operator
@@ -42,16 +41,14 @@ _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _PCG64_MULT = (2549297995355413924 << 64) + 4865540595714422341
 
 
-@functools.lru_cache(maxsize=None)
 def _hash_constants(init: int, mult: int, count: int):
-    """The read-only (xor, multiplier) columns of `count` successive hashmix
+    """The (xor, multiplier) columns of `count` successive hashmix
     calls: each call xors with the running constant, advances it, then
     multiplies by the new one."""
     consts = [init]
     for _ in range(count):
         consts.append(consts[-1] * mult & _MASK32)
     c = np.array(consts, dtype=np.uint32)[:, None]
-    c.flags.writeable = False
     return c[:-1], c[1:]
 
 
@@ -437,9 +434,8 @@ class DesignReport:
         }
 
 
-@functools.lru_cache(maxsize=None)
 def _isotypic(dim: int, t: int) -> tuple[np.ndarray, ...]:
-    """Read-only real orthonormal bases Q_k, each (dim^t, n_k), of the
+    """Real orthonormal bases Q_k, each (dim^t, n_k), of the
     eigenspaces of the transposition class sum C = sum_(i<j) P_(ij) on
     (C^dim)^(x)t.
 
@@ -457,12 +453,7 @@ def _isotypic(dim: int, t: int) -> tuple[np.ndarray, ...]:
         c[np.arange(d_t), idx.transpose(axes).ravel()] += 1.0
     vals, vecs = np.linalg.eigh(c)
     keys = np.round(vals)
-    groups = []
-    for key in np.unique(keys):
-        q = np.ascontiguousarray(vecs[:, keys == key])
-        q.flags.writeable = False
-        groups.append(q)
-    return tuple(groups)
+    return tuple(np.ascontiguousarray(vecs[:, keys == key]) for key in np.unique(keys))
 
 
 def _gap_blocks(gap: np.ndarray, dim: int, t: int):

@@ -369,16 +369,17 @@ def hmin_smooth(x, eps: float) -> float:
     total = float(vals.sum())
     if eps >= total:
         raise DomainError("epsilon at least the total mass leaves an empty ball point")
-    prefix = 0.0
-    for j in range(1, vals.size + 1):
-        prefix += vals[j - 1]
-        c = (prefix - eps) / j
-        lo = vals[j] if j < vals.size else 0.0
-        if lo - 1e-15 <= c <= vals[j - 1] + 1e-15:
-            if c <= 0:
-                raise DomainError("clip level collapsed to zero")
-            return float(-math.log2(c))
-    raise DomainError("no valid clip level found")
+    # the level of clipping the j largest eigenvalues, and the first j whose
+    # level sits between the j-th and the (j+1)-th
+    levels = (np.cumsum(vals) - eps) / np.arange(1, vals.size + 1)
+    below = np.append(vals[1:], 0.0)
+    fits = np.flatnonzero((below - 1e-15 <= levels) & (levels <= vals + 1e-15))
+    if not fits.size:
+        raise DomainError("no valid clip level found")
+    c = levels[fits[0]]
+    if c <= 0:
+        raise DomainError("clip level collapsed to zero")
+    return float(-math.log2(c))
 
 
 def hmax_prime_values(values: np.ndarray, eps: float) -> tuple[float, np.ndarray]:

@@ -267,11 +267,8 @@ def swap_operator(d: int) -> np.ndarray:
     """The flip F |i>|j> = |j>|i> on a d x d bipartite space."""
     if d < 1:
         raise DimensionError(f"dimension must be positive, got {d}")
-    f = np.zeros((d * d, d * d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            f[j * d + i, i * d + j] = 1.0
-    return f
+    # the identity with its two output factors exchanged
+    return np.eye(d * d, dtype=complex).reshape(d, d, d * d).transpose(1, 0, 2).reshape(d * d, d * d)
 
 
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -148,17 +148,8 @@ class ChannelStinespring:
         block: tuple[str, ...] | None = None,
         out_label: str = "B",
     ) -> tuple[np.ndarray, SystemShape]:
-        """Apply to the named block of an arbitrary matrix on shp.
-
-        The output label comes first, followed by the untouched labels in
-        their original order.
-        """
-        block = _resolve_block(shp, self.a_dim, block)
-        rest = [n for n in shp.names if n not in block]
-        ordered = linalg.permute_systems(m, shp, list(block) + rest)
-        out = conjugate_trace_z(self.v[None], ordered, self.b_dim)[0]
-        labels = ((out_label, self.b_dim),) + tuple((n, shp.dim_of(n)) for n in rest)
-        return out, SystemShape(labels)
+        """Apply to the named block of an arbitrary matrix on shp."""
+        return _apply_on_block(self.v, self.b_dim, m, shp, block, out_label)
 
     def apply(self, state: DensitySystem, block=None, out_label: str = "B") -> DensitySystem:
         out, new_shape = self.apply_matrix(state.matrix, state.shape, block, out_label)
@@ -172,15 +163,21 @@ class ChannelStinespring:
         out_label: str = "A",
     ) -> tuple[np.ndarray, SystemShape]:
         """Adjoint map T^dag(N) = v^dag (N (x) I^Z) v."""
-        block = _resolve_block(shp, self.b_dim, block)
-        rest = [n for n in shp.names if n not in block]
-        ordered = linalg.permute_systems(m, shp, list(block) + rest)
         # the Kraus operators K_z = <z| v taken as one map B -> A (x) Z, daggered
         da, db, dz = self.a_dim, self.b_dim, self.z_dim
         w = self.v.reshape(db, dz, da).transpose(2, 1, 0).conj().reshape(da * dz, db)
-        out = conjugate_trace_z(w[None], ordered, da)[0]
-        labels = ((out_label, da),) + tuple((n, shp.dim_of(n)) for n in rest)
-        return out, SystemShape(labels)
+        return _apply_on_block(w, da, m, shp, block, out_label)
+
+
+def _apply_on_block(w, out_dim, m, shp, block, out_label):
+    """Tr_Z[w m w^dag] on the block of m that w: block -> out (x) Z acts on; the
+    output label comes first, then the untouched labels in their order."""
+    block = _resolve_block(shp, w.shape[1], block)
+    rest = [n for n in shp.names if n not in block]
+    ordered = linalg.permute_systems(m, shp, list(block) + rest)
+    out = conjugate_trace_z(w[None], ordered, out_dim)[0]
+    labels = ((out_label, out_dim),) + tuple((n, shp.dim_of(n)) for n in rest)
+    return out, SystemShape(labels)
 
 
 def conjugate_trace_z(ms: np.ndarray, x: np.ndarray, b_dim: int) -> np.ndarray:

@@ -79,9 +79,17 @@ def enumerate_types(n: int, alphabet: int) -> TypeTable:
     edges = np.hstack([np.full((total, 1), -1), bars, np.full((total, 1), slots)])
     counts = np.diff(edges, axis=1) - 1
     counts.flags.writeable = False
-    fact = list(itertools.accumulate(range(1, n + 1), operator.mul, initial=1))
-    sizes = tuple(fact[n] // math.prod(fact[c] for c in row) for row in counts.tolist())
-    return TypeTable(counts, sizes)
+    return TypeTable(counts, tuple(map(_class_size, counts.tolist())))
+
+
+def _class_size(counts) -> int:
+    """n! / prod_j c_j!, the number of sequences of one type, as the product
+    of the binomials C(c_1 + ... + c_j, c_j)."""
+    size, total = 1, 0
+    for c in counts:
+        total += c
+        size *= math.comb(total, c)
+    return size
 
 
 def _type_probs(counts: np.ndarray, probs: tuple[float, ...]) -> np.ndarray:
@@ -147,10 +155,7 @@ def _check_float_range(counts: list[int]):
     if bits < 1023:
         return
     if bits <= 1025:
-        size, total = 1, 0
-        for c in counts:
-            total += c
-            size *= math.comb(total, c)
+        size = _class_size(counts)
         try:
             float(size)
             return

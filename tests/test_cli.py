@@ -417,6 +417,45 @@ class TestRunArtifacts:
         assert err.count("(key: dims)") == 2 and err.count(f"needs {key} >= 2") == 2
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("payload, key", [
+        ({"experiment": "decouple-tail", "dims": {"a": 2, "r": 2}}, "epsilon"),
+        ({"experiment": "entropy", "dims": {"a": 2, "b": 2}}, "epsilon"),
+        ({"experiment": "fqsw", "dims": {"a1": 2, "a2": 2, "r": 2}}, "epsilon"),
+        ({"experiment": "lipschitz", "dims": {"a": 2, "r": 2}}, "epsilon"),
+        ({"experiment": "moments", "dims": {"a": 2, "r": 2}}, "epsilon"),
+        ({"experiment": "thermalize", "dims": {"s": 2, "e": 2, "r": 2}}, "epsilon"),
+        ({"experiment": "typicality", "probs": [0.5, 0.5], "n": 4}, "epsilon"),
+        ({"experiment": "thermalize", "dims": {"s": 2, "e": 2, "r": 2},
+          "epsilon": 0.0, "kappa": 8}, "kappa"),
+        ({"experiment": "entropy", "dims": {"a": 2, "b": 2}, "epsilon": math.nan},
+         "epsilon"),
+        ({"experiment": "thermalize", "dims": {"s": 2, "e": 2, "r": 2},
+          "epsilon": 0.0, "kappa": math.nan}, "kappa"),
+    ], ids=["decouple-tail", "entropy", "fqsw", "lipschitz", "moments", "thermalize",
+            "typicality", "thermalize-default-kappa8", "entropy-nan",
+            "thermalize-kappa-nan"])
+    def test_epsilon_outside_the_ball(self, tmp_path, capsys, payload, key):
+        # epsilon >= 1 or NaN, given or thermalize's default kappa^2 / 60,
+        # leaves nothing to smooth inside the ball, which the config decides
+        p = write_config(tmp_path, samples=3, **{"epsilon": 1.0, **payload})
+        assert cli.main(["validate", str(p)]) == 2
+        assert cli.main(["run", str(p), "--output-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.count(f"(key: {key})") == 2
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("payload", [
+        {"experiment": "decouple-tail", "dims": {"a": 3, "r": 3, "b": 3}, "samples": 1},
+        {"experiment": "fqsw", "dims": {"a1": 2, "a2": 4, "r": 2}, "samples": 3},
+        {"experiment": "thermalize", "dims": {"s": 2, "e": 2, "r": 2}, "samples": 3},
+    ], ids=["decouple-tail", "fqsw", "thermalize"])
+    def test_delta_past_a_third_has_no_tail(self, tmp_path, payload):
+        # the tail statement needs delta < 1/3, whatever the draws give
+        p = write_config(tmp_path, delta=1.0, **payload)
+        assert cli.main(["validate", str(p)]) == 0
+        assert cli.main(["run", str(p), "--output-dir", str(tmp_path / "out")]) == 0
+        assert json.loads((tmp_path / "out" / "summary.json").read_text())["tail"] is None
+
     @pytest.mark.parametrize("payload", [
         {"experiment": "lipschitz", "dims": {"a": 1, "r": 2}},
         {"experiment": "decouple-expect", "dims": {"a": 1, "r": 2}},

@@ -470,11 +470,6 @@ class TestIsotypicBlocks:
                 wq = w @ qk
                 np.testing.assert_allclose(wq - qk @ (qk.T @ wq), 0, atol=1e-12)
 
-    def test_groups_cached_read_only(self):
-        groups = ensembles._isotypic(2, 3)
-        assert ensembles._isotypic(2, 3) is groups
-        assert not any(q.flags.writeable for q in groups)
-
     # haar-3 at t = 3, pauli-2 and circuit-2 at t = 2 are cases of
     # TestDesignDiagnostics.test_degree_t_matches_every_degree; haar-2 at
     # t = 4 has the groups (4), (3,1), (2,2), the last two with multiplicity
