@@ -26,8 +26,8 @@ print("\nH(AB)   =", round(entropy.shannon(rho), 6))
 print("H(A|B)  =", round(entropy.shannon(rho, given="B"), 6))
 
 # Conditional collision entropy: a feasible smoothing point certifies a
-# lower bound. The minimized weight mode searches the weight simplex and
-# can only improve on the fixed marginal.
+# lower bound. The minimized weight mode solves for the best weight on each
+# support by a certified fixed point and can only improve on the fixed marginal.
 cfg = SmoothingConfig(epsilon=eps, delta=0.1)
 fixed = entropy.h2_conditional(rho, cfg, "fixed_marginal", given="B")
 mini = entropy.h2_conditional(rho, cfg, "minimized", given="B")

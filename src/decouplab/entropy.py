@@ -14,9 +14,10 @@ positive eigenvalue removes only nonnegative terms from the weighted
 2-norm and from the support leak (see `_truncation_candidates`). Every
 weight the search considers is diagonal in the conditioning marginal's
 eigenbasis, so each is scored by a closed form over tables of these points
-built once per call. Only the winner is weighed: its point is conjugated by
-the weight's -1/4 power through a contraction on the conditioning labels,
-and the value reported is that dense point's.
+built once per call. The minimized weight is a fixed point with a certified
+gap (`_collision_fixed_point`). Only the winner is weighed: its point is
+conjugated by the weight's -1/4 power through a contraction on the
+conditioning labels, and the value reported is that dense point's.
 """
 
 from __future__ import annotations
@@ -35,9 +36,8 @@ from .quantum import DensitySystem
 RANK_FLOOR = 1e-12
 # marginal mass off the weight's support that a feasible point may carry
 LEAK_TOLERANCE = 1e-10
-# budget of each Nelder-Mead search over the weight simplex
-MINIMIZER_ITERATIONS = 200
-MINIMIZER_TOLERANCE = 1e-8
+# certified gap, in bits, at which a minimized weight's fixed point stops
+GAP_TOLERANCE = 1e-14
 
 
 @dataclass(frozen=True)
@@ -170,7 +170,13 @@ class H2Witness(NamedTuple):
 
 def h2_with_witness(rho: DensitySystem, cfg: SmoothingConfig,
                     weight_mode: str = "fixed_marginal", given=None) -> H2Witness:
-    """Certified lower bound on the smoothed conditional collision entropy."""
+    """Certified lower bound on the smoothed conditional collision entropy.
+
+    "minimized" adds to the marginal weight, for each point's table on each
+    support K (the marginal's less its k smallest directions, k < rank), the
+    weight on K that `_collision_fixed_point` finds best for that table; the
+    projection of rho onto K shares rho's table.
+    """
     if weight_mode not in ("fixed_marginal", "minimized"):
         raise DomainError(f"unknown weight mode {weight_mode!r}")
     given = rho.shape.names[-1] if given is None else given
@@ -179,84 +185,76 @@ def h2_with_witness(rho: DensitySystem, cfg: SmoothingConfig,
 
     marg = rho.marginal(given_list).matrix
     marg_spec = linalg.spectral(marg)
-    support = _above_rank_floor(marg_spec.values)
-    rank = int(support.sum())
+    rank = int(_above_rank_floor(marg_spec.values).sum())
     if rank < marg.shape[0]:
         warnings.append("conditioning marginal is rank deficient; "
                         "weights restricted to its support")
-    basis = marg_spec.vectors[:, support]
-
+    vecs = marg_spec.vectors
     points = _truncation_candidates(rho, cfg.epsilon)
-    score = _closed_form_score(rho, cfg.epsilon, given_list, marg_spec.vectors, points)
+    score, tables = _closed_form_score(rho, cfg.epsilon, given_list, vecs, points)
     candidates: list[tuple[float, np.ndarray, np.ndarray, np.ndarray]] = []
 
     def consider(weight: np.ndarray, p: np.ndarray):
-        """Record the weight marg_spec.vectors diag(p) (same)^dag at its best point."""
+        """Record the weight vecs diag(p) vecs^dag at its best point."""
         value, sigma = score(p)
         if sigma is not None:
             candidates.append((value, sigma, weight, p))
 
-    def on_support(probs: np.ndarray) -> np.ndarray:
-        p = np.zeros_like(marg_spec.values)
-        p[support] = probs
-        return p
-
     consider(marg, marg_spec.values)
 
     if weight_mode == "minimized":
-        # imported here: scipy.optimize costs most of a fresh process's import time
-        from scipy.optimize import minimize
-
-        def full(free: np.ndarray) -> np.ndarray:
-            """The support logits with the last one pinned at 0: softmax is
-            constant along (1, ..., 1), so rank - 1 logits span the simplex."""
-            return np.append(free, 0.0)
-
-        sup_vals = marg_spec.values[support]
-        for start in (np.log(np.clip(sup_vals, 1e-12, None)), np.zeros(rank)):
-            consider(_simplex_weight(basis, start), on_support(_simplex_probs(start)))
-            if rank > 1:
-                res = minimize(
-                    lambda x: -score(on_support(_simplex_probs(full(x))))[0],
-                    start[:-1] - start[-1],
-                    method="Nelder-Mead",
-                    options={
-                        "maxiter": MINIMIZER_ITERATIONS,
-                        "fatol": MINIMIZER_TOLERANCE,
-                        "xatol": MINIMIZER_TOLERANCE,
-                    },
-                )
-                x = full(res.x)
-                consider(_simplex_weight(basis, x), on_support(_simplex_probs(x)))
-        # renormalised truncations of the marginal spectrum as extra starts
-        asc = np.argsort(sup_vals)
-        for k in range(1, rank):
-            kept = np.delete(np.arange(rank), asc[:k])
-            probs = np.zeros(rank)
-            probs[kept] = sup_vals[kept] / sup_vals[kept].sum()
-            w = (basis[:, kept] * probs[kept]) @ basis[:, kept].conj().T
-            consider(w, on_support(probs))
+        # spectral sorts descending: the support is the leading `rank`
+        # directions, and dropping the k smallest keeps the leading rank - k
+        for n in range(rank, 0, -1):
+            start = marg_spec.values[:n] / marg_spec.values[:n].sum()
+            for table in tables:
+                probs, gap = _collision_fixed_point(table[:n, :n], start)
+                if gap > GAP_TOLERANCE:
+                    warnings.append(f"a minimized weight is certified to {gap:.3e} bits only")
+                p = np.zeros_like(marg_spec.values)
+                p[:n] = probs
+                consider((vecs[:, :n] * probs) @ vecs[:, :n].conj().T, p)
 
     if not candidates:
         raise DomainError("no feasible smoothing point found inside the ball")
     _, sigma, weight, p = max(candidates, key=lambda c: c[0])
-    vecs = marg_spec.vectors
     w = (vecs * linalg._power_above_cutoff(p, -0.25)) @ vecs.conj().T
     tilde = _conj_on_labels(sigma, w, rho.shape, given_list)
     value = float(-2.0 * math.log2(linalg.schatten_norm(tilde, 2)))
     return H2Witness(value, sigma, weight, tilde, tuple(warnings))
 
 
-def _simplex_probs(logits) -> np.ndarray:
-    z = np.asarray(logits, dtype=float)
-    z = z - z.max()
-    p = np.exp(z)
-    p /= p.sum()
-    return p
+def _collision_fixed_point(s: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, float]:
+    """The p on the simplex minimising f = q^T s q, q = p^{-1/2}, from the
+    positive start p, and its certified gap in bits.
 
-
-def _simplex_weight(basis: np.ndarray, logits: np.ndarray) -> np.ndarray:
-    return (basis * _simplex_probs(logits)) @ basis.conj().T
+    A point's collision table s is PSD (Schur product theorem) with
+    nonnegative entries, so f is convex and (q' - q)^T s (q' - q) >= 0 gives
+    f(p') >= 2 c.q' - f, c = s q, on the whole simplex. The right side is
+    least, at bound = 2 (sum c^{2/3})^{3/2} - f, for p' proportional to
+    c^{2/3}: that is the next iterate, and f is within a factor 2^gap,
+    gap = log2(f / bound), of the minimum. q -> (s q)^{-1/3} contracts
+    Hilbert's projective metric by 1/3, so the gap falls geometrically; if
+    rounding stops it above GAP_TOLERANCE, the best iterate is returned. A
+    direction the table carries nothing on gets c_k = 0, so p_k = q_k = 0.
+    """
+    best_p, best_gap = p, math.inf
+    while best_gap > GAP_TOLERANCE:
+        q = linalg._power_above_cutoff(p, -0.5)
+        c = s @ q
+        f = float(q @ c)
+        if f <= 0:  # the table carries nothing on this support: every p is optimal
+            return p, 0.0
+        r = c ** (2.0 / 3.0)
+        z = float(r.sum())
+        bound = 2.0 * z ** 1.5 - f
+        gap = math.log2(f / bound) if bound > 0 else math.inf
+        if gap < best_gap:
+            best_p, best_gap = p, gap
+        elif best_gap < math.inf:
+            break
+        p = r / z
+    return best_p, best_gap
 
 
 def _collision_table(sigma: np.ndarray, shp: SystemShape, given_list: list[str],
@@ -289,7 +287,7 @@ def _closed_form_score(rho: DensitySystem, eps: float, given_list: list[str],
     is built, and its ball test run, once per support. Where rho is feasible
     and K holds every q_k > 0 the projection scores exactly as rho does, so
     it is skipped there. The m points' tables are stacked once, as S (m, r, r),
-    d (m, r) and t (m,), so one product scores them all.
+    d (m, r) and t (m,), so one product scores them all; S is returned too.
     """
     s, d, t = (np.array(part) for part in zip(
         *(_collision_table(sig, rho.shape, given_list, basis) for sig in points)))
@@ -325,7 +323,7 @@ def _closed_form_score(rho: DensitySystem, eps: float, given_list: list[str],
         best = live[np.argmin(norms[live])]
         return -math.log2(norms[best]), found[best]
 
-    return score
+    return score, s
 
 
 def h2_conditional(rho: DensitySystem, cfg: SmoothingConfig,

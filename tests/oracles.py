@@ -36,6 +36,20 @@ def conj_by_inverse_quarter(m, shp, weight, labels):
     return w @ m @ w
 
 
+def simplex_probs(logits):
+    """softmax(logits), the weight simplex's points as the minimized search
+    once parametrised them."""
+    z = np.asarray(logits, dtype=float)
+    z = z - z.max()
+    p = np.exp(z)
+    p /= p.sum()
+    return p
+
+
+def simplex_weight(basis, logits):
+    return (basis * simplex_probs(logits)) @ basis.conj().T
+
+
 def truncation_candidates(rho, eps):
     """rho, then its spectral truncations dropping one more of the smallest
     positive eigenvalues each, while their mass stays within eps."""

@@ -673,12 +673,22 @@ class TestConsoleEntry:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines() == ["[]", "[]"]
 
-    def test_import_leaves_the_optimizer_unloaded(self):
-        # only the minimized weight mode runs Nelder-Mead, and loading
-        # scipy.optimize is most of a fresh process's import time
+    def test_import_leaves_the_optimizer_unloaded(self, tmp_path):
+        # the runtime is numpy only: the CLI loads no part of scipy, and the
+        # entropy config, which runs the minimized weight, runs with scipy
+        # made unimportable
         proc = subprocess.run(
             [sys.executable, "-c",
-             "import sys, decouplab.cli; sys.exit('scipy.optimize' in sys.modules)"],
+             "import sys, decouplab.cli; "
+             "sys.exit(any(m.split('.')[0] == 'scipy' for m in sys.modules))"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        config = Path(__file__).parents[1] / "demos" / "configs" / "entropy.json"
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; sys.modules['scipy'] = None; from decouplab.cli import main; "
+             "sys.exit(main(sys.argv[1:]))", "run", str(config), "--output-dir", str(tmp_path)],
             capture_output=True, text=True,
         )
         assert proc.returncode == 0, proc.stderr

@@ -10,7 +10,6 @@ import re
 
 import numpy as np
 import pytest
-import scipy.optimize
 from scipy.optimize import minimize
 
 from decouplab import entropy, linalg, quantum
@@ -365,10 +364,16 @@ def _marginal_support(rho, given):
     return spec, support
 
 
+# the budget of each of the per-sigma route's Nelder-Mead searches
+ORACLE_ITERATIONS = 200
+ORACLE_TOLERANCE = 1e-8
+
+
 def per_sigma_h2_with_witness(rho, cfg, weight_mode, given):
     """The search as first written: every truncation is a candidate, every
     candidate sigma re-derives the weight's support projector, its -1/4
-    power and its own marginal, and Nelder-Mead scores each weight densely."""
+    power and its own marginal, and Nelder-Mead over softmax logits scores
+    each weight densely."""
     given = [given] if isinstance(given, str) else list(given)
     warnings = []
     marg = rho.marginal(given).matrix
@@ -391,21 +396,21 @@ def per_sigma_h2_with_witness(rho, cfg, weight_mode, given):
             candidates.append((got[0], got[1], weight))
 
     def objective(x):
-        got = best_over_sigmas(entropy._simplex_weight(basis, np.asarray(x)))
+        got = best_over_sigmas(oracles.simplex_weight(basis, np.asarray(x)))
         return -(-1e6 if got is None else got[0])
 
     consider(marg)
     if weight_mode == "minimized":
         sup_vals = marg_spec.values[support]
         for start in (np.log(np.clip(sup_vals, 1e-12, None)), np.zeros(rank)):
-            consider(entropy._simplex_weight(basis, start))
+            consider(oracles.simplex_weight(basis, start))
             if rank > 1:
                 res = minimize(objective, start, method="Nelder-Mead", options={
-                    "maxiter": entropy.MINIMIZER_ITERATIONS,
-                    "fatol": entropy.MINIMIZER_TOLERANCE,
-                    "xatol": entropy.MINIMIZER_TOLERANCE,
+                    "maxiter": ORACLE_ITERATIONS,
+                    "fatol": ORACLE_TOLERANCE,
+                    "xatol": ORACLE_TOLERANCE,
                 })
-                consider(entropy._simplex_weight(basis, res.x))
+                consider(oracles.simplex_weight(basis, res.x))
         asc = np.argsort(sup_vals)
         for k in range(1, rank):
             kept = np.delete(np.arange(rank), asc[:k])
@@ -449,8 +454,35 @@ def _random_instance(rng, i):
     return quantum.random_state(shp, rng, rank=rank), "B"
 
 
-def _assert_matches_per_sigma_route(rho, given, mode, eps, exact):
+def _count_fixed_point_steps(monkeypatch):
+    """Per fixed-point solve, the number of times it evaluates the score,
+    one q = p^{-1/2} each, the last certifying the p it returns."""
+    steps, inside = [], []
+    real_power, real_solve = linalg._power_above_cutoff, entropy._collision_fixed_point
+
+    def counted_power(values, exponent):
+        if inside:
+            steps[-1] += 1
+        return real_power(values, exponent)
+
+    def counted_solve(s, p):
+        steps.append(0)
+        inside.append(True)
+        try:
+            return real_solve(s, p)
+        finally:
+            inside.pop()
+    monkeypatch.setattr(linalg, "_power_above_cutoff", counted_power)
+    monkeypatch.setattr(entropy, "_collision_fixed_point", counted_solve)
+    return steps
+
+
+def _assert_matches_per_sigma_route(rho, given, mode, eps, exact, at_least=False):
     """The search against the per-sigma route.
+
+    With `at_least`, the value is only at least the route's, less 1e-12
+    relative: the route's Nelder-Mead may stop at its budget short of the
+    optimum that the fixed point certifies, so nothing else need agree.
 
     The value agrees within 1e-12 relative: the search forms the winner's
     weighted point by contraction, the route by kron-embedded products, so
@@ -459,14 +491,17 @@ def _assert_matches_per_sigma_route(rho, given, mode, eps, exact):
     is built by contraction too) and tilde agrees within 1e-12. Otherwise
     sigma agrees within 1e-12, weight and tilde within 1e-6: a shallower
     truncation may tie the deepest one up to rounding (a rank-one state's
-    spurious eigenvalues near 1e-17), and the minimized search is steered by
-    a closed form whose rounding differs, so Nelder-Mead may stop elsewhere
-    within its own xatol. Every reported value is still a dense evaluation.
+    spurious eigenvalues near 1e-17), and the route's Nelder-Mead stops
+    within its own xatol of the minimized weight, which the search reaches by
+    a fixed point. Every reported value is still a dense evaluation.
     """
     cfg = SmoothingConfig(epsilon=eps)
     value, sigma, weight, tilde, warns = entropy.h2_with_witness(rho, cfg, mode, given)
     o_value, o_sigma, o_weight, o_warns = per_sigma_h2_with_witness(rho, cfg, mode, given)
     assert warns == o_warns
+    if at_least:
+        assert value >= o_value - 1e-12 * abs(o_value)
+        return
     given = [given] if isinstance(given, str) else list(given)
     o_tilde = oracles.conj_by_inverse_quarter(o_sigma, rho.shape, o_weight, given)
     assert value == pytest.approx(o_value, rel=1e-12, abs=0)
@@ -490,10 +525,11 @@ class TestSearchMatchesPerSigmaRoute:
     @pytest.mark.parametrize("name", ["random-AB", "rank-deficient", "middle-label",
                                       "leaky-support"])
     def test_bit_identical(self, name, mode, eps):
-        # the same weight and point, bit for bit, except where the minimized
-        # search is steered by the closed form: the rank-deficient marginal
-        # runs no Nelder-Mead, and on the leaky-support instance at eps > 0
-        # it stops where it did
+        # the same weight and point, bit for bit, except where the route's
+        # Nelder-Mead picks the minimized weight: the rank-deficient marginal
+        # has one weight, and on the leaky-support instance at eps > 0 a
+        # one-direction support wins, where the fixed point and the route's
+        # renormalised truncation give the same weight
         rho, given = _pinned_instance(name)
         steered = mode == "minimized" and (
             name in ("random-AB", "middle-label") or (name, eps) == ("leaky-support", 0.0))
@@ -529,8 +565,9 @@ class TestSearchMatchesPerSigmaRoute:
     @pytest.mark.parametrize("eps", [0.0, 0.05, 0.2])
     @pytest.mark.parametrize("d_given", [3, 4])
     def test_random_instances_past_rank_two(self, d_given, eps):
-        """The search on rank - 1 free logits against the oracle's Nelder-Mead
-        on all `rank` logits, where the conditioning marginal has rank 3 or 4."""
+        """The fixed point against the route's Nelder-Mead on `rank` logits,
+        where the conditioning marginal has rank 3 or 4: the route may stop at
+        its budget, so the minimized value need only be at least its."""
         rng = np.random.default_rng(100 * d_given + int(eps * 100))
         for i in range(4):
             labels = ((("A", 2), ("B", d_given)), (("B", d_given), ("A", 2)))[i % 2]
@@ -538,7 +575,8 @@ class TestSearchMatchesPerSigmaRoute:
             rho = quantum.random_state(shp, rng, rank=(shp.dim, shp.dim // 2)[i // 2])
             assert int(_marginal_support(rho, ["B"])[1].sum()) == d_given
             for mode in ("fixed_marginal", "minimized"):
-                _assert_matches_per_sigma_route(rho, "B", mode, eps, exact=False)
+                _assert_matches_per_sigma_route(rho, "B", mode, eps, exact=False,
+                                                at_least=mode == "minimized")
 
     def test_one_weight_decomposition_per_evaluation(self, monkeypatch):
         rho = quantum.random_state(shape(("A", 4), ("B", 2)),
@@ -546,7 +584,6 @@ class TestSearchMatchesPerSigmaRoute:
         cfg = SmoothingConfig(epsilon=0.05)
         assert len(oracles.truncation_candidates(rho, cfg.epsilon)) >= 3
         counts = {"spectral": 0, "partial_trace": 0, "two_norm": 0, "ball_test": 0}
-        nfev = []
 
         def counted(module, name, key, when=lambda *args: True):
             real = getattr(module, name)
@@ -557,21 +594,15 @@ class TestSearchMatchesPerSigmaRoute:
                 return real(*args, **kwargs)
             monkeypatch.setattr(module, name, wrapper)
 
-        real_minimize = scipy.optimize.minimize
-
-        def counted_minimize(*args, **kwargs):
-            res = real_minimize(*args, **kwargs)
-            nfev.append(res.nfev)
-            return res
-
+        steps = _count_fixed_point_steps(monkeypatch)
         counted(linalg, "spectral", "spectral")
         counted(linalg, "partial_trace", "partial_trace")
         counted(linalg, "schatten_norm", "two_norm", lambda m, p: p == 2)
         # the ball test takes the eigenvalues of rho - op rho op, on the full space
         counted(np.linalg, "eigvalsh", "ball_test", lambda m: m.shape == rho.matrix.shape)
-        monkeypatch.setattr(scipy.optimize, "minimize", counted_minimize)
         entropy.h2_with_witness(rho, cfg, "minimized", "B")
-        assert len(nfev) == 2 and sum(nfev) > 100
+        # two supports times two points' tables, the full support's iterating
+        assert len(steps) == 4 and max(steps) > 1
         # the marginal and rho are decomposed, the marginal is traced out once
         # and only the winner's weighted point is formed. The weights of the
         # rank-2 marginal have two supports short of the whole, and each is
@@ -582,25 +613,17 @@ class TestSearchMatchesPerSigmaRoute:
         assert counts["ball_test"] <= 2
 
     def test_evaluation_budget(self, monkeypatch):
-        """Each search runs on rank - 1 free logits: the score is constant
-        along (1, ..., 1), so a full-logit simplex spends one direction on
-        nothing. On this rank-2 instance the full-logit searches took 270
-        evaluations together."""
+        """One fixed point per support and table: on this rank-2 instance the
+        two full-support solves take 8 evaluations of the score each and the
+        one-direction solves 1, where the two Nelder-Mead searches took 123
+        together."""
         rho = quantum.random_state(shape(("A", 4), ("B", 2)),
                                    np.random.default_rng(24))
-        runs = []
-        real_minimize = scipy.optimize.minimize
-
-        def counted_minimize(fun, x0, *args, **kwargs):
-            res = real_minimize(fun, x0, *args, **kwargs)
-            runs.append((np.shape(x0), res.nfev))
-            return res
-
-        monkeypatch.setattr(scipy.optimize, "minimize", counted_minimize)
+        steps = _count_fixed_point_steps(monkeypatch)
         entropy.h2_with_witness(rho, SmoothingConfig(epsilon=0.05, delta=0.1),
                                 "minimized", "B")
-        assert [x0 for x0, _ in runs] == [(1,), (1,)]
-        assert sum(nfev for _, nfev in runs) <= 160
+        assert len(steps) == 4 and steps[2:] == [1, 1]
+        assert sum(steps) <= 20
 
     @pytest.mark.parametrize("eps", [0.0, 0.05])
     def test_live_direction_under_the_rank_floor(self, eps):
@@ -668,7 +691,7 @@ class TestClosedFormScore:
         for rho, given in instances:
             spec, support = _marginal_support(rho, [given])
             basis = spec.vectors[:, support]
-            score = entropy._closed_form_score(
+            score, _ = entropy._closed_form_score(
                 rho, eps, [given], basis, entropy._truncation_candidates(rho, eps))
             sigmas = oracles.truncation_candidates(rho, eps)
             # p_0 / p_max = exp(-spread): 24.5 puts p_0 under the power cutoff
@@ -678,9 +701,9 @@ class TestClosedFormScore:
             for spread in (0.0, 1.0, 5.0, 24.5, 31.0):
                 logits = rng.uniform(-0.5, 0.5, basis.shape[1])
                 logits[0] = logits[1:].max(initial=0.0) - spread
-                weight = entropy._simplex_weight(basis, logits)
+                weight = oracles.simplex_weight(basis, logits)
                 want = _per_sigma_best(rho, eps, sigmas, weight, [given])
-                got, point = score(entropy._simplex_probs(logits))
+                got, point = score(oracles.simplex_probs(logits))
                 if want is None:
                     infeasible += 1
                     assert got == -1e6 and point is None
@@ -690,6 +713,110 @@ class TestClosedFormScore:
                     assert dense == pytest.approx(want[0], rel=1e-12, abs=1e-12)
         if eps == 0.0:
             assert infeasible > 0  # the leaky-support instance reaches -1e6
+
+
+def _table_score(s, p):
+    """q^T s q with q = p^{-1/2}, p positive."""
+    q = p ** -0.5
+    return float(q @ s @ q)
+
+
+def _random_table(rng, d_given):
+    """A random point's collision table over d_given directions of a random
+    weight basis, as `_collision_table` builds it."""
+    shp = shape(("A", int(rng.integers(1, 4))), ("B", d_given))
+    sigma = quantum.random_state(shp, rng, rank=int(rng.integers(1, shp.dim + 1)))
+    basis = linalg.random_unitary(d_given, rng)
+    return entropy._collision_table(sigma.matrix, shp, ["B"], basis)[0]
+
+
+class TestCollisionFixedPoint:
+    def test_certificate_bounds_every_weight(self):
+        """On random tables the gap is within the tolerance, and no weight on
+        the simplex scores below f(p) 2^-gap."""
+        rng = np.random.default_rng(90)
+        for i in range(60):
+            s = _random_table(rng, 1 + i % 6)
+            p, gap = entropy._collision_fixed_point(s, rng.dirichlet(np.ones(s.shape[0])))
+            assert gap <= entropy.GAP_TOLERANCE
+            assert p.sum() == pytest.approx(1.0, rel=1e-12)
+            others = rng.dirichlet(np.ones(s.shape[0]), size=200)
+            floor = _table_score(s, p) * 2.0 ** -gap
+            assert min(_table_score(s, o) for o in others) >= floor * (1 - 1e-12)
+
+    @pytest.mark.parametrize("d_given", [2, 3])
+    def test_matches_multistart_scipy(self, d_given):
+        """At rank 2 and 3 the fixed point is the best of five Nelder-Mead
+        runs on rank - 1 free logits, run to xatol 1e-12."""
+        rng = np.random.default_rng(91 + d_given)
+        for _ in range(10):
+            s = _random_table(rng, d_given)
+            p, _ = entropy._collision_fixed_point(s, np.full(d_given, 1.0 / d_given))
+
+            def objective(x):
+                return _table_score(s, oracles.simplex_probs(np.append(x, 0.0)))
+            best = min((minimize(objective, rng.normal(size=d_given - 1), method="Nelder-Mead",
+                                 options={"xatol": 1e-12, "fatol": 1e-15, "maxiter": 4000})
+                        for _ in range(5)), key=lambda res: res.fun)
+            assert _table_score(s, p) <= best.fun * (1 + 1e-12)
+            np.testing.assert_allclose(p, oracles.simplex_probs(np.append(best.x, 0.0)),
+                                       rtol=0, atol=1e-6)
+
+    def test_direction_without_mass_leaves_the_support(self):
+        """The deepest truncation drops every entry on B = |1>, so its table's
+        row for that direction is zero and (S q)_1 = 0: the fixed point puts
+        p_1 = 0 without a divide, and the direction leaves the weight's
+        support through the rank floor."""
+        rho = classical_state([0.6, 0.02, 0.37, 0.01], (("A", 2), ("B", 2)))
+        eps = 0.05
+        points = entropy._truncation_candidates(rho, eps)
+        marg = linalg.spectral(rho.marginal(["B"]).matrix)
+        s = entropy._collision_table(points[-1], rho.shape, ["B"], marg.vectors)[0]
+        assert len(points) == 2 and not s[1].any() and s[0, 0] > 0
+        with np.errstate(all="raise"):
+            p, gap = entropy._collision_fixed_point(s, marg.values)
+            witness = entropy.h2_with_witness(rho, SmoothingConfig(epsilon=eps),
+                                              "minimized", "B")
+        assert p.tolist() == [1.0, 0.0] and gap <= entropy.GAP_TOLERANCE
+        assert witness.value == pytest.approx(-math.log2(0.6 ** 2 + 0.37 ** 2), rel=1e-12)
+        np.testing.assert_array_equal(entropy._above_rank_floor(
+            np.linalg.eigvalsh(witness.weight)[::-1]), [True, False])
+        # the route's Nelder-Mead drives p_1 to 2e-17, not to 0
+        _assert_matches_per_sigma_route(rho, "B", "minimized", eps, exact=False)
+
+    def test_table_empty_on_the_support(self):
+        """At eps = 0.6 the deepest truncation keeps only the 0.4 on B = |1>,
+        while the marginal's leading direction is |0>: on that one-direction
+        support its table is zero, so every weight is optimal, and the solve
+        returns its start at gap 0 rather than dividing 0 by 0."""
+        rho = classical_state([0.3, 0.4, 0.3, 0.0], (("A", 2), ("B", 2)))
+        points = entropy._truncation_candidates(rho, 0.6)
+        marg = linalg.spectral(rho.marginal(["B"]).matrix)
+        s = entropy._collision_table(points[-1], rho.shape, ["B"], marg.vectors)[0]
+        assert marg.values == pytest.approx([0.6, 0.4]) and not s[0].any()
+        with np.errstate(all="raise"):
+            p, gap = entropy._collision_fixed_point(s[:1, :1], np.array([1.0]))
+            witness = entropy.h2_with_witness(rho, SmoothingConfig(epsilon=0.6),
+                                              "minimized", "B")
+        assert p.tolist() == [1.0] and gap == 0.0
+        assert witness.value == pytest.approx(-math.log2(0.4 ** 2), rel=1e-12)
+
+    def test_rounding_ends_the_loop(self, monkeypatch):
+        """With no gap small enough to stop at, each solve still ends, once
+        rounding stops the gap from falling, and h2 names every such solve
+        in its warnings."""
+        tolerance = entropy.GAP_TOLERANCE
+        monkeypatch.setattr(entropy, "GAP_TOLERANCE", -math.inf)
+        rng = np.random.default_rng(92)
+        for i in range(20):
+            s = _random_table(rng, 1 + i % 6)
+            _, gap = entropy._collision_fixed_point(s, np.full(s.shape[0], 1.0 / s.shape[0]))
+            assert gap <= tolerance
+        rho = quantum.random_state(shape(("A", 4), ("B", 2)), np.random.default_rng(24))
+        warns = entropy.h2_with_witness(rho, SmoothingConfig(epsilon=0.05),
+                                        "minimized", "B").warnings
+        assert len(warns) == 4 and all(w.startswith("a minimized weight is certified")
+                                       for w in warns)
 
 
 def _random_spectra(seed, count):
