@@ -70,18 +70,17 @@ class DecouplingInstance:
 class Weights:
     """Precomputed smoothing witnesses and weighted operators for g.
 
-    rho_tilde is the input's collision witness, weighted on R; eta / omega3
-    certify the channel side, and omega3_inv_quarter is the weight g applies
-    on B. povm is the measurement on the channel's environment Z steering
-    the maximally entangled input to eta; it is None when epsilon = 0,
-    where the plain channel already does.
+    rho_tilde is the input's collision witness, weighted on R; eta certifies
+    the channel side, and omega3_inv_quarter (omega''' of the Choi state's B
+    marginal, to the -1/4) is the weight g applies on B. povm is the measurement
+    on the channel's environment Z steering the maximally entangled input to
+    eta; it is None when epsilon = 0, where the plain channel already does.
     """
 
     rho_tilde: np.ndarray
     rho_tilde_r: np.ndarray
     choi: DensitySystem
     eta: np.ndarray
-    omega3: np.ndarray
     omega3_inv_quarter: np.ndarray
     povm: np.ndarray | None
     omega_tilde_b: np.ndarray
@@ -96,17 +95,26 @@ class Weights:
 
 
 def prepare(inst: DecouplingInstance) -> Weights:
+    """The certified weights. The Choi state omega = m m^dag is read through the
+    thin SVD m = U S Wh of its amplitudes: its nonzero eigenpairs are (S^2, U).
+    If eta keeps the pairs K, Q = m^+ eta m^+dag = Wh_K^dag Wh_K, and the POVM
+    (Q^T)^(1/2) of `quantum.povm_completion` is the projector Wh_K^T Wh_K^*."""
     cfg = inst.cfg
     wit_in = entropy.h2_with_witness(inst.rho, cfg, given=list(inst.r_labels))
     rho_tilde_r = linalg.partial_trace(wit_in.tilde, inst.rho.shape, list(inst.a_labels))
 
     choi = quantum.choi_state(inst.channel)
-    wit_ch = entropy.h2_prime(choi, cfg.epsilon, cfg.delta, "B")
+    m = quantum.choi_amplitudes(inst.channel)
+    u, s, wh = np.linalg.svd(m, full_matrices=False)
+    wit_ch = entropy.h2_prime(choi, cfg.epsilon, cfg.delta, "B", linalg.Spectrum(s * s, u))
 
     povm = None
     if cfg.epsilon > 0:
-        # the measurement P on Z with (measured channel (x) id)(EPR) = eta
-        povm = quantum.povm_completion(quantum.choi_amplitudes(inst.channel), wit_ch.eta)
+        povm = wh[wit_ch.kept].T @ wh[wit_ch.kept].conj()
+        # povm is a projector, so meeting eta here also shows eta <= omega
+        err = float(np.abs(m @ (povm.T @ povm.T) @ m.conj().T - wit_ch.eta).max())
+        if err > 1e-7:
+            raise ComputationError(f"steering projector missed eta by {err:.2e}")
 
     omega_tilde_b = linalg.partial_trace(wit_ch.tilde, choi.shape, ["Ap"])
 
@@ -116,7 +124,7 @@ def prepare(inst: DecouplingInstance) -> Weights:
     n_ab = linalg.schatten_norm(wit_ch.tilde, 2) ** 2
     return Weights(
         rho_tilde=wit_in.tilde, rho_tilde_r=rho_tilde_r, choi=choi, eta=wit_ch.eta,
-        omega3=wit_ch.omega3, omega3_inv_quarter=wit_ch.omega3_inv_quarter, povm=povm,
+        omega3_inv_quarter=wit_ch.omega3_inv_quarter, povm=povm,
         omega_tilde_b=omega_tilde_b, h2_eps=wit_in.value, h2_prime_val=wit_ch.value,
         hmax_prime_val=wit_ch.hmax_prime, n_r=n_r, n_ar=n_ar, n_b=n_b, n_ab=n_ab,
         warnings=wit_in.warnings,

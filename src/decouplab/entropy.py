@@ -284,10 +284,10 @@ def _closed_form_score(rho: DensitySystem, eps: float, given_list: list[str],
     its marginal's mass off the support K = {p_k above the rank floor},
     t - sum_{k in K} d[k], is at most LEAK_TOLERANCE. The projection
     op rho op (op = I (x) P_K) keeps rho's S on K x K and leaks nothing; it
-    is built, and its ball test run, once per support. Where rho is feasible
-    and K holds every q_k > 0 the projection scores exactly as rho does, so
-    it is skipped there. The m points' tables are stacked once, as S (m, r, r),
-    d (m, r) and t (m,), so one product scores them all; S is returned too.
+    is built, and its ball test run, once per support whose dropped mass fits
+    eps. Where rho is feasible and K holds every q_k > 0 it scores as rho
+    does, so it is skipped. The m points' tables are stacked once, as S
+    (m, r, r), d (m, r) and t (m,): one product scores them all; S is returned.
     """
     s, d, t = (np.array(part) for part in zip(
         *(_collision_table(sig, rho.shape, given_list, basis) for sig in points)))
@@ -296,13 +296,14 @@ def _closed_form_score(rho: DensitySystem, eps: float, given_list: list[str],
     def projection(keep: np.ndarray) -> np.ndarray | None:
         """rho projected onto the support K when it lies in the eps-ball."""
         key = keep.tobytes()
-        if key not in projected:
+        # the dropped mass Tr(rho - sig) <= ||rho - sig||_1: past eps, sig is outside
+        if key not in projected and t[0] - d[0, keep].sum() <= eps + 1e-12 + LEAK_TOLERANCE:
             cols = basis[:, keep]
             sig = _conj_on_labels(rho.matrix, cols @ cols.conj().T, rho.shape, given_list)
             # rho - sig is Hermitian: its trace norm is the sum of |eigenvalues|
             dist = float(np.abs(np.linalg.eigvalsh(rho.matrix - sig)).sum())
             projected[key] = sig if dist <= eps + 1e-12 else None
-        return projected[key]
+        return projected.get(key)
 
     def score(p: np.ndarray) -> tuple[float, np.ndarray | None]:
         keep = _above_rank_floor(p)
@@ -412,77 +413,68 @@ def hmax_prime(state: DensitySystem, eps: float) -> tuple[float, DensitySystem]:
 
 def omega_triple_prime(state: DensitySystem, eps: float, delta: float) -> DensitySystem:
     """Zero out eigenvalues below 2^(-(1+delta) * alternate max-entropy)."""
-    _, out = _omega_triple_prime(linalg.spectral(state.matrix), eps, delta)
-    return DensitySystem._derived(out, state.shape)
+    spec = linalg.spectral(state.matrix)
+    _, vals = _omega_triple_prime(spec.values, eps, delta)
+    return DensitySystem._derived((spec.vectors * vals) @ spec.vectors.conj().T, state.shape)
 
 
-def _omega_triple_prime(spec: linalg.Spectrum, eps: float, delta: float
-                        ) -> tuple[float, np.ndarray]:
-    """The alternate max-entropy of a spectrum and omega''' rebuilt from it."""
+def _omega_triple_prime(values: np.ndarray, eps: float, delta: float) -> tuple[float, np.ndarray]:
+    """The alternate max-entropy of a spectrum and the eigenvalues of omega''' on its vectors."""
     if delta < 0:
         raise DomainError("delta must be nonnegative")
-    value, _ = hmax_prime_values(spec.values, eps)
+    value, _ = hmax_prime_values(values, eps)
     tau = 2.0 ** (-(1.0 + delta) * value)
-    vals = np.where(spec.values >= tau * (1.0 - 1e-9), spec.values, 0.0)
-    return value, (spec.vectors * vals) @ spec.vectors.conj().T
+    return value, np.where(values >= tau * (1.0 - 1e-9), values, 0.0)
 
 
 class H2Prime(NamedTuple):
     """h2' = -2 log2 ||tilde||_2 with what it derives: hmax' of omega's marginal
-    on the given label, the feasible point eta, omega''' of that marginal, its
-    -1/4 power, and tilde, eta conjugated by that power on the given label."""
+    on the given label, the feasible point eta, the eigenpairs it keeps, the -1/4
+    power of omega''' of that marginal, and tilde, eta so conjugated on the label."""
 
     value: float
     hmax_prime: float
     eta: np.ndarray
-    omega3: np.ndarray
+    kept: np.ndarray
     omega3_inv_quarter: np.ndarray
     tilde: np.ndarray
 
 
 def h2_prime(omega: DensitySystem, eps: float, delta: float,
-             given: str = "B") -> H2Prime:
+             given: str = "B", eigenpairs: linalg.Spectrum | None = None) -> H2Prime:
     """Conditional collision entropy against the truncated marginal weight.
 
     The canonical feasible point keeps eigenvectors of omega whose overlap
     with the truncated-marginal support is at least 1 - eps, dropping the
     offenders first and then the smallest eigenvalues while the removed
     mass stays within eps. eta = V diag(kept) V^dag is PSD by construction.
-    """
+    The pairs come from `eigenpairs` when given (descending, any left out are
+    0). omega''' shares the marginal's eigenvectors, so both use one eigh."""
     b_spec = linalg.spectral(omega.marginal([given]).matrix)
-    hmax_value, omega3 = _omega_triple_prime(b_spec, eps, delta)
-    w3_spec = linalg.spectral(omega3)
-    cols = w3_spec.vectors[:, _above_rank_floor(w3_spec.values)]
+    hmax_value, w3_vals = _omega_triple_prime(b_spec.values, eps, delta)
+    cols = b_spec.vectors[:, _above_rank_floor(w3_vals)]
 
-    spec = linalg.spectral(omega.matrix)
-    # <v_i| I (x) P |v_i> for every eigenvector at once, P omega3's support projector
+    spec = linalg.spectral(omega.matrix) if eigenpairs is None else eigenpairs
+    # <v_i| I (x) P |v_i> for every eigenvector at once, P omega'''s support projector
     overlaps = np.einsum("ri,ri->i", spec.vectors.conj(), _apply_on_labels(
         cols @ cols.conj().T, spec.vectors, omega.shape, [given])).real
-    lmax = float(spec.values.max(initial=0.0))
-    removed = 0.0
-    keep = []
-    for i, v in enumerate(spec.values):
-        if v <= RANK_FLOOR * lmax:
-            continue
-        if overlaps[i] < 1.0 - eps - 1e-12:
-            removed += v
-        else:
-            keep.append(i)
+    live = spec.values > RANK_FLOOR * float(spec.values.max(initial=0.0))
+    off = live & (overlaps < 1.0 - eps - 1e-12)
+    removed = sum(spec.values[off], 0.0)  # left to right, in index order
     if removed > eps + 1e-12:
-        raise DomainError(
-            f"support condition forces out mass {removed:.3e} beyond epsilon {eps}"
-        )
-    keep.sort(key=lambda i: (spec.values[i], i))
+        raise DomainError(f"support condition forces out mass {removed:.3e} beyond epsilon {eps}")
+    keep = np.flatnonzero(live & ~off)
+    keep = keep[np.lexsort((keep, spec.values[keep]))]  # by value, then index
     keep = keep[_drop_smallest(spec.values[keep], eps + 1e-15, removed).size:]
-    if not keep:
+    if not keep.size:
         raise DomainError("smoothing removed every eigenvector")
     vals = np.zeros_like(spec.values)
     vals[keep] = spec.values[keep]
     eta = (spec.vectors * vals) @ spec.vectors.conj().T
-    w3_iq = w3_spec.power(-0.25)
+    w3_iq = linalg.Spectrum(w3_vals, b_spec.vectors).power(-0.25)
     tilde = _conj_on_labels(eta, w3_iq, omega.shape, [given])
     value = float(-2.0 * math.log2(linalg.schatten_norm(tilde, 2)))
-    return H2Prime(value, hmax_value, eta, omega3, w3_iq, tilde)
+    return H2Prime(value, hmax_value, eta, keep, w3_iq, tilde)
 
 
 def h2_upper_bound_check(rho: DensitySystem, cfg: SmoothingConfig, value: float,

@@ -213,7 +213,7 @@ def prepare(inst):
         raise ComputationError("channel witness norm does not match its entropy value")
     return decoupling.Weights(
         rho_tilde=rho_tilde, rho_tilde_r=rho_tilde_r,
-        choi=choi, eta=eta, omega3=omega3.matrix,
+        choi=choi, eta=eta,
         omega3_inv_quarter=omega3_iq, povm=povm, omega_tilde_b=omega_tilde_b,
         h2_eps=h2_eps, h2_prime_val=h2_prime_val, hmax_prime_val=hmax_prime_val,
         n_r=n_r, n_ar=n_ar, n_b=n_b, n_ab=n_ab, warnings=warns,

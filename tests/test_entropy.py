@@ -632,24 +632,47 @@ class TestSearchMatchesPerSigmaRoute:
         that direction, yet the weight's support leaves it out. The search
         scores and weighs by the cutoffs of `Spectrum.power`, as the route
         does, so the values agree."""
-        # (1 - w) I/2 (x) (uniform on levels 0..126) + w |psi><psi| with
-        # psi = sqrt(1 - t) |0>|phi> + sqrt(t) |1>|127>: level 127 of B is a
-        # marginal eigenvector of mass w t, and rho is coherent between it
-        # and phi
-        rng = np.random.default_rng(80)
-        w, t = 1e-3, 9e-10
-        phi = rng.standard_normal(127) + 1j * rng.standard_normal(127)
-        psi = np.zeros((2, 128), dtype=complex)
-        psi[0, :127] = math.sqrt(1.0 - t) * phi / np.linalg.norm(phi)
-        psi[1, 127] = math.sqrt(t)
-        psi = psi.ravel()
-        mixed = np.kron(np.eye(2) / 2, np.diag(np.r_[np.full(127, 1 / 127), 0.0]))
-        rho = DensitySystem.from_matrix((1.0 - w) * mixed + w * np.outer(psi, psi.conj()),
-                                        shape(("A", 2), ("B", 128)))
+        rho = _live_direction_state()
         vals = linalg.spectral(rho.marginal(["B"]).matrix).values
         assert vals[0] < 0.01
         assert linalg.EIG_CUTOFF * vals[0] < vals[-1] < entropy.RANK_FLOOR
         _assert_matches_per_sigma_route(rho, "B", "fixed_marginal", eps, exact=True)
+
+    def test_no_ball_test_past_the_radius(self, monkeypatch):
+        """Tr(rho - P rho P) <= ||rho - P rho P||_1: a support whose dropped
+        marginal mass exceeds eps is neither projected onto nor ball-tested.
+        Most of this state's 127 nested supports drop more than eps = 0.05."""
+        rho = _live_direction_state()
+        full = []
+        real = np.linalg.eigvalsh
+
+        def eigvalsh(m, *args, **kwargs):
+            if m.shape[-1] == rho.dim:
+                full.append(m.shape)
+            return real(m, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+        wit = entropy.h2_with_witness(rho, SmoothingConfig(epsilon=0.05), "minimized", "B")
+        assert 0 < len(full) <= 8
+        assert wit.value >= entropy.h2_conditional(rho, SmoothingConfig(epsilon=0.05),
+                                                   "fixed_marginal", "B")
+
+
+def _live_direction_state():
+    """(1 - w) I/2 (x) (uniform on levels 0..126) + w |psi><psi| on (A, B) =
+    (2, 128), psi = sqrt(1 - t) |0>|phi> + sqrt(t) |1>|127>: level 127 of B
+    is a marginal eigenvector of mass w t, and rho is coherent between it
+    and phi."""
+    rng = np.random.default_rng(80)
+    w, t = 1e-3, 9e-10
+    phi = rng.standard_normal(127) + 1j * rng.standard_normal(127)
+    psi = np.zeros((2, 128), dtype=complex)
+    psi[0, :127] = math.sqrt(1.0 - t) * phi / np.linalg.norm(phi)
+    psi[1, 127] = math.sqrt(t)
+    psi = psi.ravel()
+    mixed = np.kron(np.eye(2) / 2, np.diag(np.r_[np.full(127, 1 / 127), 0.0]))
+    return DensitySystem.from_matrix((1.0 - w) * mixed + w * np.outer(psi, psi.conj()),
+                                     shape(("A", 2), ("B", 128)))
 
 
 class TestClosedFormScore:
