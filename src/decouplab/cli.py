@@ -312,7 +312,8 @@ def run_fqsw(cfg: ExperimentConfig, ens):
     tail = decoupling.applicable_tail(inst, w, cfg.kappa, moments.mu_upper)
     window_t = tail.t if tail is not None else 1.0
     log2_window = decoupling.fqsw_log2_lambda_sandwich(a1, a2, w.h2_eps, window_t)
-    exp_bound = decoupling.dupuis_expectation_bound(inst, w.choi)
+    exp_bound = decoupling.dupuis_expectation_bound(
+        inst, w.choi, h2_in=w.h2_eps if inst.cfg.epsilon == 0 else None)
     summary = {
         "closed_form": report,
         "mean_g_squared": mean_g2,

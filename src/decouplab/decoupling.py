@@ -221,16 +221,20 @@ def haar_expected_g_squared(inst: DecouplingInstance, w: Weights) -> HaarMoments
 
 
 def dupuis_expectation_bound(inst: DecouplingInstance,
-                             choi: DensitySystem | None = None) -> float:
+                             choi: DensitySystem | None = None,
+                             h2_in: float | None = None) -> float:
     """Upper bound on the Haar mean of f from the two collision entropies.
 
     Evaluated at epsilon = 0 with fixed marginal weights; those certified
     values can only enlarge the bound, so it stays valid. choi, the
-    channel's Choi state on (B, Ap), is computed when omitted.
+    channel's Choi state on (B, Ap), and h2_in, the input's collision
+    entropy given R, are computed when omitted; at epsilon = 0 `prepare`'s
+    h2_eps is that value.
     """
     cfg0 = SmoothingConfig(epsilon=0.0, delta=0.0)
-    h2_in = entropy.h2_conditional(inst.rho, cfg0, "fixed_marginal",
-                                   given=list(inst.r_labels))
+    if h2_in is None:
+        h2_in = entropy.h2_conditional(inst.rho, cfg0, "fixed_marginal",
+                                       given=list(inst.r_labels))
     if choi is None:
         choi = quantum.choi_state(inst.channel)
     h2_ch = entropy.h2_conditional(choi, cfg0, "fixed_marginal", given="B")

@@ -1,5 +1,5 @@
-"""Unitary ensembles: Haar, structured groups, layered circuits, and their
-moment operators, with tensor-product-expander diagnostics.
+"""Unitary ensembles: Haar, structured groups, layered circuits, and the
+tensor-product-expander check of their t-th moments.
 
 Sampling is counter-based: draw s comes from the stream that
 `np.random.default_rng((seed, s))` would start, so runs are reproducible
@@ -12,6 +12,14 @@ then come from one `standard_normal` call into a preallocated buffer. A
 draw depends only on its stream, so the stack is the same, bit for bit,
 however the streams are split into batches, and `sample(i)` is the batch
 of one.
+
+`qtpe_lambda` reads the moment operator E[conj W (x) W], W = U^(x)t, and
+its Haar twirl without building either dim^(2t)-square matrix: lambda from
+the blocks of the isotypic parts Q_k^T W Q_k, the deviation from the Gram
+matrix of the distinct degree-t monomials of U and their Weingarten values.
+One pass over the draws (or an enumerated ensemble's members) gives both;
+iterates of enumerated ensembles take block powers. The dense route is the
+test oracle in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -28,8 +36,9 @@ from .errors import CapError, DomainError
 
 KINDS = ("enumerated", "haar", "circuit", "iterated")
 MOMENT_DIM_CAP = 4096  # largest dim**(2t), the superoperator dimension
-# working memory for one stack of flattened U^(x)t in moment_operator
-MOMENT_BATCH_BYTES = 1 << 21
+# working memory for one stack of per-draw monomials and isotypic parts in
+# qtpe_lambda: 200 draws fit in one stack up to dim 8 at t = 2
+MOMENT_BATCH_BYTES = 1 << 25
 
 
 # numpy's SeedSequence hash (numpy/random/bit_generator.pyx) and PCG64 seeding
@@ -333,8 +342,8 @@ def iterate_ensemble(e: UnitaryEnsemble, k: int) -> UnitaryEnsemble:
 
 
 def _exact(e: UnitaryEnsemble) -> bool:
-    """Whether moment_operator builds e's moment operator without drawing:
-    an enumerated ensemble, or an iterate of one at any depth."""
+    """Whether qtpe_lambda reads e's moments without drawing: an
+    enumerated ensemble, or an iterate of one at any depth."""
     return e.kind == "enumerated" or (e.kind == "iterated" and _exact(e.base))
 
 
@@ -343,71 +352,6 @@ def _check_moment_cap(dim: int, t: int):
         raise CapError(
             f"moment operator needs dim**(2t) = {dim ** (2 * t)} <= {MOMENT_DIM_CAP}"
         )
-
-
-def _tensor_powers(us: np.ndarray, t: int) -> np.ndarray:
-    """U^(x)t for each U of an (n, d, d) stack."""
-    n, d, _ = us.shape
-    w = us
-    for _ in range(t - 1):
-        w = (w[:, :, None, :, None] * us[:, None, :, None, :]).reshape(
-            n, w.shape[1] * d, w.shape[2] * d)
-    return w
-
-
-def moment_operator(e: UnitaryEnsemble, t: int, samples: int = 2000) -> np.ndarray:
-    """The averaged t-fold twirl as a matrix on vectorised operators.
-
-    Acts on column-stacked M as G vec(M) = E[ vec(U^t M U^-t) ]; exact for
-    enumerated ensembles and their iterates, Monte Carlo with `samples` draws
-    otherwise.
-    G = E[kron(conj W, W)] with W = U^(x)t is one Gram matrix: with the rows
-    of Y the flattened W, conj(Y)^T Y holds conj W[a, c] W[b, d] at
-    ((a, c), (b, d)), which a transpose regroups to ((a, b), (c, d)).
-    """
-    if t < 1:
-        raise DomainError("moment order t must be at least 1")
-    _check_moment_cap(e.dim, t)
-    if e.kind == "iterated" and _exact(e.base):
-        # a product of independent draws twirls by the product of their twirls
-        return np.linalg.matrix_power(moment_operator(e.base, t), e.iterations)
-    if e.kind == "enumerated":
-        members = np.stack(e.members)
-        count, draw = len(members), lambda lo, hi: members[lo:hi]
-    else:
-        count, draw = samples, lambda lo, hi: e.sample_batch(range(lo, hi))
-    d_t = e.dim**t
-    step = max(1, MOMENT_BATCH_BYTES // (16 * d_t * d_t))
-    gram = np.zeros((d_t * d_t, d_t * d_t), dtype=complex)
-    for lo in range(0, count, step):
-        y = _tensor_powers(draw(lo, min(lo + step, count)), t).reshape(-1, d_t * d_t)
-        gram += y.conj().T @ y
-    gram /= count
-    return gram.reshape(d_t, d_t, d_t, d_t).transpose(0, 2, 1, 3).reshape(
-        d_t * d_t, d_t * d_t)
-
-
-def haar_moment_projector(dim: int, t: int) -> np.ndarray:
-    """Exact Haar twirl at order t via the permutation commutant.
-
-    The Gram matrix of permutation operators is inverted by pseudo-inverse,
-    which also covers the rank-deficient regime t >= dim.
-    """
-    if t < 1:
-        raise DomainError("moment order t must be at least 1")
-    _check_moment_cap(dim, t)
-    d_t = dim**t
-    # P_pi |i_1 .. i_t> = |i_pi(1) .. i_pi(t)> is the identity with its input
-    # axes permuted; rows are vec(P_pi), and the projector is
-    # sum_ij ginv[i, j] |v_i><v_j| with ginv the inverse Gram matrix
-    eye = np.eye(d_t, dtype=complex).reshape((dim,) * (2 * t))
-    vecs = np.array([
-        eye.transpose(list(range(t)) + [t + k for k in np.argsort(pi)])
-        .reshape(d_t, d_t).ravel(order="F")
-        for pi in itertools.permutations(range(t))
-    ])
-    ginv = np.linalg.pinv((vecs.conj() @ vecs.T).real)
-    return vecs.T @ ginv @ vecs.conj()
 
 
 @dataclass(frozen=True)
@@ -456,50 +400,238 @@ def _isotypic(dim: int, t: int) -> tuple[np.ndarray, ...]:
     return tuple(np.ascontiguousarray(vecs[:, keys == key]) for key in np.unique(keys))
 
 
-def _gap_blocks(gap: np.ndarray, dim: int, t: int):
-    """The diagonal blocks, one per pair (k, l) of `_isotypic` groups, of an
-    operator E[conj W (x) W] with W = U^(x)t, whose entry ((a, b), (c, d))
-    is E[conj W[a, c] W[b, d]].
+def _codes(digits: np.ndarray, base: int) -> np.ndarray:
+    """The integers whose base-`base` digits, most significant first, run
+    along the last axis of `digits`."""
+    return digits @ base ** np.arange(digits.shape[-1] - 1, -1, -1)
 
-    Q^T W Q is block diagonal, so the operator is in the basis Q (x) Q:
-    block (k, l) contracts the axes a and c with Q_k and b and d with Q_l.
-    Each group's partial contraction is built once; the fully transformed
-    copy never is.
+
+def _weingarten(dim: int, t: int) -> tuple[np.ndarray, np.ndarray]:
+    """The permutations of t, one row each in lexicographic order (the
+    identity first), and the pseudo-inverse of their Gram matrix
+    tr(P_s^T P_u) = dim^(cycles of s^-1 u) on (C^dim)^(x)t.
+
+    The pseudo-inverse is the Weingarten function, also where t > dim makes
+    the Gram matrix singular. Like the Gram matrix it depends on s^-1 u
+    only through its cycle type. The cut is 1e-10 of the largest singular
+    value: at dim 2, t = 6 the nonzero ones run from 5040 down to 144, but
+    LAPACK leaves a zero one at 5.7e-12, past numpy's default cut of
+    1e-15 of the largest, whose inverse would swamp the sum.
     """
-    d_t = dim**t
+    perms = np.array(list(itertools.permutations(range(t))))
+    # the rows of comp are the s^-1 u; a position starts a cycle when it is
+    # the least of its first t - 1 images
+    comp = np.argsort(perms, axis=1)[:, perms].reshape(-1, t)
+    x = low = np.tile(np.arange(t), (len(comp), 1))
+    for _ in range(t - 1):
+        x = np.take_along_axis(comp, x, axis=1)
+        low = np.minimum(low, x)
+    cycles = (low == np.arange(t)).sum(axis=1).reshape(len(perms), len(perms))
+    return perms, np.linalg.pinv(float(dim) ** cycles, rcond=1e-10)
+
+
+@dataclass(frozen=True)
+class _DesignTables:
+    """The per-(dim, t) tables of qtpe_lambda, built by array operations on
+    every call and never cached. M = C(dim^2 + t - 1, t) distinct monomials
+    z = prod_j U[r_j, c_j] of degree t; T = t! permutations."""
+
+    dim: int
+    groups: tuple  # the `_isotypic` bases Q_k
+    sizes: list  # their widths n_k
+    perms: np.ndarray  # (T, t), the identity first
+    moved: np.ndarray  # (T, dim^t), where P_s sends each basis index
+    ginv: np.ndarray  # (T, T), the Weingarten function on perms
+    factors: np.ndarray  # (M, t), each monomial's sorted factor codes r*dim + c
+    fixers: np.ndarray  # (M,), the reorderings that leave each factor tuple as it is
+    at: tuple  # the (M,) row and column of W = U^(x)t that hold each monomial
+    parts: np.ndarray  # (sum n_k^2, M), the stacked vec(Q_k^T W Q_k) as a map of z
+
+
+def _design_tables(dim: int, t: int) -> _DesignTables:
     groups = _isotypic(dim, t)
-    rows = gap.reshape(d_t, -1)
-    for qk in groups:
-        n_k = qk.shape[1]
-        x = (qk.T @ rows).reshape(n_k * d_t, d_t, d_t)  # (alpha b, c, d)
-        x = np.matmul(qk.T, x).reshape(n_k, d_t, n_k, d_t)  # (alpha, b, gamma, d)
-        for ql in groups:
-            n_l = ql.shape[1]
-            y = (x @ ql).reshape(n_k, d_t, n_k * n_l)  # (alpha, b, gamma delta)
-            yield np.matmul(ql.T, y).reshape(n_k * n_l, n_k * n_l)
+    perms, ginv = _weingarten(dim, t)
+    factors = np.array(list(itertools.combinations_with_replacement(range(dim * dim), t)))
+    # position j's place in its run of equal factors; the product over j
+    # counts the reorderings that fix the tuple
+    run = np.ones_like(factors)
+    for j in range(1, t):
+        run[:, j] = np.where(factors[:, j] == factors[:, j - 1], run[:, j - 1] + 1, 1)
+    fixers = run.prod(axis=1)
+    # the row and column of W under every reordering of the factors: each of
+    # a monomial's entries in W is met fixers times
+    rows, cols = (_codes(x[:, perms], dim) for x in np.divmod(factors, dim))
+    parts = [np.einsum("mpa,mpc->acm", q[rows], q[cols]).reshape(-1, len(factors)) / fixers
+             for q in groups]
+    digits = np.arange(dim**t)[:, None] // dim ** np.arange(t - 1, -1, -1) % dim
+    return _DesignTables(dim, groups, [q.shape[1] for q in groups], perms,
+                         _codes(digits[:, perms], dim).T, ginv, factors, fixers,
+                         (rows[:, 0], cols[:, 0]), np.vstack(parts))
+
+
+def _realign(x: np.ndarray, p: int, q: int, r: int, s: int) -> np.ndarray:
+    """x as a (p, q, r, s) array with its middle axes swapped, flattened to
+    (p r, q s). A block's Gram form E[conj vec W_k vec W_l^T] and its
+    operator form E[conj W_k (x) W_l] are each other's realignment."""
+    return x.reshape(p, q, r, s).transpose(0, 2, 1, 3).reshape(p * r, q * s)
+
+
+def _draw_grams(e: UnitaryEnsemble, samples: int, tab: _DesignTables, monomials: bool):
+    """One pass over the members of an enumerated e, or over its first
+    `samples` draws otherwise.
+
+    Returns the Gram blocks E[conj vec W_k vec W_l^T], k <= l, of the
+    isotypic parts W_k = Q_k^T W Q_k of W = U^(x)t, read off each draw's
+    monomials z, and, if `monomials`, the Gram matrix E[conj z z^T]
+    (else None).
+    """
+    if e.kind == "enumerated":
+        members = np.stack(e.members)
+        count, draw = len(members), lambda lo, hi: members[lo:hi]
+    else:
+        count, draw = samples, lambda lo, hi: e.sample_batch(range(lo, hi))
+    if count < 1:
+        raise DomainError("a sampled design check needs at least one draw")
+    cuts = [slice(a - n * n, a) for a, n in zip(np.cumsum([n * n for n in tab.sizes]), tab.sizes)]
+    # per draw: the gathered factors, z, its parts and their conjugates
+    width = tab.factors.size + len(tab.factors) + 2 * len(tab.parts)
+    step = max(1, MOMENT_BATCH_BYTES // (16 * width))
+    sums = {}
+
+    def add(key, x):
+        # the first chunk's products are kept, not copied into a zero array
+        if key in sums:
+            sums[key] += x
+        else:
+            sums[key] = x
+
+    for lo in range(0, count, step):
+        us = draw(lo, min(lo + step, count))
+        z = us.reshape(len(us), -1)[:, tab.factors].prod(axis=2)
+        # z @ parts^T in two real products, with no complex copy of the map
+        parts = np.empty((len(z), len(tab.parts)), dtype=complex)
+        parts.real, parts.imag = z.real @ tab.parts.T, z.imag @ tab.parts.T
+        conj = parts.conj()
+        for k, a in enumerate(cuts):
+            for l, b in enumerate(cuts[k:], start=k):
+                add((k, l), conj[:, a].T @ parts[:, b])
+        if monomials:
+            add("monomials", z.conj().T @ z)
+    for x in sums.values():
+        x /= count
+    return sums, sums.pop("monomials", None)
+
+
+def _exact_grams(e: UnitaryEnsemble, tab: _DesignTables) -> dict:
+    """The Gram blocks of an enumerated e, or of an iterate of one at any
+    depth: a product of independent draws twirls by the product of their
+    twirls, and the twirl is block diagonal, so each block's operator form
+    is a power."""
+    if e.kind == "enumerated":
+        return _draw_grams(e, 0, tab, monomials=False)[0]
+    out, sizes = {}, tab.sizes
+    for (k, l), g in _exact_grams(e.base, tab).items():
+        n_k, n_l = sizes[k], sizes[l]
+        b = np.linalg.matrix_power(_realign(g, n_k, n_k, n_l, n_l), e.iterations)
+        out[k, l] = _realign(b, n_k, n_l, n_k, n_l)
+    return out
+
+
+def _monomial_gram(grams: dict, tab: _DesignTables) -> np.ndarray:
+    """The Gram matrix E[conj z z^T] of the monomials, read back from the
+    Gram blocks (k <= l).
+
+    W = sum_k Q_k W_k Q_k^T, so z = W[tab.at] is the sum over k of
+    R_k vec(W_k), with R_k the rows tab.at of Q_k (x) Q_k; Gram block (l, k)
+    is the conjugate transpose of block (k, l).
+    """
+    rows, cols = tab.at
+    r = [(q[rows][:, :, None] * q[cols][:, None, :]).reshape(len(rows), -1) for q in tab.groups]
+    diag, upper = 0.0, 0.0
+    for (k, l), g in grams.items():
+        x = r[k] @ g @ r[l].T
+        if k == l:
+            diag = diag + x
+        else:
+            upper = upper + x
+    return diag + upper + np.conj(upper).T
+
+
+def _monomial_deviation(gram: np.ndarray, tab: _DesignTables) -> float:
+    """dim^t max |gram - Haar| for the monomials' Gram matrix
+    E[conj z_a z_b]; the Haar values are subtracted from gram in place.
+
+    The Haar value of entry (a, b) sums ginv[s, u] over the s that permute
+    a's row indices r into b's and the u that permute a's column indices c
+    into b's. Pairing r_j with c_(p(j)) for p = u s^-1 gives b's factors in
+    some order, and ginv[s, u] depends on s^-1 u, conjugate to p, only
+    through the cycle type: so each p adds ginv[id, p] to the monomial its
+    pairing makes, once for each reordering that fixes b's factor tuple.
+    """
+    m, t = tab.factors.shape
+    rows, cols = np.divmod(tab.factors, tab.dim)
+    partners = np.sort(rows[:, None, :] * tab.dim + cols[:, tab.perms], axis=2)
+    base = tab.dim * tab.dim
+    b = np.searchsorted(_codes(tab.factors, base), _codes(partners, base))
+    np.add.at(gram, (np.arange(m)[:, None], b), -tab.ginv[0] * tab.fixers[b])
+    return tab.dim**t * float(np.abs(gram, out=gram).real.max())
+
+
+def _haar_block(q: np.ndarray, tab: _DesignTables) -> np.ndarray:
+    """Block (k, k) of the Haar twirl in operator form, for q = Q_k:
+    sum_(s,u) ginv[s, u] vec(S_s) vec(S_u)^T with S_s = Q_k^T P_s Q_k."""
+    v = np.matmul(q.T, q[tab.moved]).reshape(len(tab.moved), -1)
+    return v.T @ tab.ginv @ v
+
+
+def _upper_blocks(grams: dict, tab: _DesignTables):
+    """The operator-form gap blocks (k, l), k <= l, one at a time: each Gram
+    block realigned, less the Haar twirl's block where k = l."""
+    sizes = tab.sizes
+    for (k, l), g in grams.items():
+        b = _realign(g, sizes[k], sizes[k], sizes[l], sizes[l])
+        if k == l:
+            b -= _haar_block(tab.groups[k], tab)
+        yield (k, l), b
 
 
 def qtpe_lambda(e: UnitaryEnsemble, t: int, samples: int = 2000) -> DesignReport:
-    """Expander gap ||G - Haar projector||_inf plus the balanced-monomial check.
+    """Expander gap ||G - Haar twirl||_inf plus the balanced-monomial check,
+    with G = E[conj W (x) W] and W = U^(x)t, neither built whole.
 
-    G and the Haar projector are both E[conj W (x) W] with W = U^(x)t, so
-    lambda is the largest top singular value of the gap's `_gap_blocks`.
+    Q^T W Q is block diagonal over the `_isotypic` groups, so G is block
+    diagonal in the basis Q (x) Q with blocks E[conj W_k (x) W_l]; the Haar
+    twirl's blocks vanish off k = l. Block (l, k) is block (k, l)
+    conjugated with its factors swapped, so lambda is the largest top
+    singular value over k <= l. One pass over the draws (or the members of
+    an enumerated ensemble) gives the blocks; iterates of exact ensembles
+    take block powers instead.
 
     Every entry of the degree-k moment gap is the expectation error of one
     balanced monomial of degree k; the deviation column reports dim^k times
     the largest such error over all degrees k <= t (the approximate-design
-    normalisation). That maximum sits at k = t, so only degree t is built:
+    normalisation). That maximum sits at k = t, so only degree t is read:
     summing a degree-(k+1) entry over one matched row/column index pair
     gives the degree-k entry, because sum_x |U_xy|^2 = 1 for every draw and
-    for Haar, so d^k max|gap_k| <= d^(k+1) max|gap_(k+1)|.
+    for Haar, so d^k max|gap_k| <= d^(k+1) max|gap_(k+1)|. Entries that
+    differ only in the order of their factors are equal, so the Gram matrix
+    of the C(dim^2 + t - 1, t) distinct monomials holds them all; it is
+    gathered from the draws, or read back from the block powers.
     """
-    gap = moment_operator(e, t, samples=samples)
-    gap -= haar_moment_projector(e.dim, t)
-    deviation = (e.dim**t) * float(np.abs(gap).max())
-    lam = max(np.linalg.svd(b, compute_uv=False)[0] for b in _gap_blocks(gap, e.dim, t))
+    if t < 1:
+        raise DomainError("moment order t must be at least 1")
+    _check_moment_cap(e.dim, t)
+    tab = _design_tables(e.dim, t)
+    if e.kind == "iterated" and _exact(e.base):
+        grams = _exact_grams(e, tab)
+        gram = _monomial_gram(grams, tab)
+    else:
+        grams, gram = _draw_grams(e, samples, tab, monomials=True)
+    deviation = _monomial_deviation(gram, tab)
+    del gram
+    lam = max(float(np.linalg.svd(b, compute_uv=False)[0]) for _, b in _upper_blocks(grams, tab))
     used = samples if e.kind not in ("enumerated",) else len(e.members)
-    return DesignReport(t=t, dim=e.dim, lambda_value=float(lam),
-                        moment_deviation=float(deviation),
+    return DesignReport(t=t, dim=e.dim, lambda_value=lam, moment_deviation=deviation,
                         samples_used=used, kind=e.kind)
 
 

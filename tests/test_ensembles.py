@@ -1,6 +1,7 @@
 """Unitary ensembles, moment operators, and expander diagnostics."""
 
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -216,32 +217,37 @@ class TestConstruction:
 
 
 class TestMomentOperator:
+    """The dense moment operator of the test oracle."""
+
     def test_cap_enforced(self):
+        e = ensembles.haar_ensemble(16, seed=0)
         with pytest.raises(CapError):
-            ensembles.moment_operator(ensembles.haar_ensemble(16, seed=0), 2)
+            oracles.moment_operator(e, 2)
+        with pytest.raises(CapError):
+            ensembles.qtpe_lambda(e, 2)
 
     def test_cap_boundary_allowed(self):
         # dim 8 at t = 2 sits exactly on the cap
-        g = ensembles.moment_operator(
+        g = oracles.moment_operator(
             ensembles.enumerated_ensemble([np.eye(8, dtype=complex)]), 2
         )
         assert g.shape == (4096, 4096)
 
     def test_fixes_identity(self):
-        g = ensembles.moment_operator(ensembles.haar_ensemble(3, seed=1), 2,
-                                      samples=100)
+        g = oracles.moment_operator(ensembles.haar_ensemble(3, seed=1), 2,
+                                    samples=100)
         vec_i = np.eye(9, dtype=complex).ravel(order="F")
         np.testing.assert_allclose(g @ vec_i, vec_i, atol=1e-12)
 
     def test_contraction(self):
-        g = ensembles.moment_operator(ensembles.haar_ensemble(2, seed=2), 2,
-                                      samples=200)
+        g = oracles.moment_operator(ensembles.haar_ensemble(2, seed=2), 2,
+                                    samples=200)
         assert linalg.schatten_norm(g, np.inf) <= 1.0 + 1e-9
 
     def test_acts_by_conjugation(self):
         # G vec(M) = mean of vec(U M U^dag) over the ensemble members
         e = ensembles.enumerated_ensemble(ensembles.pauli_group(1))
-        g = ensembles.moment_operator(e, 1)
+        g = oracles.moment_operator(e, 1)
         rng = np.random.default_rng(0)
         m = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         want = sum(u @ m @ u.conj().T for u in e.members) / len(e.members)
@@ -250,19 +256,22 @@ class TestMomentOperator:
 
     def test_iterated_is_matrix_power(self):
         base = ensembles.enumerated_ensemble([HADAMARD, PHASE])
-        g1 = ensembles.moment_operator(base, 1)
-        g3 = ensembles.moment_operator(ensembles.iterate_ensemble(base, 3), 1)
+        g1 = oracles.moment_operator(base, 1)
+        g3 = oracles.moment_operator(ensembles.iterate_ensemble(base, 3), 1)
         np.testing.assert_allclose(g3, np.linalg.matrix_power(g1, 3), atol=1e-12)
 
     @pytest.mark.parametrize("t", [2, 3])
     def test_nested_iterate_is_exact(self, t):
         # an iterate of an iterate draws nothing either: matrix_power of a
-        # matrix_power squares the same products as the flat fourth power
+        # matrix_power squares the same products as the flat fourth power,
+        # in the dense oracle and block by block in qtpe_lambda
         base = ensembles.enumerated_ensemble(ensembles.clifford_group(1), name="clifford")
         nested = ensembles.iterate_ensemble(ensembles.iterate_ensemble(base, 2), 2)
-        np.testing.assert_array_equal(
-            ensembles.moment_operator(nested, t, samples=3),
-            ensembles.moment_operator(ensembles.iterate_ensemble(base, 4), t))
+        flat = ensembles.iterate_ensemble(base, 4)
+        np.testing.assert_array_equal(oracles.moment_operator(nested, t, samples=3),
+                                      oracles.moment_operator(flat, t))
+        assert ensembles.qtpe_lambda(nested, t, samples=3) == ensembles.qtpe_lambda(
+            flat, t, samples=3)
 
 
 def kron_moment_reference(e, t, samples):
@@ -305,24 +314,38 @@ class TestMomentGram:
     def test_matches_kron_sum(self, name, t, monkeypatch):
         e = MOMENT_CASES[name][0]()
         want = kron_moment_reference(e, t, samples=25)
-        np.testing.assert_allclose(ensembles.moment_operator(e, t, samples=25), want,
+        np.testing.assert_allclose(oracles.moment_operator(e, t, samples=25), want,
                                    rtol=0, atol=1e-12)
         # seven draws per stack: 25 samples and 8 products end mid-stack
-        monkeypatch.setattr(ensembles, "MOMENT_BATCH_BYTES", 7 * 16 * e.dim ** (2 * t))
-        np.testing.assert_allclose(ensembles.moment_operator(e, t, samples=25), want,
+        monkeypatch.setattr(oracles, "MOMENT_BATCH_BYTES", 7 * 16 * e.dim ** (2 * t))
+        np.testing.assert_allclose(oracles.moment_operator(e, t, samples=25), want,
                                    rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("name, t", [(n, t) for n, (_, ts) in MOMENT_CASES.items()
+                                          for t in ts])
+    def test_design_check_one_draw_per_stack(self, name, t, monkeypatch):
+        # qtpe_lambda's one pass, stack by stack, against the dense oracle
+        e = MOMENT_CASES[name][0]()
+        lam, deviation = oracles.qtpe_lambda(e, t, samples=25)
+        monkeypatch.setattr(ensembles, "MOMENT_BATCH_BYTES", 1)
+        rep = ensembles.qtpe_lambda(e, t, samples=25)
+        assert rep.lambda_value == pytest.approx(lam, abs=1e-12, rel=0)
+        assert rep.moment_deviation == pytest.approx(deviation, abs=1e-12, rel=0)
 
 
 class TestHaarProjector:
+    """The dense Haar projector of the test oracle, and the Weingarten table
+    qtpe_lambda reads in its place."""
+
     def test_is_projector(self):
-        p = ensembles.haar_moment_projector(3, 2)
+        p = oracles.haar_moment_projector(3, 2)
         np.testing.assert_allclose(p @ p, p, atol=1e-9)
         np.testing.assert_allclose(p, p.conj().T, atol=1e-9)
 
     def test_t1_explicit_form(self):
         # order-1 twirl sends M to tr(M) I / d
         d = 3
-        p = ensembles.haar_moment_projector(d, 1)
+        p = oracles.haar_moment_projector(d, 1)
         rng = np.random.default_rng(1)
         m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         got = (p @ m.ravel(order="F")).reshape(d, d, order="F")
@@ -330,15 +353,26 @@ class TestHaarProjector:
 
     def test_rank_deficient_regime(self):
         # t = dim: the Gram matrix of permutation operators is singular
-        p = ensembles.haar_moment_projector(2, 2)
+        p = oracles.haar_moment_projector(2, 2)
         np.testing.assert_allclose(p @ p, p, atol=1e-9)
 
     def test_matches_haar_monte_carlo(self):
         d = 3
-        p = ensembles.haar_moment_projector(d, 1)
-        g = ensembles.moment_operator(ensembles.haar_ensemble(d, seed=5), 1,
-                                      samples=20000)
+        p = oracles.haar_moment_projector(d, 1)
+        g = oracles.moment_operator(ensembles.haar_ensemble(d, seed=5), 1,
+                                    samples=20000)
         assert np.abs(g - p).max() < 0.03
+
+    @pytest.mark.parametrize("dim, t", [(2, 3), (2, 6), (3, 4), (4, 3)])
+    def test_weingarten_sums_to_the_haar_moment(self, dim, t):
+        # the Weingarten function sums over S_t to 1 / (dim (dim + 1) ...
+        # (dim + t - 1)) = E|U_11|^(2t) / t!; at (2, 6) numpy's default pinv
+        # cut inverts a rounding-level singular value and misses it by 5e-4
+        # relative
+        perms, ginv = ensembles._weingarten(dim, t)
+        want = 1.0 / math.prod(range(dim, dim + t))
+        assert ginv[0].sum() == pytest.approx(want, rel=1e-12)
+        np.testing.assert_allclose(ginv.sum(axis=1), want, rtol=1e-12)
 
 
 DESIGN_CASES = {
@@ -356,15 +390,20 @@ DESIGN_CASES = {
     # {H, S} is not closed under inverse, so its gap is not Hermitian
     "hs-squared": lambda: ensembles.iterate_ensemble(
         ensembles.enumerated_ensemble([HADAMARD, PHASE], name="hs"), 2),
+    "nested-clifford": lambda: ensembles.iterate_ensemble(ensembles.iterate_ensemble(
+        ensembles.enumerated_ensemble(ensembles.clifford_group(1), name="clifford"), 2), 2),
 }
+DESIGN_DIMS = {"pauli-2": 4, "haar-3": 3, "haar-4": 4, "circuit-2": 4}  # others: 2
 
 
 class TestDesignDiagnostics:
     def test_weyl_is_exact_1_design(self):
         e = ensembles.enumerated_ensemble(weyl_group(3), name="weyl3")
-        g = ensembles.moment_operator(e, 1)
-        np.testing.assert_allclose(g, ensembles.haar_moment_projector(3, 1),
+        g = oracles.moment_operator(e, 1)
+        np.testing.assert_allclose(g, oracles.haar_moment_projector(3, 1),
                                    atol=1e-12)
+        rep = ensembles.qtpe_lambda(e, 1)
+        assert rep.lambda_value <= 1e-12 and rep.moment_deviation <= 1e-12
 
     def test_pauli_t1_exact(self):
         e = ensembles.enumerated_ensemble(ensembles.pauli_group(1), name="pauli")
@@ -411,20 +450,25 @@ class TestDesignDiagnostics:
         rep = ensembles.qtpe_lambda(e, 1, samples=1500)
         assert rep.lambda_value < 0.15
 
+    # every case up to dim^(2t) = 1024, and haar-2 at t = 6 (4096, the cap),
+    # where t > dim leaves the permutation Gram matrix singular; the other
+    # cases at 4096 take the dense oracle 4-24 s and up to 860 MB each
     @pytest.mark.parametrize("name, t", [
-        (name, t)
-        for name, dim in (("pauli-1", 2), ("pauli-2", 4), ("clifford-1", 2),
-                          ("iterated-clifford", 2), ("haar-2", 2), ("haar-3", 3),
-                          ("haar-4", 4), ("iterated-haar", 2), ("circuit-2", 4))
-        for t in (1, 2, 3) if dim**t <= 27
+        (name, t) for name in DESIGN_CASES for t in range(1, 7)
+        if DESIGN_DIMS.get(name, 2) ** (2 * t) <= 1024 or (name, t) == ("haar-2", 6)
     ])
     def test_degree_t_matches_every_degree(self, name, t):
-        # the largest d^k-scaled entry gap over k <= t sits at k = t
+        # the largest d^k-scaled entry gap over k <= t sits at k = t, and the
+        # monomials and isotypic blocks give the dense route's numbers
         e = DESIGN_CASES[name]()
         rep = ensembles.qtpe_lambda(e, t, samples=40)
         lam, deviation = oracles.qtpe_lambda(e, t, samples=40)
         assert rep.lambda_value == pytest.approx(lam, abs=1e-12, rel=0)
         assert rep.moment_deviation == pytest.approx(deviation, abs=1e-12, rel=0)
+
+    def test_sampled_check_needs_a_draw(self):
+        with pytest.raises(DomainError):
+            ensembles.qtpe_lambda(ensembles.haar_ensemble(2, seed=0), 1, samples=0)
 
     def test_lambda_range_invariant(self):
         with pytest.raises(DomainError):
@@ -465,7 +509,7 @@ class TestIsotypicBlocks:
         assert q.shape == (dim**t, dim**t)
         np.testing.assert_allclose(q.T @ q, np.eye(dim**t), atol=1e-12)
         us = ensembles.haar_ensemble(dim, seed=7).sample_batch(range(3))
-        for w in ensembles._tensor_powers(us, t):
+        for w in oracles.tensor_powers(us, t):
             for qk in groups:
                 wq = w @ qk
                 np.testing.assert_allclose(wq - qk @ (qk.T @ wq), 0, atol=1e-12)
@@ -488,19 +532,38 @@ class TestIsotypicBlocks:
     def test_blocks_carry_every_singular_value(self, name, t):
         # lambda only reads the largest; the blocks must hold the whole spectrum
         e = DESIGN_CASES[name]()
-        gap = ensembles.moment_operator(e, t, samples=40)
-        gap -= ensembles.haar_moment_projector(e.dim, t)
+        gap = oracles.moment_operator(e, t, samples=40)
+        gap -= oracles.haar_moment_projector(e.dim, t)
         blocks = np.concatenate([np.linalg.svd(b, compute_uv=False)
-                                 for b in ensembles._gap_blocks(gap, e.dim, t)])
+                                 for b in oracles.gap_blocks(gap, e.dim, t)])
         np.testing.assert_allclose(np.sort(blocks)[::-1],
+                                   np.linalg.svd(gap, compute_uv=False), atol=1e-12)
+
+    @pytest.mark.parametrize("name, t", [("haar-2", 4), ("hs-squared", 3),
+                                         ("circuit-2", 2)])
+    def test_upper_blocks_carry_every_singular_value(self, name, t):
+        # qtpe_lambda decomposes the blocks k <= l only: block (l, k) has the
+        # singular values of block (k, l), so those count twice
+        e = DESIGN_CASES[name]()
+        tab = ensembles._design_tables(e.dim, t)
+        if e.kind == "iterated":
+            grams = ensembles._exact_grams(e, tab)
+        else:
+            grams = ensembles._draw_grams(e, 40, tab, monomials=False)[0]
+        spectrum = np.concatenate([
+            np.tile(np.linalg.svd(b, compute_uv=False), 1 + (k < l))
+            for (k, l), b in ensembles._upper_blocks(grams, tab)])
+        gap = oracles.moment_operator(e, t, samples=40)
+        gap -= oracles.haar_moment_projector(e.dim, t)
+        np.testing.assert_allclose(np.sort(spectrum)[::-1],
                                    np.linalg.svd(gap, compute_uv=False), atol=1e-12)
 
     def test_non_hermitian_gap_covered(self):
         # so the singular values of its blocks are not their eigenvalues
         hs2 = DESIGN_CASES["hs-squared"]()
         for t in (1, 2, 3):
-            gap = (ensembles.moment_operator(hs2, t)
-                   - ensembles.haar_moment_projector(2, t))
+            gap = (oracles.moment_operator(hs2, t)
+                   - oracles.haar_moment_projector(2, t))
             assert np.abs(gap - gap.conj().T).max() > 1e-3
 
     @pytest.mark.parametrize("iterations", [1, 2])
@@ -512,9 +575,9 @@ class TestIsotypicBlocks:
         assert ensembles.qtpe_lambda(e, t).lambda_value <= 1e-10
 
     @pytest.mark.parametrize("name, t", [("pauli-2", 2), ("haar-3", 3)])
-    def test_holds_two_superoperators_at_most(self, name, t):
-        # the moment operator and the Haar projector; the gap is formed in
-        # place and the blocks are contracted one group at a time
+    def test_holds_less_than_one_superoperator(self, name, t):
+        # no dim^(2t)-square array: the monomials' Gram matrix and the
+        # isotypic Gram blocks, each far smaller, and one realigned block
         e = DESIGN_CASES[name]()
         ensembles.qtpe_lambda(e, t, samples=40)
         tracemalloc.start()
@@ -523,7 +586,7 @@ class TestIsotypicBlocks:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2.5 * 16 * e.dim ** (4 * t)
+        assert peak < 16 * e.dim ** (4 * t)
 
 
 class TestSerialization:
