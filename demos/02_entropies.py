@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from decouplab import entropy, quantum
+from decouplab import entropy, linalg, quantum
 from decouplab.entropy import SmoothingConfig
 from decouplab.linalg import shape
 
@@ -48,14 +48,15 @@ print("mass kept by the truncation:",
 
 # The alternate collision entropy evaluates one canonical feasible point,
 # so h2 at radius 4 sqrt(eps) always sits above it.
-canonical = entropy.h2_prime(rho, eps, 0.1, given="B")
+spec = linalg.spectral(rho.matrix)
+canonical = entropy.h2_prime(spec, rho.shape, eps, 0.1, given="B")
 h2p = canonical.value
 rough = entropy.h2_conditional(rho, SmoothingConfig(epsilon=4 * math.sqrt(eps)),
                                "fixed_marginal", given="B")
 print("\nh2'(A|B)                         =", round(h2p, 6))
 print("h2 at radius 4 sqrt(eps)         =", round(rough, 6), ">= h2'")
 print("feasible point is dominated:",
-      np.real(np.trace(canonical.eta)) <= 1.0 + 1e-12)
+      spec.values[canonical.kept].sum() <= 1.0 + 1e-12)
 
 # Min-entropy of the marginal, both printed readings.
 hmin = entropy.hmin_smooth(b, eps)

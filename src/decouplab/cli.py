@@ -244,11 +244,10 @@ def _random_instance(cfg: ExperimentConfig):
 
 def run_decouple_expect(cfg: ExperimentConfig, ens):
     inst = _random_instance(cfg)
-    choi = quantum.choi_state(inst.channel)
     us = ens.sample_batch(range(cfg.samples))
-    f = decoupling.f_values(inst, us, choi.marginal(["B"]).matrix)
+    f = decoupling.f_values(inst, us)
     mean_f, se = stats.mean_and_se(f)
-    bound = decoupling.dupuis_expectation_bound(inst, choi)
+    bound = decoupling.dupuis_expectation_bound(inst)
     summary = {
         "mean_f": mean_f,
         "std_error": se,
@@ -312,8 +311,7 @@ def run_fqsw(cfg: ExperimentConfig, ens):
     tail = decoupling.applicable_tail(inst, w, cfg.kappa, moments.mu_upper)
     window_t = tail.t if tail is not None else 1.0
     log2_window = decoupling.fqsw_log2_lambda_sandwich(a1, a2, w.h2_eps, window_t)
-    exp_bound = decoupling.dupuis_expectation_bound(
-        inst, w.choi, h2_in=w.h2_eps if inst.cfg.epsilon == 0 else None)
+    exp_bound = decoupling.dupuis_expectation_bound(inst, w)
     summary = {
         "closed_form": report,
         "mean_g_squared": mean_g2,
@@ -378,7 +376,7 @@ def run_entropy(cfg: ExperimentConfig, ens):
     h2_min = entropy.h2_conditional(rho, scfg, "minimized", given="B")
     hmax = entropy.hmax_smooth(b_marg, eps)
     hmaxp, _ = entropy.hmax_prime(b_marg, eps)
-    h2p = entropy.h2_prime(rho, eps, cfg.delta, given="B").value
+    h2p = entropy.h2_prime(linalg.spectral(rho.matrix), rho.shape, eps, cfg.delta).value
     rows = [
         ("shannon_joint", entropy.shannon(rho), "exact", "exact"),
         ("shannon_conditional", entropy.shannon(rho, given="B"), "exact", "exact"),

@@ -20,7 +20,6 @@ import numpy as np
 from . import entropy, linalg, quantum
 from .entropy import SmoothingConfig
 from .errors import ComputationError, DimensionError, DomainError
-from .linalg import SystemShape
 from .quantum import ChannelStinespring, DensitySystem
 
 # working memory for one chunk of draws in f_values / g_values
@@ -70,17 +69,16 @@ class DecouplingInstance:
 class Weights:
     """Precomputed smoothing witnesses and weighted operators for g.
 
-    rho_tilde is the input's collision witness, weighted on R; eta certifies
-    the channel side, and omega3_inv_quarter (omega''' of the Choi state's B
-    marginal, to the -1/4) is the weight g applies on B. povm is the measurement
-    on the channel's environment Z steering the maximally entangled input to
-    eta; it is None when epsilon = 0, where the plain channel already does.
+    rho_tilde is the input's collision witness, weighted on R. Of eta, the
+    channel side's feasible point, g reads omega_tilde_b, its B marginal weighted
+    by omega3_inv_quarter (omega''' of the Choi state's B marginal, to the -1/4).
+    povm is the measurement on the channel's environment Z steering the maximally
+    entangled input to eta; it is None at epsilon = 0, where the channel does.
     """
 
     rho_tilde: np.ndarray
     rho_tilde_r: np.ndarray
     choi: DensitySystem
-    eta: np.ndarray
     omega3_inv_quarter: np.ndarray
     povm: np.ndarray | None
     omega_tilde_b: np.ndarray
@@ -95,8 +93,7 @@ class Weights:
 
 
 def prepare(inst: DecouplingInstance) -> Weights:
-    """The certified weights. The Choi state omega = m m^dag is read through the
-    thin SVD m = U S Wh of its amplitudes: its nonzero eigenpairs are (S^2, U).
+    """The certified weights, the channel side off `quantum._thin_choi`'s m = U S Wh.
     If eta keeps the pairs K, Q = m^+ eta m^+dag = Wh_K^dag Wh_K, and the POVM
     (Q^T)^(1/2) of `quantum.povm_completion` is the projector Wh_K^T Wh_K^*."""
     cfg = inst.cfg
@@ -104,30 +101,31 @@ def prepare(inst: DecouplingInstance) -> Weights:
     rho_tilde_r = linalg.partial_trace(wit_in.tilde, inst.rho.shape, list(inst.a_labels))
 
     choi = quantum.choi_state(inst.channel)
-    m = quantum.choi_amplitudes(inst.channel)
-    u, s, wh = np.linalg.svd(m, full_matrices=False)
-    wit_ch = entropy.h2_prime(choi, cfg.epsilon, cfg.delta, "B", linalg.Spectrum(s * s, u))
+    spec, shp, wh = quantum._thin_choi(inst.channel)
+    wit_ch = entropy.h2_prime(spec, shp, cfg.epsilon, cfg.delta)
 
     povm = None
     if cfg.epsilon > 0:
-        povm = wh[wit_ch.kept].T @ wh[wit_ch.kept].conj()
-        # povm is a projector, so meeting eta here also shows eta <= omega
-        err = float(np.abs(m @ (povm.T @ povm.T) @ m.conj().T - wit_ch.eta).max())
-        if err > 1e-7:
-            raise ComputationError(f"steering projector missed eta by {err:.2e}")
-
-    omega_tilde_b = linalg.partial_trace(wit_ch.tilde, choi.shape, ["Ap"])
+        kept = wit_ch.kept
+        povm = wh[kept].T @ wh[kept].conj()
+        # F = U_K S_K Wh_K has F F^dag = eta and P^T is a Hermitian projector: for
+        # D = m P^T - F with largest row norm r, ||m P^T P^T m^dag - eta||_max =
+        # ||F D^dag + D F^dag + D D^dag||_max <= 2 r + r^2, as ||F_i||^2 = eta_ii <= 1.
+        # A projector meeting eta also shows eta <= omega
+        f = (spec.vectors[:, kept] * np.sqrt(spec.values[kept])) @ wh[kept]
+        r = float(np.linalg.norm(quantum.choi_amplitudes(inst.channel) @ povm.T - f, axis=1).max())
+        if 2.0 * r + r * r > 1e-7:
+            raise ComputationError(f"steering projector missed eta by up to {2.0 * r + r * r:.2e}")
 
     n_r = linalg.schatten_norm(rho_tilde_r, 2) ** 2
     n_ar = linalg.schatten_norm(wit_in.tilde, 2) ** 2
-    n_b = linalg.schatten_norm(omega_tilde_b, 2) ** 2
-    n_ab = linalg.schatten_norm(wit_ch.tilde, 2) ** 2
+    n_b = linalg.schatten_norm(wit_ch.tilde_marginal, 2) ** 2
     return Weights(
-        rho_tilde=wit_in.tilde, rho_tilde_r=rho_tilde_r, choi=choi, eta=wit_ch.eta,
+        rho_tilde=wit_in.tilde, rho_tilde_r=rho_tilde_r, choi=choi,
         omega3_inv_quarter=wit_ch.omega3_inv_quarter, povm=povm,
-        omega_tilde_b=omega_tilde_b, h2_eps=wit_in.value, h2_prime_val=wit_ch.value,
-        hmax_prime_val=wit_ch.hmax_prime, n_r=n_r, n_ar=n_ar, n_b=n_b, n_ab=n_ab,
-        warnings=wit_in.warnings,
+        omega_tilde_b=wit_ch.tilde_marginal, h2_eps=wit_in.value,
+        h2_prime_val=wit_ch.value, hmax_prime_val=wit_ch.hmax_prime, n_r=n_r,
+        n_ar=n_ar, n_b=n_b, n_ab=wit_ch.tilde_norm_sq, warnings=wit_in.warnings,
     )
 
 
@@ -220,24 +218,19 @@ def haar_expected_g_squared(inst: DecouplingInstance, w: Weights) -> HaarMoments
     )
 
 
-def dupuis_expectation_bound(inst: DecouplingInstance,
-                             choi: DensitySystem | None = None,
-                             h2_in: float | None = None) -> float:
+def dupuis_expectation_bound(inst: DecouplingInstance, w: Weights | None = None) -> float:
     """Upper bound on the Haar mean of f from the two collision entropies.
 
     Evaluated at epsilon = 0 with fixed marginal weights; those certified
-    values can only enlarge the bound, so it stays valid. choi, the
-    channel's Choi state on (B, Ap), and h2_in, the input's collision
-    entropy given R, are computed when omitted; at epsilon = 0 `prepare`'s
-    h2_eps is that value.
-    """
-    cfg0 = SmoothingConfig(epsilon=0.0, delta=0.0)
-    if h2_in is None:
-        h2_in = entropy.h2_conditional(inst.rho, cfg0, "fixed_marginal",
-                                       given=list(inst.r_labels))
-    if choi is None:
-        choi = quantum.choi_state(inst.channel)
-    h2_ch = entropy.h2_conditional(choi, cfg0, "fixed_marginal", given="B")
+    values can only enlarge the bound, so it stays valid. The channel side is
+    h2' at (0, 0) on the Choi state's thin spectrum, where its point is the
+    state and its weight the B marginal; w prepared at epsilon = 0 holds both."""
+    if w is not None and inst.cfg.epsilon == 0:
+        return 2.0 ** (-0.5 * w.h2_eps - 0.5 * w.h2_prime_val)
+    h2_in = entropy.h2_conditional(inst.rho, SmoothingConfig(), "fixed_marginal",
+                                   given=list(inst.r_labels))
+    spec, shp, _ = quantum._thin_choi(inst.channel)
+    h2_ch = entropy.h2_prime(spec, shp, 0.0, 0.0).value
     return 2.0 ** (-0.5 * h2_in - 0.5 * h2_ch)
 
 
@@ -499,19 +492,18 @@ def iid_parameters(inst: DecouplingInstance, n: int, kappa: float) -> TailParame
         raise DomainError("many-copy parameters require epsilon > 0")
     da, db = float(inst.a_dim), float(inst.channel.b_dim)
     r_labels = list(inst.r_labels)
-    choi = quantum.choi_state(inst.channel)
     h_a_r = entropy.shannon(inst.rho, given=r_labels)
     h_ar = entropy.shannon(inst.rho)
     h_r = entropy.shannon(inst.rho.marginal(r_labels))
-    h_ap_b = entropy.shannon(choi, given="B")
-    h_apb = entropy.shannon(choi)
-    h_b = entropy.shannon(choi.marginal(["B"]))
+    spec, shp, _ = quantum._thin_choi(inst.channel)
+    h_apb = entropy.shannon(spec.values)
+    h_b = entropy.shannon(entropy._factor_marginal(spec.vectors * np.sqrt(spec.values), shp, "B"))
 
     dab = da * db
     eps_prime = 8.0 * (n + dab) ** dab * eps**0.25
     exponent = (
         -(n / 2.0) * (h_a_r - dlt * (3.0 * h_ar + 7.0 * h_r))
-        - (n / 2.0) * (h_ap_b - dlt * (3.0 * h_apb + 7.0 * h_b))
+        - (n / 2.0) * (h_apb - h_b - dlt * (3.0 * h_apb + 7.0 * h_b))
     )
     # many-copy exponents overflow floats at modest n, so stay in log2 space
     mu = entropy._pow2(exponent)

@@ -411,13 +411,6 @@ def hmax_prime(state: DensitySystem, eps: float) -> tuple[float, DensitySystem]:
     return value, DensitySystem._derived(omega2, state.shape)
 
 
-def omega_triple_prime(state: DensitySystem, eps: float, delta: float) -> DensitySystem:
-    """Zero out eigenvalues below 2^(-(1+delta) * alternate max-entropy)."""
-    spec = linalg.spectral(state.matrix)
-    _, vals = _omega_triple_prime(spec.values, eps, delta)
-    return DensitySystem._derived((spec.vectors * vals) @ spec.vectors.conj().T, state.shape)
-
-
 def _omega_triple_prime(values: np.ndarray, eps: float, delta: float) -> tuple[float, np.ndarray]:
     """The alternate max-entropy of a spectrum and the eigenvalues of omega''' on its vectors."""
     if delta < 0:
@@ -428,36 +421,46 @@ def _omega_triple_prime(values: np.ndarray, eps: float, delta: float) -> tuple[f
 
 
 class H2Prime(NamedTuple):
-    """h2' = -2 log2 ||tilde||_2 with what it derives: hmax' of omega's marginal
-    on the given label, the feasible point eta, the eigenpairs it keeps, the -1/4
-    power of omega''' of that marginal, and tilde, eta so conjugated on the label."""
+    """h2' = -log2 ||tilde||_2^2 with hmax' of omega's marginal on the given label,
+    the indices of the spectrum's pairs that eta keeps, omega''' of that marginal
+    to the -1/4, and tilde's marginal on the label and its squared 2-norm."""
 
     value: float
     hmax_prime: float
-    eta: np.ndarray
     kept: np.ndarray
     omega3_inv_quarter: np.ndarray
-    tilde: np.ndarray
+    tilde_marginal: np.ndarray
+    tilde_norm_sq: float
 
 
-def h2_prime(omega: DensitySystem, eps: float, delta: float,
-             given: str = "B", eigenpairs: linalg.Spectrum | None = None) -> H2Prime:
-    """Conditional collision entropy against the truncated marginal weight.
+def _factor_marginal(f: np.ndarray, shp: SystemShape, given: str) -> np.ndarray:
+    """Tr_rest(f f^dag) on the label `given`, for f with shp.dim rows, by one
+    reshape and one product, without f f^dag."""
+    g = np.moveaxis(f.reshape(shp.dims + (-1,)), shp.axis(given), 0).reshape(shp.dim_of(given), -1)
+    return g @ g.conj().T
 
-    The canonical feasible point keeps eigenvectors of omega whose overlap
-    with the truncated-marginal support is at least 1 - eps, dropping the
-    offenders first and then the smallest eigenvalues while the removed
-    mass stays within eps. eta = V diag(kept) V^dag is PSD by construction.
-    The pairs come from `eigenpairs` when given (descending, any left out are
-    0). omega''' shares the marginal's eigenvectors, so both use one eigh."""
-    b_spec = linalg.spectral(omega.marginal([given]).matrix)
+
+def h2_prime(spec: linalg.Spectrum, shp: SystemShape, eps: float, delta: float,
+             given: str = "B") -> H2Prime:
+    """Conditional collision entropy against the truncated marginal weight of
+    omega = V Lambda V^dag on `shp`, from its spectrum `spec` (descending; a
+    thin one leaves out zero eigenvalues).
+
+    The canonical feasible point eta = V_K Lambda_K V_K^dag keeps the
+    eigenvectors whose overlap with the truncated-marginal support is at least
+    1 - eps, dropping the offenders first and then the smallest eigenvalues
+    while the removed mass stays within eps. No shp.dim-square matrix is
+    formed: the marginal comes from the factor V Lambda^{1/2}, and tilde from
+    Z = (I (x) omega'''^{-1/4}) V_K Lambda_K^{1/2}, ||Z Z^dag||_2 = ||Z^dag Z||_2.
+    omega''' shares the marginal's eigenvectors, so both use one eigh."""
+    factor = spec.vectors * np.sqrt(np.clip(spec.values, 0.0, None))
+    b_spec = linalg.spectral(_factor_marginal(factor, shp, given))
     hmax_value, w3_vals = _omega_triple_prime(b_spec.values, eps, delta)
     cols = b_spec.vectors[:, _above_rank_floor(w3_vals)]
 
-    spec = linalg.spectral(omega.matrix) if eigenpairs is None else eigenpairs
     # <v_i| I (x) P |v_i> for every eigenvector at once, P omega'''s support projector
     overlaps = np.einsum("ri,ri->i", spec.vectors.conj(), _apply_on_labels(
-        cols @ cols.conj().T, spec.vectors, omega.shape, [given])).real
+        cols @ cols.conj().T, spec.vectors, shp, [given])).real
     live = spec.values > RANK_FLOOR * float(spec.values.max(initial=0.0))
     off = live & (overlaps < 1.0 - eps - 1e-12)
     removed = sum(spec.values[off], 0.0)  # left to right, in index order
@@ -468,13 +471,11 @@ def h2_prime(omega: DensitySystem, eps: float, delta: float,
     keep = keep[_drop_smallest(spec.values[keep], eps + 1e-15, removed).size:]
     if not keep.size:
         raise DomainError("smoothing removed every eigenvector")
-    vals = np.zeros_like(spec.values)
-    vals[keep] = spec.values[keep]
-    eta = (spec.vectors * vals) @ spec.vectors.conj().T
     w3_iq = linalg.Spectrum(w3_vals, b_spec.vectors).power(-0.25)
-    tilde = _conj_on_labels(eta, w3_iq, omega.shape, [given])
-    value = float(-2.0 * math.log2(linalg.schatten_norm(tilde, 2)))
-    return H2Prime(value, hmax_value, eta, keep, w3_iq, tilde)
+    z = _apply_on_labels(w3_iq, factor[:, keep], shp, [given])
+    norm_sq = float((np.abs(z.conj().T @ z) ** 2).sum())
+    return H2Prime(-math.log2(norm_sq), hmax_value, keep, w3_iq,
+                   _factor_marginal(z, shp, given), norm_sq)
 
 
 def h2_upper_bound_check(rho: DensitySystem, cfg: SmoothingConfig, value: float,

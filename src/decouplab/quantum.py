@@ -237,6 +237,13 @@ def choi_state(t: ChannelStinespring) -> DensitySystem:
         m @ m.conj().T, linalg.shape(("B", t.b_dim), ("Ap", t.a_dim)))
 
 
+def _thin_choi(t: ChannelStinespring) -> tuple[linalg.Spectrum, SystemShape, np.ndarray]:
+    """`choi_state`'s nonzero spectrum (S^2, U) and shape, and Wh, from the thin
+    SVD m = U S Wh of the Choi amplitudes, as m m^dag has rank at most |Z|."""
+    u, s, wh = np.linalg.svd(choi_amplitudes(t), full_matrices=False)
+    return linalg.Spectrum(s * s, u), linalg.shape(("B", t.b_dim), ("Ap", t.a_dim)), wh
+
+
 def identity_channel(d: int) -> ChannelStinespring:
     return ChannelStinespring(v=np.eye(d, dtype=complex), b_dim=d)
 

@@ -344,7 +344,8 @@ def h2_prime_iid_bound_check(omega: DensitySystem, n: int, eps: float,
     }
     if n <= 8 and dab <= 4 and dab**n <= FULL_MODE_DIM_CAP and 0 < eps_prime < 1:
         big = _tensor_power_bipartite(omega, n)
-        value = entropy.h2_prime(big, eps_prime, 5.0 * delta, given="B").value
+        value = entropy.h2_prime(linalg.spectral(big.matrix), big.shape, eps_prime,
+                                 5.0 * delta).value
         report.update({
             "mode": "full",
             "value_bits": value,

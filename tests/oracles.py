@@ -180,6 +180,21 @@ def h2_prime(omega, eps, delta, given="B"):
     return value, DensitySystem.from_matrix(eta, omega.shape)
 
 
+def kept_point(spec, kept):
+    """The feasible point eta of `entropy.h2_prime` on the eigenpairs `spec`:
+    V diag(kept values) V^dag, formed as h2_prime once formed it."""
+    vals = np.zeros_like(spec.values)
+    vals[kept] = spec.values[kept]
+    return (spec.vectors * vals) @ spec.vectors.conj().T
+
+
+def kraus_channel(n, da, db, rng):
+    """A channel with n Kraus operators cut from a random isometry
+    A -> B (x) Z, so |Z| = n and its Choi state has rank at most n."""
+    iso = linalg.random_unitary(db * n, rng)[:, :da]
+    return quantum.channel_from_kraus([iso[z::n] for z in range(n)], da, db)
+
+
 def prepare(inst):
     """`decoupling.prepare` as a pipeline of the public entropy steps, each
     decomposing what it needs, with the weighted operators rebuilt after."""
@@ -191,11 +206,15 @@ def prepare(inst):
     rho_tilde_r = linalg.partial_trace(rho_tilde, inst.rho.shape, list(inst.a_labels))
 
     choi = quantum.choi_state(inst.channel)
-    choi_b = choi.marginal(["B"])
+    # the B marginal as prepare reads it, off the thin Choi spectrum's factor,
+    # so hmax' is taken on the same matrix
+    spec, shp, _ = quantum._thin_choi(inst.channel)
+    choi_b = DensitySystem._derived(entropy._factor_marginal(
+        spec.vectors * np.sqrt(spec.values), shp, "B"), linalg.shape(("B", shp.dim_of("B"))))
     hmax_prime_val, _ = entropy.hmax_prime(choi_b, cfg.epsilon)
-    omega3 = entropy.omega_triple_prime(choi_b, cfg.epsilon, cfg.delta)
-    canonical = entropy.h2_prime(choi, cfg.epsilon, cfg.delta, given="B")
-    h2_prime_val, eta = canonical.value, canonical.eta
+    omega3 = omega_triple_prime(choi_b, cfg.epsilon, cfg.delta)
+    h2_prime_val, eta = h2_prime(choi, cfg.epsilon, cfg.delta, given="B")
+    eta = eta.matrix
 
     povm = None
     if cfg.epsilon > 0:
@@ -216,7 +235,7 @@ def prepare(inst):
         raise ComputationError("channel witness norm does not match its entropy value")
     return decoupling.Weights(
         rho_tilde=rho_tilde, rho_tilde_r=rho_tilde_r,
-        choi=choi, eta=eta,
+        choi=choi,
         omega3_inv_quarter=omega3_iq, povm=povm, omega_tilde_b=omega_tilde_b,
         h2_eps=h2_eps, h2_prime_val=h2_prime_val, hmax_prime_val=hmax_prime_val,
         n_r=n_r, n_ar=n_ar, n_b=n_b, n_ab=n_ab, warnings=warns,

@@ -8,11 +8,11 @@ the inverse quarter power of omega''' on B.
 import numpy as np
 import pytest
 
-from decouplab import decoupling, ensembles, entropy, linalg, quantum
+from decouplab import decoupling, ensembles, linalg, quantum
 from decouplab.entropy import SmoothingConfig
 from decouplab.linalg import shape
 
-from oracles import conj_by_inverse_quarter
+from oracles import conj_by_inverse_quarter, omega_triple_prime
 
 TOL = 1e-12
 
@@ -52,8 +52,7 @@ def f_reference(inst, u, choi_b):
 
 def g_reference(inst, u, w):
     y, yshape = _dense_channel(inst.channel, _evolved(inst, w.rho_tilde, u), w.povm)
-    omega3 = entropy.omega_triple_prime(w.choi.marginal(["B"]), inst.cfg.epsilon,
-                                        inst.cfg.delta)
+    omega3 = omega_triple_prime(w.choi.marginal(["B"]), inst.cfg.epsilon, inst.cfg.delta)
     y = conj_by_inverse_quarter(y, yshape, omega3.matrix, ["B"])
     return linalg.schatten_norm(y - np.kron(w.omega_tilde_b, w.rho_tilde_r), 2)
 

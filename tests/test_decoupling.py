@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,6 +29,21 @@ def random_instance(seed, da=4, db=2, dr=2, cfg=None):
     channel = quantum.trace_out_channel(db, da // db)
     return decoupling.DecouplingInstance(rho=rho, channel=channel,
                                          cfg=cfg or SmoothingConfig())
+
+
+# channels with |Z| < |A||B|, where omega = m m^dag has rank at most |Z|
+THIN_CHANNELS = {
+    "random-channel": lambda rng: quantum.random_channel(3, 2, rng),
+    "kraus-1": lambda rng: oracles.kraus_channel(1, 2, 3, rng),
+    "kraus-2": lambda rng: oracles.kraus_channel(2, 3, 2, rng),
+    "kraus-3": lambda rng: oracles.kraus_channel(3, 4, 2, rng),
+}
+
+
+def channel_instance(channel, seed, cfg, dr=2):
+    rng = np.random.default_rng(seed)
+    rho = quantum.random_state(shape(("A", channel.a_dim), ("R", dr)), rng)
+    return decoupling.DecouplingInstance(rho=rho, channel=channel, cfg=cfg)
 
 
 # one fresh instance per call, equal in value each time
@@ -247,6 +263,32 @@ class TestExpectationBound:
         se = f.std(ddof=1) / math.sqrt(f.size)
         assert f.mean() <= bound + 3.0 * se
 
+    @pytest.mark.parametrize("name", sorted(THIN_CHANNELS) + ["identity", "trace-out"])
+    def test_matches_dense_collision_entropies(self, name):
+        # the channel side read off the thin SVD against the fixed-marginal
+        # collision entropy of the dense Choi state, both at epsilon = 0; a
+        # prepared w is read at epsilon = 0 and ignored past it
+        cfg0 = SmoothingConfig()
+        for seed in range(3):
+            if name == "identity":
+                inst = epr_instance(2 + seed)
+            elif name == "trace-out":
+                inst = random_instance(seed, da=4 * (seed + 1))
+            else:
+                inst = channel_instance(THIN_CHANNELS[name](np.random.default_rng(seed)),
+                                        seed, cfg0)
+            h2_in = entropy.h2_conditional(inst.rho, cfg0, given=list(inst.r_labels))
+            h2_ch = entropy.h2_conditional(quantum.choi_state(inst.channel), cfg0, given="B")
+            want = 2.0 ** (-0.5 * h2_in - 0.5 * h2_ch)
+            got = decoupling.dupuis_expectation_bound(inst)
+            assert got == pytest.approx(want, rel=1e-12, abs=0)
+            w = decoupling.prepare(inst)
+            assert decoupling.dupuis_expectation_bound(inst, w) == pytest.approx(
+                want, rel=1e-12, abs=0)
+            smoothed = dataclasses.replace(inst, cfg=SmoothingConfig(epsilon=0.05, delta=0.1))
+            assert decoupling.dupuis_expectation_bound(
+                smoothed, decoupling.prepare(smoothed)) == got
+
 
 class TestTailParameters:
     def test_fqsw_a_identity(self):
@@ -457,6 +499,29 @@ class TestIidParameters:
         want_a = 2.0**n * 2.0 ** (n * h_a_r - n * h_b - 9.0)
         assert tail.a == pytest.approx(want_a, rel=1e-9)
 
+    @pytest.mark.parametrize("name", sorted(THIN_CHANNELS) + ["trace-out"])
+    def test_channel_entropies_match_dense_choi(self, name):
+        # H(A'B) from the amplitudes' singular values and H(B) from their B
+        # rows, against the entropies of the dense Choi state
+        cfg = SmoothingConfig(epsilon=1e-10, delta=0.05)
+        if name == "trace-out":
+            inst = random_instance(2, cfg=cfg)
+        else:
+            inst = channel_instance(THIN_CHANNELS[name](np.random.default_rng(7)), 7, cfg)
+        n, dlt, da = 5, cfg.delta, inst.a_dim
+        tail = decoupling.iid_parameters(inst, n=n, kappa=0.4)
+        choi = quantum.choi_state(inst.channel)
+        h_a_r = entropy.shannon(inst.rho, given=["R"])
+        h_ar, h_r = entropy.shannon(inst.rho), entropy.shannon(inst.rho.marginal(["R"]))
+        h_apb, h_b = entropy.shannon(choi), entropy.shannon(choi.marginal(["B"]))
+        exponent = (-(n / 2.0) * (h_a_r - dlt * (3.0 * h_ar + 7.0 * h_r))
+                    - (n / 2.0) * (entropy.shannon(choi, given="B")
+                                   - dlt * (3.0 * h_apb + 7.0 * h_b)))
+        log2_a = (n * math.log2(da) + n * (h_a_r - dlt * (3.0 * h_ar + 7.0 * h_r))
+                  - n * h_b * (1.0 + 7.0 * dlt) - 9.0)
+        assert tail.threshold_exponent == pytest.approx(exponent, rel=1e-12, abs=0)
+        assert math.log2(tail.a) == pytest.approx(log2_a, rel=1e-12, abs=0)
+
     def test_copy_count_positive(self):
         inst = random_instance(3)
         with pytest.raises(DomainError):
@@ -585,6 +650,14 @@ PINNED_G = {
 }
 
 
+def prepared_eta(inst):
+    """The channel side's eta that prepare certifies: the pairs of the thin
+    spectrum (S^2, U) of the Choi amplitudes that h2' keeps."""
+    spec, shp, _ = quantum._thin_choi(inst.channel)
+    kept = entropy.h2_prime(spec, shp, inst.cfg.epsilon, inst.cfg.delta).kept
+    return oracles.kept_point(spec, kept)
+
+
 class TestSteeringPovmOfPrepare:
     @pytest.mark.parametrize("name", sorted(PINNED_G))
     def test_steers_choi_to_eta(self, name):
@@ -601,7 +674,7 @@ class TestSteeringPovmOfPrepare:
         psi = np.kron(np.kron(np.eye(db), p), np.eye(da)) @ psi
         steered = linalg.partial_trace(np.outer(psi, psi.conj()),
                                        shape(("B", db), ("Z", dz), ("Ap", da)), ["Z"])
-        np.testing.assert_allclose(steered, w.eta, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(steered, prepared_eta(inst), rtol=0, atol=1e-10)
 
     @pytest.mark.parametrize("name", sorted(PINNED_G))
     def test_g_matches_recorded_values(self, name):
@@ -641,8 +714,9 @@ PREPARE_CASES = {
 # prepare forms the weighted witnesses by contraction on the conditioning
 # labels and reads the channel side off a thin SVD of the Choi amplitudes;
 # the pipeline uses kron-embedded products and dense eigendecompositions, so
-# these sums run in another order
-ROUNDED = ("rho_tilde", "rho_tilde_r", "eta", "omega3_inv_quarter", "povm",
+# these sums run in another order (both take the Choi state's B marginal, and
+# so hmax', from the thin spectrum's factor)
+ROUNDED = ("rho_tilde", "rho_tilde_r", "omega3_inv_quarter", "povm",
            "omega_tilde_b", "h2_eps", "h2_prime_val", "n_r", "n_ar", "n_b", "n_ab")
 
 
@@ -747,33 +821,13 @@ class TestPrepareMatchesSequence:
                          "povm_completion": 0}
 
 
-def kraus_channel(n, da, db, rng):
-    # n Kraus operators cut from a random isometry A -> B (x) Z: |Z| = n
-    iso = linalg.random_unitary(db * n, rng)[:, :da]
-    return quantum.channel_from_kraus([iso[z::n] for z in range(n)], da, db)
-
-
-# channels with |Z| < |A||B|, where omega = m m^dag has rank at most |Z|
-THIN_CHANNELS = {
-    "random-channel": lambda rng: quantum.random_channel(3, 2, rng),
-    "kraus-1": lambda rng: kraus_channel(1, 2, 3, rng),
-    "kraus-2": lambda rng: kraus_channel(2, 3, 2, rng),
-    "kraus-3": lambda rng: kraus_channel(3, 4, 2, rng),
-}
-
-
-def channel_instance(channel, seed, cfg, dr=2):
-    rng = np.random.default_rng(seed)
-    rho = quantum.random_state(shape(("A", channel.a_dim), ("R", dr)), rng)
-    return decoupling.DecouplingInstance(rho=rho, channel=channel, cfg=cfg)
-
-
-def assert_steers_to_eta(channel, w):
+def assert_steers_to_eta(inst, w):
     """povm is a projector and m (P^T)^2 m^dag = eta for the Choi amplitudes m."""
-    p, m = w.povm, quantum.choi_amplitudes(channel)
+    p, m = w.povm, quantum.choi_amplitudes(inst.channel)
     np.testing.assert_allclose(p @ p, p, rtol=0, atol=1e-12)
     np.testing.assert_allclose(p, p.conj().T, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(m @ p.T @ p.T @ m.conj().T, w.eta, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(m @ p.T @ p.T @ m.conj().T, prepared_eta(inst),
+                               rtol=0, atol=1e-12)
 
 
 class TestThinChannelRoute:
@@ -796,7 +850,7 @@ class TestThinChannelRoute:
             for f in ("hmax_prime_val", "n_b", "n_ab"):
                 assert getattr(got, f) == pytest.approx(getattr(want, f), rel=1e-12, abs=0), f
             if cfg.epsilon > 0:
-                assert_steers_to_eta(channel, got)
+                assert_steers_to_eta(inst, got)
             else:
                 assert got.povm is None
 
@@ -809,6 +863,34 @@ class TestThinChannelRoute:
         got, want = decoupling.prepare(inst), oracles.prepare(inst)
         for f in ("h2_prime_val", "n_b", "n_ab"):
             assert getattr(got, f) == pytest.approx(getattr(want, f), rel=0, abs=1e-15), f
-        for w in (got, want):
-            assert linalg.schatten_norm(w.choi.matrix - w.eta, 1) <= 0.2 + 1e-12
-        assert_steers_to_eta(channel, got)
+        _, dense_eta = oracles.h2_prime(want.choi, 0.2, 0.0)
+        for eta in (prepared_eta(inst), dense_eta.matrix):
+            assert linalg.schatten_norm(got.choi.matrix - eta, 1) <= 0.2 + 1e-12
+        assert_steers_to_eta(inst, got)
+
+
+def traced_peak(call):
+    """The tracemalloc peak, in bytes, of call()."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestChannelSideMemory:
+    """No |A||B|-square array on the channel side but the Choi state that
+    Weights keeps: at FQSW (4, 64, 1), |A||B| = 1024, one such complex array
+    is 16 MiB."""
+
+    DENSE = 16 * 1024 ** 2
+
+    def test_prepare_peak(self):
+        peak = traced_peak(lambda: decoupling.fqsw_instance(
+            4, 64, 1, cfg=SmoothingConfig(epsilon=0.05)))
+        assert peak < 2 * self.DENSE
+
+    def test_expectation_bound_peak(self):
+        inst = decoupling.fqsw_instance(4, 64, 1, cfg=SmoothingConfig(epsilon=0.05))[0]
+        assert traced_peak(lambda: decoupling.dupuis_expectation_bound(inst)) < self.DENSE

@@ -226,20 +226,24 @@ class TestHmaxPrime:
             entropy.hmax_prime_values(np.array([0.0, 0.0]), 0.0)
 
 
+def omega_triple_prime(state, eps, delta):
+    """omega''' of the state, by `entropy._omega_triple_prime` on its spectrum."""
+    spec = linalg.spectral(state.matrix)
+    _, vals = entropy._omega_triple_prime(spec.values, eps, delta)
+    return linalg.Spectrum(vals, spec.vectors).reconstruct()
+
+
 class TestOmegaTriplePrime:
     def test_oracle_keeps_all_three(self):
         # spectrum [0.7, 0.2, 0.1], eps 0.15, delta 0.5:
         # hmax'(0.15) drops 0.1 -> survivor 0.2, threshold 0.2^1.5 ~ 0.0894
-        rho = classical_state([0.7, 0.2, 0.1], [("B", 3)])
-        out = entropy.omega_triple_prime(rho, 0.15, 0.5)
-        np.testing.assert_allclose(np.sort(np.diag(out.matrix).real),
-                                   [0.1, 0.2, 0.7], atol=1e-12)
+        _, out = entropy._omega_triple_prime(np.array([0.7, 0.2, 0.1]), 0.15, 0.5)
+        np.testing.assert_allclose(np.sort(out), [0.1, 0.2, 0.7], atol=1e-12)
 
     def test_delta_zero_matches_hmax_prime_cut(self):
-        rho = classical_state([0.6, 0.25, 0.1, 0.05], [("B", 4)])
-        _, keep = entropy.hmax_prime_values(np.array([0.6, 0.25, 0.1, 0.05]), 0.12)
-        out = entropy.omega_triple_prime(rho, 0.12, 0.0)
-        survivors = np.sort(np.diag(out.matrix).real)
+        vals = np.array([0.6, 0.25, 0.1, 0.05])
+        _, keep = entropy.hmax_prime_values(vals, 0.12)
+        _, survivors = entropy._omega_triple_prime(vals, 0.12, 0.0)
         # threshold is the smallest kept value, so exactly the kept set stays
         assert (survivors > 0).sum() == keep.sum()
 
@@ -248,9 +252,15 @@ class TestOmegaTriplePrime:
         rng = np.random.default_rng(7)
         rho = quantum.random_state(shape(("B", 5)), rng)
         _, w2 = entropy.hmax_prime(rho, 0.1)
-        w3 = entropy.omega_triple_prime(rho, 0.1, 0.3)
-        gap = np.linalg.eigvalsh(linalg.hermitianize(w3.matrix - w2.matrix))
+        w3 = omega_triple_prime(rho, 0.1, 0.3)
+        gap = np.linalg.eigvalsh(linalg.hermitianize(w3 - w2.matrix))
         assert gap.min() >= -1e-10
+
+
+def state_h2_prime(omega, eps, delta):
+    """entropy.h2_prime given B on the state's full spectrum, and that spectrum."""
+    spec = linalg.spectral(omega.matrix)
+    return entropy.h2_prime(spec, omega.shape, eps, delta, given="B"), spec
 
 
 class TestH2Prime:
@@ -258,7 +268,7 @@ class TestH2Prime:
         rng = np.random.default_rng(8)
         omega = quantum.random_state(shape(("Ap", 2), ("B", 3)), rng)
         omega = omega.permute(["B", "Ap"])
-        v_prime = entropy.h2_prime(omega, 0.0, 0.0, given="B").value
+        v_prime = state_h2_prime(omega, 0.0, 0.0)[0].value
         v_fixed = entropy.h2_conditional(omega, SmoothingConfig(), given="B")
         assert v_prime == pytest.approx(v_fixed, abs=1e-9)
 
@@ -266,9 +276,10 @@ class TestH2Prime:
         rng = np.random.default_rng(9)
         omega = quantum.random_state(shape(("B", 2), ("Ap", 3)), rng)
         eps, delta = 0.02, 0.1
-        canonical = entropy.h2_prime(omega, eps, delta, given="B")
-        w3 = entropy.omega_triple_prime(omega.marginal(["B"]), eps, delta)
-        tilde = oracles.conj_by_inverse_quarter(canonical.eta, omega.shape, w3.matrix, ["B"])
+        canonical, spec = state_h2_prime(omega, eps, delta)
+        w3 = oracles.omega_triple_prime(omega.marginal(["B"]), eps, delta)
+        eta = oracles.kept_point(spec, canonical.kept)
+        tilde = oracles.conj_by_inverse_quarter(eta, omega.shape, w3.matrix, ["B"])
         assert 2.0 ** (-canonical.value) == pytest.approx(
             linalg.schatten_norm(tilde, 2) ** 2, rel=1e-9
         )
@@ -279,7 +290,7 @@ class TestH2Prime:
         rng = np.random.default_rng(seed)
         omega = quantum.random_state(shape(("B", 2), ("Ap", 2)), rng)
         eps, delta = 0.01, 0.2
-        v_prime = entropy.h2_prime(omega, eps, delta, given="B").value
+        v_prime = state_h2_prime(omega, eps, delta)[0].value
         cfg = SmoothingConfig(epsilon=4.0 * math.sqrt(eps))
         v_rough = entropy.h2_conditional(omega, cfg, given="B")
         assert v_rough >= v_prime - 1e-9
@@ -288,7 +299,8 @@ class TestH2Prime:
         rng = np.random.default_rng(10)
         omega = quantum.random_state(shape(("B", 3), ("Ap", 2)), rng)
         eps = 0.05
-        eta = entropy.h2_prime(omega, eps, 0.1, given="B").eta
+        canonical, spec = state_h2_prime(omega, eps, 0.1)
+        eta = oracles.kept_point(spec, canonical.kept)
         gap = np.linalg.eigvalsh(linalg.hermitianize(omega.matrix - eta))
         assert gap.min() >= -1e-10  # 0 <= eta <= omega
         assert linalg.schatten_norm(omega.matrix - eta, 1) <= eps + 1e-9
@@ -869,6 +881,53 @@ def _random_spectra(seed, count):
         yield v, budgets
 
 
+CHANNEL_SIDE_BUDGETS = ((0.0, 0.0), (0.01, 0.2), (0.05, 0.1), (0.3, 0.5))
+
+
+def _choi_with_thin_spectrum(channel, given_last):
+    """The Choi state on (B, Ap), or on (Ap, B) when given_last, and its thin
+    spectrum (S^2, U) from the SVD of the amplitudes, rows in the same order."""
+    m, omega = quantum.choi_amplitudes(channel), quantum.choi_state(channel)
+    if given_last:
+        m = m.reshape(channel.b_dim, channel.a_dim, -1).transpose(1, 0, 2).reshape(m.shape)
+        omega = omega.permute(["Ap", "B"])
+    u, s, _ = np.linalg.svd(m, full_matrices=False)
+    return omega, linalg.Spectrum(s * s, u)
+
+
+def _check_tilde(got, omega, eta, eps, delta):
+    """got's tilde marginal on B and ||tilde||_2^2 against the oracle's eta
+    conjugated by the kron-embedded -1/4 power of omega triple prime."""
+    w3 = oracles.omega_triple_prime(omega.marginal(["B"]), eps, delta)
+    tilde = oracles.conj_by_inverse_quarter(eta, omega.shape, w3.matrix, ["B"])
+    rest = [n for n in omega.shape.names if n != "B"]
+    np.testing.assert_allclose(got.tilde_marginal,
+                               linalg.partial_trace(tilde, omega.shape, rest),
+                               rtol=0, atol=1e-12)
+    assert got.tilde_norm_sq == pytest.approx(linalg.schatten_norm(tilde, 2) ** 2,
+                                              rel=1e-12, abs=0)
+
+
+def _check_channel_side(omega, spec, eps, delta, exact):
+    """entropy.h2_prime on the eigenpairs `spec` of omega against the dense
+    oracle: both raise the same error, or the values agree within 1e-12
+    relative and eta rebuilt from the kept pairs is the oracle's, bit for bit
+    when exact and within 1e-12 otherwise."""
+    got, want = _same_outcome(lambda: entropy.h2_prime(spec, omega.shape, eps, delta, "B"),
+                              lambda: oracles.h2_prime(omega, eps, delta, "B"))
+    if want is None:
+        return
+    value, eta = want
+    # tilde is read off its factor's Gram matrix, the oracle's formed by kron
+    assert got.value == pytest.approx(value, rel=1e-12, abs=0)
+    rebuilt = oracles.kept_point(spec, got.kept)
+    if exact:
+        np.testing.assert_array_equal(rebuilt, eta.matrix)
+    else:
+        np.testing.assert_allclose(rebuilt, eta.matrix, rtol=0, atol=1e-12)
+    _check_tilde(got, omega, eta.matrix, eps, delta)
+
+
 def _same_outcome(call_new, call_old):
     """Both raise the same error, or both return exactly the same."""
     try:
@@ -919,22 +978,49 @@ class TestTruncationRuleMatchesLoops:
 
     @pytest.mark.parametrize("seed", range(8))
     def test_channel_side(self, seed):
+        # B first, as in a Choi state, and last, as in the entropy experiment;
+        # the full spectrum is the oracle's own decomposition, so eta rebuilt
+        # from the kept pairs is the oracle's bit for bit
         rng = np.random.default_rng(seed)
-        omega = quantum.random_state(shape(("B", 3), ("Ap", 2)), rng)
-        b = omega.marginal(["B"])
-        for eps, delta in ((0.0, 0.0), (0.01, 0.2), (0.05, 0.1), (0.3, 0.5)):
-            got, want = _same_outcome(lambda: entropy.h2_prime(omega, eps, delta, "B"),
-                                      lambda: oracles.h2_prime(omega, eps, delta, "B"))
-            if want is not None:
-                # the weighted eta is formed by contraction, the oracle's by kron
-                assert got[0] == pytest.approx(want[0], rel=1e-12, abs=0)
-                np.testing.assert_array_equal(got.eta, want[1].matrix)
-            got, want = entropy.hmax_prime(b, eps), oracles.hmax_prime(b, eps)
-            assert got[0] == want[0]
-            np.testing.assert_array_equal(got[1].matrix, want[1].matrix)
-            np.testing.assert_array_equal(
-                entropy.omega_triple_prime(b, eps, delta).matrix,
-                oracles.omega_triple_prime(b, eps, delta).matrix)
+        for labels in ((("B", 3), ("Ap", 2)), (("A", 2), ("B", 3))):
+            omega = quantum.random_state(shape(*labels), rng)
+            b = omega.marginal(["B"])
+            for eps, delta in CHANNEL_SIDE_BUDGETS:
+                _check_channel_side(omega, linalg.spectral(omega.matrix), eps, delta,
+                                    exact=True)
+                got, want = entropy.hmax_prime(b, eps), oracles.hmax_prime(b, eps)
+                assert got[0] == want[0]
+                np.testing.assert_array_equal(got[1].matrix, want[1].matrix)
+                np.testing.assert_array_equal(
+                    omega_triple_prime(b, eps, delta),
+                    oracles.omega_triple_prime(b, eps, delta).matrix)
+
+    @pytest.mark.parametrize("given_last", [False, True], ids=["given-first", "given-last"])
+    @pytest.mark.parametrize("kraus", [1, 2, 3], ids=["kraus-1", "kraus-2", "kraus-3"])
+    def test_channel_side_thin(self, kraus, given_last):
+        # the thin spectrum (S^2, U) of a channel with |Z| < |A||B| Kraus
+        # operators leaves out the Choi state's zero eigenpairs
+        for seed in range(3):
+            rng = np.random.default_rng(40 + seed)
+            channel = oracles.kraus_channel(kraus, kraus + 1, 2, rng)
+            omega, spec = _choi_with_thin_spectrum(channel, given_last)
+            assert spec.values.size == kraus < omega.shape.dim
+            for eps, delta in CHANNEL_SIDE_BUDGETS:
+                _check_channel_side(omega, spec, eps, delta, exact=False)
+
+    @pytest.mark.parametrize("given_last", [False, True], ids=["given-first", "given-last"])
+    def test_channel_side_degenerate_cut(self, given_last):
+        """omega = Phi_B (x) I_Z / 8 has eight equal eigenvalues, and eps = 0.2
+        drops one of them: which one depends on the basis each route picks,
+        so eta may differ, but every reading is the same."""
+        omega, spec = _choi_with_thin_spectrum(quantum.trace_out_channel(2, 8), given_last)
+        got = entropy.h2_prime(spec, omega.shape, 0.2, 0.1)
+        value, eta = oracles.h2_prime(omega, 0.2, 0.1)
+        assert got.value == pytest.approx(value, rel=1e-12, abs=0)
+        assert got.kept.size == 7
+        assert linalg.schatten_norm(omega.matrix - oracles.kept_point(spec, got.kept), 1) \
+            <= 0.2 + 1e-12
+        _check_tilde(got, omega, eta.matrix, 0.2, 0.1)
 
 
 class TestReports:

@@ -172,6 +172,13 @@ class TestChannelStinespring:
         assert choi.shape == want.shape
         assert choi.mass == pytest.approx(want.mass, abs=1e-12)
         np.testing.assert_allclose(choi.matrix, want.matrix, rtol=0, atol=1e-12)
+        # the thin spectrum and shape that the channel side reads
+        spec, shp, wh = quantum._thin_choi(t)
+        assert shp == choi.shape and spec.values.size == min(choi.shape.dim, t.z_dim)
+        assert np.all(np.diff(spec.values) <= 0)
+        np.testing.assert_allclose(spec.reconstruct(), choi.matrix, rtol=0, atol=1e-12)
+        np.testing.assert_allclose((spec.vectors * np.sqrt(spec.values)) @ wh,
+                                   quantum.choi_amplitudes(t), rtol=0, atol=1e-12)
 
     def test_choi_b_marginal_is_channel_on_mixed(self):
         rng = np.random.default_rng(5)
