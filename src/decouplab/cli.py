@@ -264,7 +264,7 @@ def run_decouple_tail(cfg: ExperimentConfig, ens):
     inst = _random_instance(cfg)
     w = decoupling.prepare(inst)
     us = ens.sample_batch(range(cfg.samples))
-    f = decoupling.f_values(inst, us, w.choi.marginal(["B"]).matrix)
+    f = decoupling.f_values(inst, us)
     g = decoupling.g_values(inst, us, w)
     mu = decoupling.haar_expected_g_squared(inst, w).mu_upper
     tail = decoupling.applicable_tail(inst, w, cfg.kappa, mu)
@@ -303,7 +303,7 @@ def run_fqsw(cfg: ExperimentConfig, ens):
     inst, w, report = decoupling.fqsw_instance(a1, a2, r, cfg=_smoothing(cfg),
                                                seed=cfg.seed)
     us = ens.sample_batch(range(cfg.samples))
-    f = decoupling.f_values(inst, us, w.choi.marginal(["B"]).matrix)
+    f = decoupling.f_values(inst, us)
     g = decoupling.g_values(inst, us, w)
     mean_g2, se = stats.mean_and_se(g * g)
     mean_f, f_se = stats.mean_and_se(f)

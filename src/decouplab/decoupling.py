@@ -72,8 +72,8 @@ class Weights:
     rho_tilde is the input's collision witness, weighted on R. Of eta, the
     channel side's feasible point, g reads omega_tilde_b, its B marginal weighted
     by omega3_inv_quarter (omega''' of the Choi state's B marginal, to the -1/4).
-    povm is the measurement on the channel's environment Z steering the maximally
-    entangled input to eta; it is None at epsilon = 0, where the channel does.
+    povm, on the environment Z, steers the maximally entangled input to eta; it
+    is None at epsilon = 0. choi is read only by the benchmark ladder and tests.
     """
 
     rho_tilde: np.ndarray
@@ -142,12 +142,10 @@ def g_value(inst: DecouplingInstance, u: np.ndarray, w: Weights) -> float:
 
 def f_values(inst: DecouplingInstance, us: np.ndarray,
              choi_b: np.ndarray | None = None) -> np.ndarray:
-    """f for each unitary of an (n, |A|, |A|) stack.
-
-    choi_b, the channel's fixed output, is computed when omitted.
-    """
+    """f for each unitary of an (n, |A|, |A|) stack; choi_b, the channel's fixed
+    output, defaults to `quantum.fixed_output`."""
     if choi_b is None:
-        choi_b = quantum.choi_state(inst.channel).marginal(["B"]).matrix
+        choi_b = quantum.fixed_output(inst.channel)
     rho_r = linalg.partial_trace(inst.rho.matrix, inst.rho.shape, inst.a_labels)
     # the difference is Hermitian: its trace norm is the sum of |eigenvalues|
     return _draw_norms(inst, us, inst.channel.v, inst.rho.matrix,
@@ -441,7 +439,7 @@ def thermalization_check(rho: DensitySystem, s_dim: int, e_dim: int,
                               a_labels=(omega_label,))
     w = prepare(inst)
     moments = haar_expected_g_squared(inst, w)
-    distances = f_values(inst, us, w.choi.marginal(["B"]).matrix)
+    distances = f_values(inst, us)
     fraction = float((distances <= kappa).mean())
     tail = applicable_tail(inst, w, kappa, moments.mu_upper)
     h2, h2p = w.h2_eps, w.h2_prime_val
@@ -491,13 +489,11 @@ def iid_parameters(inst: DecouplingInstance, n: int, kappa: float) -> TailParame
         # eps' enters as log2(1/eps'), so a zero budget has no finite reading
         raise DomainError("many-copy parameters require epsilon > 0")
     da, db = float(inst.a_dim), float(inst.channel.b_dim)
-    r_labels = list(inst.r_labels)
-    h_a_r = entropy.shannon(inst.rho, given=r_labels)
     h_ar = entropy.shannon(inst.rho)
-    h_r = entropy.shannon(inst.rho.marginal(r_labels))
-    spec, shp, _ = quantum._thin_choi(inst.channel)
-    h_apb = entropy.shannon(spec.values)
-    h_b = entropy.shannon(entropy._factor_marginal(spec.vectors * np.sqrt(spec.values), shp, "B"))
+    h_r = entropy.shannon(inst.rho.marginal(list(inst.r_labels)))
+    h_a_r = h_ar - h_r
+    h_apb = entropy.shannon(quantum._thin_choi(inst.channel)[0].values)
+    h_b = entropy.shannon(quantum.fixed_output(inst.channel))
 
     dab = da * db
     eps_prime = 8.0 * (n + dab) ** dab * eps**0.25

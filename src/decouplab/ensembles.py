@@ -35,7 +35,7 @@ from . import linalg
 from .errors import CapError, DomainError
 
 KINDS = ("enumerated", "haar", "circuit", "iterated")
-MOMENT_DIM_CAP = 4096  # largest dim**(2t), the superoperator dimension
+MOMENT_DIM_CAP = 4096  # largest max(dim, 2)**(2t) of a design check's tables
 # working memory for one stack of per-draw monomials and isotypic parts in
 # qtpe_lambda: 200 draws fit in one stack up to dim 8 at t = 2
 MOMENT_BATCH_BYTES = 1 << 25
@@ -348,10 +348,10 @@ def _exact(e: UnitaryEnsemble) -> bool:
 
 
 def _check_moment_cap(dim: int, t: int):
-    if dim ** (2 * t) > MOMENT_DIM_CAP:
-        raise CapError(
-            f"moment operator needs dim**(2t) = {dim ** (2 * t)} <= {MOMENT_DIM_CAP}"
-        )
+    # the (t!)^2 t permutation entries grow with t alone, so dim 1 counts as 2
+    size = max(dim, 2) ** (2 * t)
+    if size > MOMENT_DIM_CAP:
+        raise CapError(f"design tables need max(dim, 2)**(2t) = {size} <= {MOMENT_DIM_CAP}")
 
 
 @dataclass(frozen=True)

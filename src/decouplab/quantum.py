@@ -237,6 +237,12 @@ def choi_state(t: ChannelStinespring) -> DensitySystem:
         m @ m.conj().T, linalg.shape(("B", t.b_dim), ("Ap", t.a_dim)))
 
 
+def fixed_output(t: ChannelStinespring) -> np.ndarray:
+    """T(pi_A) = Tr_Z[v v^dag] / |A|, `choi_state`'s B marginal, without building it."""
+    g = choi_amplitudes(t).reshape(t.b_dim, -1)
+    return g @ g.conj().T
+
+
 def _thin_choi(t: ChannelStinespring) -> tuple[linalg.Spectrum, SystemShape, np.ndarray]:
     """`choi_state`'s nonzero spectrum (S^2, U) and shape, and Wh, from the thin
     SVD m = U S Wh of the Choi amplitudes, as m m^dag has rank at most |Z|."""

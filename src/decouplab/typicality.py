@@ -303,31 +303,30 @@ def h2_prime_iid_bound_check(omega: DensitySystem, n: int, eps: float,
     """Many-copy window for the alternate conditional collision entropy.
 
     Arithmetic mode always evaluates the window endpoints and the statement's
-    own n threshold from single-copy data. Full mode additionally builds the
-    n-fold state and evaluates the canonical feasible point, which needs the
-    joint eigenstructure and is therefore capped at tiny sizes
+    own n threshold from single-copy data. Full mode additionally evaluates the
+    canonical feasible point of the n-fold state, on `_product_spectrum`, which
+    needs the joint eigenstructure and is therefore capped at tiny sizes
     (n <= 8, |A||B| <= 4, and total dimension <= 4096).
     """
     if len(omega.shape.labels) != 2:
         raise DimensionError("expected a bipartite single-copy state")
     (_, da), (b_name, db) = omega.shape.labels
     dab = da * db
-    h_cond = entropy.shannon(omega, given=b_name)
-    h_joint = entropy.shannon(omega)
-    h_b = entropy.shannon(omega.marginal([b_name]))
+    spec = linalg.spectral(omega.matrix)
+    b_spec = linalg.spectral(omega.marginal([b_name]).matrix)
+    h_joint, h_b = entropy.shannon(spec.values), entropy.shannon(b_spec.values)
+    h_cond = h_joint - h_b
     eps_prime = 8.0 * (n + dab) ** dab * eps**0.25
     lower = n * h_cond - n * delta * (3.0 * h_joint + 7.0 * h_b)
     upper = (
         n * h_cond + 32.0 * n * math.sqrt(eps_prime) * math.log2(da)
         + math.log2(1.0 / eps_prime)
     )
-    spec = linalg.spectral(omega.matrix)
     q_min = _survivor_floor(spec.values, eps)
-    b_vecs = linalg.spectral(omega.marginal([b_name]).matrix).vectors
     live = spec.vectors[:, entropy._above_rank_floor(spec.values)]
     # column j: the B-diagonal of tr_A |w_j><w_j| in the marginal's eigenbasis,
     # sum_a |<a, b_k|w_j>|^2, for every live eigenvector w_j at once
-    overlaps = np.einsum("bk,abj->akj", b_vecs.conj(), live.reshape(da, db, -1))
+    overlaps = np.einsum("bk,abj->akj", b_spec.vectors.conj(), live.reshape(da, db, -1))
     diagonals = (np.abs(overlaps) ** 2).sum(axis=0)
     p_min = min((_survivor_floor(p, eps) for p in diagonals.T), default=math.inf)
     n_req = 32.0 / (q_min * p_min * delta * delta) * math.log2(dab / eps)
@@ -343,9 +342,8 @@ def h2_prime_iid_bound_check(omega: DensitySystem, n: int, eps: float,
         "p_min": p_min,
     }
     if n <= 8 and dab <= 4 and dab**n <= FULL_MODE_DIM_CAP and 0 < eps_prime < 1:
-        big = _tensor_power_bipartite(omega, n)
-        value = entropy.h2_prime(linalg.spectral(big.matrix), big.shape, eps_prime,
-                                 5.0 * delta).value
+        value = entropy.h2_prime(_product_spectrum(spec, da, db, n), linalg.shape(
+            ("A", da**n), ("B", db**n)), eps_prime, 5.0 * delta).value
         report.update({
             "mode": "full",
             "value_bits": value,
@@ -355,16 +353,15 @@ def h2_prime_iid_bound_check(omega: DensitySystem, n: int, eps: float,
     return report
 
 
-def _tensor_power_bipartite(omega: DensitySystem, n: int) -> DensitySystem:
-    (a_name, da), (b_name, db) = omega.shape.labels
-    m = omega.matrix
-    big = m
-    labels = [(f"{a_name}0", da), (f"{b_name}0", db)]
-    for i in range(1, n):
-        big = np.kron(big, m)
-        labels += [(f"{a_name}{i}", da), (f"{b_name}{i}", db)]
-    shp = linalg.SystemShape(tuple(labels))
-    order = [f"{a_name}{i}" for i in range(n)] + [f"{b_name}{i}" for i in range(n)]
-    big = linalg.permute_systems(big, shp, order)
-    grouped = linalg.shape(("A", da**n), ("B", db**n))
-    return DensitySystem._derived(big, grouped)
+def _product_spectrum(spec: linalg.Spectrum, da: int, db: int, n: int) -> linalg.Spectrum:
+    """omega^(x)n's spectrum on (A^n, B^n), sorted descending, stably: products of
+    omega's eigenvalues, and Kronecker products of its eigenvectors with rows
+    (A_0 B_0 A_1 B_1 ...) regrouped to (A_0 ... A_n-1, B_0 ... B_n-1)."""
+    vals = functools.reduce(np.multiply.outer, [spec.values] * n).ravel()
+    order = np.argsort(-vals, kind="stable")
+    single = spec.vectors.reshape(da, db, -1)
+    vecs = np.ones((1, 1, len(order)))
+    for d in np.unravel_index(order, (da * db,) * n):  # one factor per copy, sorted columns
+        vecs = np.einsum("xyc,abc->xaybc", vecs, single[:, :, d]).reshape(
+            vecs.shape[0] * da, vecs.shape[1] * db, -1)
+    return linalg.Spectrum(vals[order], vecs.reshape(len(vals), -1))

@@ -4,11 +4,13 @@ Each one is the plain, step-by-step form: a loop that drops one eigenvalue
 at a time, a pipeline that decomposes every operator where it needs it, or
 a channel's square unitary dilation on A (x) C with the fixed |0> ancilla,
 or an operator on some labels embedded by kron(I, op) rather than applied
-by contraction. A circuit draw is one generator per draw. The method of types is the per-class form: one object per
-type class from a recursive enumerator, walked once per report. The design
-check is the dense route: the whole dim^(2t)-square moment operator and Haar
-projector, and their gap's isotypic blocks. Tests compare the library against these bit for bit, or
-within a stated tolerance where only the order of a sum changed.
+by contraction. A circuit draw is one generator per draw. The n-fold state
+of the many-copy window is a repeated kron, decomposed whole. The method of
+types is the per-class form: one object per type class from a recursive
+enumerator, walked once per report. The design check is the dense route:
+the whole dim^(2t)-square moment operator and Haar projector, and their
+gap's isotypic blocks. Tests compare the library against these bit for bit,
+or within a stated tolerance where only the order of a sum changed.
 """
 
 import itertools
@@ -629,3 +631,26 @@ def h2_prime_iid_p_min(omega, eps):
         pv, _ = entropy.hmax_prime_values(pj, eps / 2.0)
         p_min = min(p_min, 2.0 ** (-pv))
     return p_min
+
+
+def tensor_power_bipartite(omega, n):
+    """omega^(x)n on (A^n, B^n) by repeated kron, regrouped by a permutation:
+    the dense state `typicality._product_spectrum` reads off omega's pairs."""
+    (a_name, da), (b_name, db) = omega.shape.labels
+    big = omega.matrix
+    labels = [(f"{a_name}0", da), (f"{b_name}0", db)]
+    for i in range(1, n):
+        big = np.kron(big, omega.matrix)
+        labels += [(f"{a_name}{i}", da), (f"{b_name}{i}", db)]
+    shp = linalg.SystemShape(tuple(labels))
+    order = [f"{a_name}{i}" for i in range(n)] + [f"{b_name}{i}" for i in range(n)]
+    big = linalg.permute_systems(big, shp, order)
+    return DensitySystem._derived(big, linalg.shape(("A", da**n), ("B", db**n)))
+
+
+def h2_prime_iid_full_value(omega, n, eps_prime, delta):
+    """Full mode's h2' of `typicality.h2_prime_iid_bound_check` on the dense
+    n-fold state's own eigendecomposition."""
+    big = tensor_power_bipartite(omega, n)
+    return entropy.h2_prime(linalg.spectral(big.matrix), big.shape, eps_prime,
+                            5.0 * delta).value

@@ -110,6 +110,8 @@ def test_batched_matches_per_draw_reference(name):
                                rtol=0, atol=TOL)
     np.testing.assert_allclose(g, [g_reference(inst, u, w) for u in us],
                                rtol=0, atol=TOL)
+    # without choi_b, f reads the fixed output off the Stinespring operator
+    np.testing.assert_allclose(decoupling.f_values(inst, us), f, rtol=0, atol=1e-12)
     assert decoupling.f_value(inst, us[3]) == pytest.approx(f[3], abs=TOL)
     assert decoupling.g_value(inst, us[3], w) == pytest.approx(g[3], abs=TOL)
 

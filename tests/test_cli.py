@@ -560,7 +560,8 @@ class TestSharedWork:
         p = write_config(tmp_path, samples=5, seed=3,
                          output_dir=str(tmp_path / "out"), **payload)
         assert cli.main(["run", str(p)]) == 0
-        assert calls == {"prepare": prepares, "choi_state": 1, "sample_batch": 1}
+        # only prepare builds the Choi state; f reads the fixed output off v
+        assert calls == {"prepare": prepares, "choi_state": prepares, "sample_batch": 1}
 
     @pytest.mark.parametrize("payload, key", [
         ({"experiment": "decouple-expect", "dims": {"a": 4, "r": 2}}, "std_error"),

@@ -226,6 +226,27 @@ class TestMomentOperator:
         with pytest.raises(CapError):
             ensembles.qtpe_lambda(e, 2)
 
+    def test_cap_counts_dim_one_as_two(self, monkeypatch):
+        # dim^(2t) is 1 at dim 1 for any t, but the permutation tables hold
+        # (t!)^2 t entries; t = 7 fails before any table is built
+        e = ensembles.haar_ensemble(1, seed=0)
+        assert ensembles.qtpe_lambda(e, 6, samples=3).lambda_value == pytest.approx(0.0, abs=1e-9)
+
+        def unbuilt(*args):
+            raise AssertionError("a design table was built past the cap")
+        monkeypatch.setattr(ensembles, "_design_tables", unbuilt)
+        with pytest.raises(CapError, match=r"max\(dim, 2\)\*\*\(2t\) = 16384"):
+            ensembles.qtpe_lambda(e, 7, samples=3)
+
+    @pytest.mark.parametrize("dim", range(2, 9))
+    def test_cap_unchanged_from_dim_two(self, dim):
+        for t in range(1, 7):
+            if dim ** (2 * t) <= ensembles.MOMENT_DIM_CAP:
+                ensembles._check_moment_cap(dim, t)
+            else:
+                with pytest.raises(CapError):
+                    ensembles._check_moment_cap(dim, t)
+
     def test_cap_boundary_allowed(self):
         # dim 8 at t = 2 sits exactly on the cap
         g = oracles.moment_operator(

@@ -179,6 +179,9 @@ class TestChannelStinespring:
         np.testing.assert_allclose(spec.reconstruct(), choi.matrix, rtol=0, atol=1e-12)
         np.testing.assert_allclose((spec.vectors * np.sqrt(spec.values)) @ wh,
                                    quantum.choi_amplitudes(t), rtol=0, atol=1e-12)
+        # the fixed output T(pi_A), read off the amplitudes without the Choi state
+        np.testing.assert_allclose(quantum.fixed_output(t), choi.marginal(["B"]).matrix,
+                                   rtol=0, atol=1e-12)
 
     def test_choi_b_marginal_is_channel_on_mixed(self):
         rng = np.random.default_rng(5)

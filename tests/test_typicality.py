@@ -383,7 +383,7 @@ class TestConditionalCollisionWindow:
     def test_tensor_power_grouping(self):
         rng = np.random.default_rng(3)
         omega = quantum.random_state(shape(("A", 2), ("B", 2)), rng)
-        big = typicality._tensor_power_bipartite(omega, 2)
+        big = oracles.tensor_power_bipartite(omega, 2)
         assert big.shape.names == ("A", "B")
         assert big.shape.dims == (4, 4)
         # marginal on the grouped B must be the 2-fold product marginal
@@ -391,6 +391,58 @@ class TestConditionalCollisionWindow:
                        omega.marginal(["B"]).matrix)
         got = big.marginal(["B"]).matrix
         np.testing.assert_allclose(got, want, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_product_spectrum_rebuilds_tensor_power(self, n):
+        rng = np.random.default_rng(n)
+        omega = quantum.random_state(shape(("A", 2), ("B", 2)), rng)
+        spec = typicality._product_spectrum(linalg.spectral(omega.matrix), 2, 2, n)
+        assert np.all(np.diff(spec.values) <= 0)
+        np.testing.assert_allclose(spec.reconstruct(),
+                                   oracles.tensor_power_bipartite(omega, n).matrix,
+                                   rtol=0, atol=1e-14)
+        np.testing.assert_allclose(spec.vectors.conj().T @ spec.vectors, np.eye(4**n),
+                                   rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_full_mode_matches_dense_oracle(self, n, seed):
+        """An eps' below the n-fold marginal's smallest eigenvalue keeps the
+        support of omega''' whole. Then eta drops nothing, the lone smallest
+        eigenvalue lambda_0^n, or that and one of the n pairs at
+        lambda_0^(n-1) lambda_1. The last cuts a degenerate group, where the
+        point depends on the basis chosen inside it, so there only the window
+        is checked, on both routes."""
+        rng = np.random.default_rng(seed)
+        omega = quantum.random_state(shape(("A", 2), ("B", 2)), rng)  # full rank
+        lam = np.linalg.eigvalsh(omega.matrix)
+        lone, pair = lam[0] ** n, lam[0] ** (n - 1) * lam[1]
+        assert lone + 1.5 * pair < np.linalg.eigvalsh(omega.marginal(["B"]).matrix)[0] ** n
+        delta = 0.1
+        for eps_prime, cut in ((0.5 * lone, False), (lone + 0.5 * pair, False),
+                               (lone + 1.5 * pair, True)):
+            eps = (eps_prime / (8.0 * (n + 4) ** 4)) ** 4
+            out = typicality.h2_prime_iid_bound_check(omega, n, eps, delta)
+            assert out["mode"] == "full"
+            dense = oracles.h2_prime_iid_full_value(omega, n, out["eps_prime"], delta)
+            if cut:
+                assert out["lower_holds"] and out["upper_holds"]
+                assert out["lower"] - 1e-9 <= dense <= out["upper"] + 1e-9
+            else:
+                assert out["value_bits"] == pytest.approx(dense, rel=0, abs=1e-12)
+
+    def test_full_mode_at_five_copies(self):
+        # with nothing smoothed away, the point, its weight and tilde are
+        # products, so the 1024-square value is five single-copy values
+        rng = np.random.default_rng(0)
+        omega = quantum.random_state(shape(("A", 2), ("B", 2)), rng)
+        lone = np.linalg.eigvalsh(omega.matrix)[0] ** 5
+        out = typicality.h2_prime_iid_bound_check(
+            omega, 5, (0.5 * lone / (8.0 * 9**4)) ** 4, 0.1)
+        one = entropy.h2_prime(linalg.spectral(omega.matrix), omega.shape, 0.0, 0.5).value
+        assert out["mode"] == "full"
+        assert out["value_bits"] == pytest.approx(5 * one, rel=1e-12)
+        assert out["lower_holds"] and out["upper_holds"]
 
     def test_bipartite_required(self):
         rng = np.random.default_rng(4)
