@@ -651,6 +651,9 @@ def main(argv=None) -> int:
     except DecouplabError as exc:
         print(f"computation error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:
+        print(f"computation error: out of memory: {exc}", file=sys.stderr)
+        return 3
     except (OSError, UnicodeDecodeError) as exc:  # reading the config, writing the output
         print(f"error: {exc}", file=sys.stderr)
         return 2

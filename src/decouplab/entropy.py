@@ -433,13 +433,6 @@ class H2Prime(NamedTuple):
     tilde_norm_sq: float
 
 
-def _factor_marginal(f: np.ndarray, shp: SystemShape, given: str) -> np.ndarray:
-    """Tr_rest(f f^dag) on the label `given`, for f with shp.dim rows, by one
-    reshape and one product, without f f^dag."""
-    g = np.moveaxis(f.reshape(shp.dims + (-1,)), shp.axis(given), 0).reshape(shp.dim_of(given), -1)
-    return g @ g.conj().T
-
-
 def h2_prime(spec: linalg.Spectrum, shp: SystemShape, eps: float, delta: float,
              given: str = "B") -> H2Prime:
     """Conditional collision entropy against the truncated marginal weight of
@@ -454,7 +447,7 @@ def h2_prime(spec: linalg.Spectrum, shp: SystemShape, eps: float, delta: float,
     Z = (I (x) omega'''^{-1/4}) V_K Lambda_K^{1/2}, ||Z Z^dag||_2 = ||Z^dag Z||_2.
     omega''' shares the marginal's eigenvectors, so both use one eigh."""
     factor = spec.vectors * np.sqrt(np.clip(spec.values, 0.0, None))
-    b_spec = linalg.spectral(_factor_marginal(factor, shp, given))
+    b_spec = linalg.spectral(linalg.factor_marginal(factor, shp, given))
     hmax_value, w3_vals = _omega_triple_prime(b_spec.values, eps, delta)
     cols = b_spec.vectors[:, _above_rank_floor(w3_vals)]
 
@@ -475,7 +468,7 @@ def h2_prime(spec: linalg.Spectrum, shp: SystemShape, eps: float, delta: float,
     z = _apply_on_labels(w3_iq, factor[:, keep], shp, [given])
     norm_sq = float((np.abs(z.conj().T @ z) ** 2).sum())
     return H2Prime(-math.log2(norm_sq), hmax_value, keep, w3_iq,
-                   _factor_marginal(z, shp, given), norm_sq)
+                   linalg.factor_marginal(z, shp, given), norm_sq)
 
 
 def h2_upper_bound_check(rho: DensitySystem, cfg: SmoothingConfig, value: float,

@@ -239,8 +239,8 @@ def choi_state(t: ChannelStinespring) -> DensitySystem:
 
 def fixed_output(t: ChannelStinespring) -> np.ndarray:
     """T(pi_A) = Tr_Z[v v^dag] / |A|, `choi_state`'s B marginal, without building it."""
-    g = choi_amplitudes(t).reshape(t.b_dim, -1)
-    return g @ g.conj().T
+    return linalg.factor_marginal(choi_amplitudes(t), linalg.shape(
+        ("B", t.b_dim), ("Ap", t.a_dim)), "B")
 
 
 def _thin_choi(t: ChannelStinespring) -> tuple[linalg.Spectrum, SystemShape, np.ndarray]:

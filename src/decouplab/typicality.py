@@ -25,7 +25,7 @@ from . import entropy, linalg
 from .errors import CapError, DimensionError, DomainError
 from .quantum import DensitySystem
 
-TYPE_ENUM_CAP = 1_000_000
+TYPE_TABLE_BYTES = 2**29
 
 
 class TypeTable(NamedTuple):
@@ -53,43 +53,46 @@ class TypicalSpec:
             raise DomainError("delta must be positive")
 
 
-def _type_count(n: int, alphabet: int) -> int:
-    """The number of type classes, or a CapError past TYPE_ENUM_CAP."""
-    if alphabet < 1 or n < 0:
-        raise DimensionError("need alphabet >= 1 and n >= 0")
-    total = math.comb(n + alphabet - 1, alphabet - 1)
-    if total > TYPE_ENUM_CAP:
-        raise CapError(f"{total} types exceed the enumeration cap {TYPE_ENUM_CAP}")
-    return total
-
-
 @functools.lru_cache(maxsize=1)
 def enumerate_types(n: int, alphabet: int) -> TypeTable:
     """All compositions of n into `alphabet` parts, lexicographically sorted.
     The last table is kept, so a typicality run's report and its aggregated
     max-entropy share it."""
-    total = _type_count(n, alphabet)
+    if alphabet < 1 or n < 0:
+        raise DimensionError("need alphabet >= 1 and n >= 0")
+    total = math.comb(n + alphabet - 1, alphabet - 1)
+    # per row: the counts and the bars they come from as int64, Python's object
+    # headers, and a size of at most n log2|X| bits in 30-bit digits of 4 bytes;
+    # total is compared, not multiplied, as it can pass the float range
+    row_bytes = 16 * alphabet + 128 + n * math.log2(alphabet) * 4 / 30
+    if total > TYPE_TABLE_BYTES / row_bytes:
+        raise CapError(f"a table of about 2^{math.log2(total):.1f} types at {row_bytes:.0f} "
+                       f"bytes each passes the enumeration cap of {TYPE_TABLE_BYTES >> 20} MiB")
     # stars and bars: the bars' slots among n + alphabet - 1, taken in
     # lexicographic order, give the counts in lexicographic order
     slots = n + alphabet - 1
-    bars = np.fromiter(
+    edges = np.empty((total, alphabet + 1), dtype=np.int64)
+    edges[:, 0], edges[:, -1] = -1, slots
+    edges[:, 1:-1] = np.fromiter(
         itertools.chain.from_iterable(itertools.combinations(range(slots), alphabet - 1)),
         dtype=np.int64, count=total * (alphabet - 1),
     ).reshape(total, alphabet - 1)
-    edges = np.hstack([np.full((total, 1), -1), bars, np.full((total, 1), slots)])
-    counts = np.diff(edges, axis=1) - 1
+    counts = edges[:, 1:] - edges[:, :-1]
+    del edges
+    counts -= 1
     counts.flags.writeable = False
-    return TypeTable(counts, tuple(map(_class_size, counts.tolist())))
-
-
-def _class_size(counts) -> int:
-    """n! / prod_j c_j!, the number of sequences of one type, as the product
-    of the binomials C(c_1 + ... + c_j, c_j)."""
-    size, total = 1, 0
-    for c in counts:
-        total += c
-        size *= math.comb(total, c)
-    return size
+    # n! / prod_j c_j! as prod_j C(m_j, c_j), m_j the count left before letter
+    # j: one (size so far, count left) pair per prefix, expanded letter by
+    # letter in the same order, stepping C(m, c) to C(m, c + 1) exactly
+    level = [(1, n)]
+    for _ in range(alphabet - 1):
+        grown = []
+        for size, left in level:
+            for c in range(left + 1):
+                grown.append((size, left - c))
+                size = size * (left - c) // (c + 1)
+        level = grown
+    return TypeTable(counts, tuple(size for size, _ in level))
 
 
 def _type_probs(counts: np.ndarray, probs: tuple[float, ...]) -> np.ndarray:
@@ -108,60 +111,8 @@ def _class_masses(sizes, qs) -> list[float]:
     try:
         return [size * q for size, q in zip(sizes, qs)]
     except OverflowError as exc:
-        raise _float_range_error(max(sizes).bit_length() - 1) from exc
-
-
-def _float_range_error(bits: int) -> CapError:
-    return CapError(f"a type class of about 2^{bits} sequences passes the float range")
-
-
-def _largest_typical_counts(n: int, probs, delta: float) -> list[int] | None:
-    """The letter counts of the largest typical type class, None if no class
-    is typical, found without the table.
-
-    n! / prod c_j! grows as the counts draw together, so the largest class
-    fills every letter's window [n p (1 - delta), n p (1 + delta)] up to one
-    level t, the highest that keeps the total within n, and hands the units
-    left over to letters at t that can still grow.
-    """
-    lo = [max(0, math.ceil(n * p * (1 - delta))) for p in probs]
-    hi = [min(n, math.floor(n * p * (1 + delta))) for p in probs]
-    if any(a > b for a, b in zip(lo, hi)) or not sum(lo) <= n <= sum(hi):
-        return None
-
-    def level(t):
-        return [min(max(t, a), b) for a, b in zip(lo, hi)]
-
-    t, top = 0, n  # level(0) sums to sum(lo) <= n
-    while t < top:
-        mid = (t + top + 1) // 2
-        t, top = (mid, top) if sum(level(mid)) <= n else (t, mid - 1)
-    counts = level(t)
-    spare = n - sum(counts)
-    for j, b in enumerate(hi):
-        if spare and counts[j] == t < b:
-            counts[j] += 1
-            spare -= 1
-    return counts
-
-
-def _check_float_range(counts: list[int]):
-    """The CapError that `_class_masses` raises for a class of these counts,
-    decided without its exact size unless that sits near 2^1024: below the
-    enumeration cap n < 10^6, where lgamma's error is far below the one-bit
-    margin."""
-    bits = (math.lgamma(sum(counts) + 1)
-            - sum(math.lgamma(c + 1) for c in counts)) / math.log(2)
-    if bits < 1023:
-        return
-    if bits <= 1025:
-        size = _class_size(counts)
-        try:
-            float(size)
-            return
-        except OverflowError:
-            bits = size.bit_length() - 1
-    raise _float_range_error(int(bits))
+        raise CapError(f"a type class of about 2^{max(sizes).bit_length() - 1} "
+                       "sequences passes the float range") from exc
 
 
 def _survivor_floor(probs, eps: float) -> float:
@@ -190,12 +141,6 @@ def typical_report(spec: TypicalSpec, eps: float) -> dict:
     probs = tuple(float(p) for p in spec.probs)
     h = entropy.shannon(np.asarray(probs))
     n, delta = spec.n, spec.delta
-    # the masses below convert every typical class size to a float; the
-    # largest one decides, before the table is built, whether they all can
-    _type_count(n, len(probs))
-    largest = _largest_typical_counts(n, probs, delta)
-    if largest is not None:
-        _check_float_range(largest)
     counts, sizes = enumerate_types(n, len(probs))
     typical = np.ones(len(sizes), dtype=bool)
     for c, p in zip(counts.T, probs):
@@ -306,7 +251,9 @@ def h2_prime_iid_bound_check(omega: DensitySystem, n: int, eps: float,
     own n threshold from single-copy data. Full mode additionally evaluates the
     canonical feasible point of the n-fold state, on `_product_spectrum`, which
     needs the joint eigenstructure and is therefore capped at tiny sizes
-    (n <= 8, |A||B| <= 4, and total dimension <= 4096).
+    (n <= 8, |A||B| <= 4, and total dimension <= 4096). Where the support
+    condition leaves no feasible point, full mode reports null values and the
+    reason under `no_value`.
     """
     if len(omega.shape.labels) != 2:
         raise DimensionError("expected a bipartite single-copy state")
@@ -342,14 +289,16 @@ def h2_prime_iid_bound_check(omega: DensitySystem, n: int, eps: float,
         "p_min": p_min,
     }
     if n <= 8 and dab <= 4 and dab**n <= FULL_MODE_DIM_CAP and 0 < eps_prime < 1:
-        value = entropy.h2_prime(_product_spectrum(spec, da, db, n), linalg.shape(
-            ("A", da**n), ("B", db**n)), eps_prime, 5.0 * delta).value
-        report.update({
-            "mode": "full",
-            "value_bits": value,
-            "lower_holds": bool(value >= lower - 1e-9),
-            "upper_holds": bool(value <= upper + 1e-9),
-        })
+        report["mode"] = "full"
+        try:
+            value = entropy.h2_prime(_product_spectrum(spec, da, db, n), linalg.shape(
+                ("A", da**n), ("B", db**n)), eps_prime, 5.0 * delta).value
+        except DomainError as exc:  # no feasible point: report why, with no value
+            report.update(value_bits=None, lower_holds=None, upper_holds=None,
+                          no_value=str(exc))
+        else:
+            report.update(value_bits=value, lower_holds=bool(value >= lower - 1e-9),
+                          upper_holds=bool(value <= upper + 1e-9))
     return report
 
 

@@ -211,7 +211,7 @@ def prepare(inst):
     # the B marginal as prepare reads it, off the thin Choi spectrum's factor,
     # so hmax' is taken on the same matrix
     spec, shp, _ = quantum._thin_choi(inst.channel)
-    choi_b = DensitySystem._derived(entropy._factor_marginal(
+    choi_b = DensitySystem._derived(linalg.factor_marginal(
         spec.vectors * np.sqrt(spec.values), shp, "B"), linalg.shape(("B", shp.dim_of("B"))))
     hmax_prime_val, _ = entropy.hmax_prime(choi_b, cfg.epsilon)
     omega3 = omega_triple_prime(choi_b, cfg.epsilon, cfg.delta)

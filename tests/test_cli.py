@@ -204,6 +204,21 @@ class TestRunArtifacts:
         assert "DomainError" in manifest["error"]
         assert not (out / "summary.json").exists()
 
+    def test_out_of_memory_exits_three(self, tmp_path, capsys, monkeypatch):
+        def no_memory(cfg, ens):
+            raise MemoryError("Unable to allocate 1.00 GiB for an array")
+
+        entry = cli.DRIVERS["decouple-expect"]
+        monkeypatch.setitem(cli.DRIVERS, "decouple-expect", (no_memory, *entry[1:]))
+        out = tmp_path / "oom"
+        assert cli.main(["run", str(tiny_expect_config(tmp_path, out))]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("computation error: out of memory: Unable to allocate")
+        assert "Traceback" not in err
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "failed"
+        assert "MemoryError" in manifest["error"]
+
     @pytest.mark.parametrize("n", [700, 1100])
     def test_large_typicality_n_ends_cleanly(self, tmp_path, n):
         # the type-class sizes and count bounds leave the float range here

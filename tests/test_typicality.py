@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -44,6 +45,17 @@ class TestEnumeration:
         with pytest.raises(DimensionError):
             typicality.enumerate_types(3, 0)
 
+    def test_oversized_table_refused_before_it_is_built(self):
+        # its exact class sizes alone would take about 90 GB
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapError, match="enumeration cap"):
+                typicality.enumerate_types(999_999, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
 
 def _size_of(counts):
     table = typicality.enumerate_types(sum(counts), len(counts))
@@ -65,6 +77,19 @@ class TestMultinomialCount:
         sizes = typicality.enumerate_types(n, k).sizes
         assert all(type(s) is int for s in sizes)
         assert sum(sizes) == k**n
+
+    @pytest.mark.parametrize("k", range(1, 6))
+    def test_every_size_is_a_multinomial(self, k):
+        for n in range(13):
+            table = typicality.enumerate_types(n, k)
+            want = [math.factorial(n) // math.prod(map(math.factorial, row))
+                    for row in table.counts.tolist()]
+            assert list(table.sizes) == want
+
+    @pytest.mark.parametrize("n,k", [(20_000, 2), (1, 1500)])
+    def test_large_tables_partition_all_sequences(self, n, k):
+        # |X| = 1500 letters at n = 1 lies past Python's recursion limit
+        assert sum(typicality.enumerate_types(n, k).sizes) == k**n
 
     def test_probabilities_sum_to_one(self):
         probs = (0.5, 0.3, 0.2)
@@ -171,24 +196,7 @@ class TestTypicalReport:
         with pytest.raises(DomainError):
             typicality.TypicalSpec(probs=(1.0,), n=3, delta=0.0)
 
-    @pytest.mark.parametrize("probs", [(0.5, 0.5), (0.9, 0.1), (0.2, 0.3, 0.5),
-                                       (0.7, 0.0, 0.3), (0.25,) * 4, (1.0,)])
-    @pytest.mark.parametrize("n", [1, 5, 16, 30])
-    def test_largest_typical_class_is_table_max(self, probs, n):
-        counts, sizes = typicality.enumerate_types(n, len(probs))
-        for delta in (0.01, 0.1, 0.3, 0.49, 0.9, 1.5):
-            typical = np.ones(len(sizes), dtype=bool)
-            for c, p in zip(counts.T, probs):
-                typical &= (n * p * (1 - delta) <= c) & (c <= n * p * (1 + delta))
-            want = max((sizes[i] for i in np.flatnonzero(typical)), default=None)
-            got = typicality._largest_typical_counts(n, probs, delta)
-            assert (got and _size_of(got)) == want
-
-    def test_oversized_class_fails_before_the_table(self, monkeypatch):
-        def no_table(n, alphabet):
-            raise AssertionError("the type table was built")
-
-        monkeypatch.setattr(typicality, "enumerate_types", no_table)
+    def test_oversized_class_fails(self):
         spec = typicality.TypicalSpec(probs=(0.5, 0.5), n=5000, delta=0.49)
         with pytest.raises(CapError, match="2\\^4993 sequences"):
             typicality.typical_report(spec, eps=0.5)
@@ -197,18 +205,6 @@ class TestTypicalReport:
         spec = typicality.TypicalSpec(probs=(0.2, 0.3, 0.5), n=10**8, delta=0.49)
         with pytest.raises(CapError, match="enumeration cap"):
             typicality.typical_report(spec, eps=0.5)
-
-    @pytest.mark.parametrize("counts", [(515, 514), (515, 515), (520, 520),
-                                        (600, 600), (0, 1)])
-    def test_float_range_check_matches_exact_size(self, counts):
-        size = math.comb(sum(counts), counts[0])
-        try:
-            float(size)
-        except OverflowError:
-            with pytest.raises(CapError, match=f"2\\^{size.bit_length() - 1} "):
-                typicality._check_float_range(list(counts))
-        else:
-            typicality._check_float_range(list(counts))
 
     @pytest.mark.parametrize("n,fits", [(1029, True), (1030, False)])
     def test_float_range_boundary(self, n, fits):
@@ -219,6 +215,12 @@ class TestTypicalReport:
         else:
             with pytest.raises(CapError):
                 typicality.typical_report(spec, eps=0.5)
+
+    def test_float_range_error_names_the_largest_class(self):
+        spec = typicality.TypicalSpec(probs=(0.5, 0.5), n=1030, delta=0.49)
+        bits = math.comb(1030, 515).bit_length() - 1
+        with pytest.raises(CapError, match=f"2\\^{bits} sequences"):
+            typicality.typical_report(spec, eps=0.5)
 
     def test_skewed_window_skips_the_balanced_class(self):
         # the balanced class C(1100, 550) passes the float range but is not
@@ -372,6 +374,20 @@ class TestConditionalCollisionWindow:
         assert out["mode"] == "full"
         assert 0 < out["eps_prime"] < 1
         assert out["lower_holds"] and out["upper_holds"]
+
+    @pytest.mark.parametrize("eps_prime,feasible", [(0.05, False), (0.5, True)])
+    def test_full_mode_reports_a_forced_out_support(self, eps_prime, feasible):
+        # at eps' = 0.05 the support condition forces out 0.065 of the mass
+        omega = quantum.random_state(shape(("A", 2), ("B", 2)), np.random.default_rng(0))
+        eps = (eps_prime / (8.0 * 7**4)) ** 4
+        out = typicality.h2_prime_iid_bound_check(omega, 3, eps, 0.02)
+        assert out["mode"] == "full"
+        if feasible:
+            assert isinstance(out["value_bits"], float) and "no_value" not in out
+            assert out["lower_holds"] and out["upper_holds"]
+        else:
+            assert out["value_bits"] is out["lower_holds"] is out["upper_holds"] is None
+            assert out["no_value"].startswith("support condition forces out mass 6.518e-02")
 
     def test_full_mode_skipped_when_large(self):
         rng = np.random.default_rng(2)
