@@ -10,8 +10,8 @@ give byte-identical results.csv.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -584,12 +584,13 @@ def _write_manifest(out: Path, cfg: ExperimentConfig, status: str,
 
 
 def _write_results(out: Path, cfg: ExperimentConfig, series: dict):
-    with out.joinpath("results.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["experiment", "seed", "sample_index", "value"])
-        for name in sorted(series):
-            for i, v in enumerate(np.asarray(series[name], dtype=float)):
-                writer.writerow([name, cfg.seed, i, "%.17g" % v])
+    # one write; the series names hold no comma, quote or line break, so this
+    # is what csv.writer's minimal quoting would write
+    lines = ["experiment,seed,sample_index,value\n"]
+    for name in sorted(series):
+        lines += ["%s,%d,%d,%.17g\n" % (name, cfg.seed, i, v)
+                  for i, v in enumerate(np.asarray(series[name], dtype=float).tolist())]
+    out.joinpath("results.csv").write_text("".join(lines), newline="")
 
 
 def _write_summary(out: Path, summary: dict):
@@ -620,7 +621,9 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
 # entry point
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and kept for the process."""
     parser = argparse.ArgumentParser(
         prog="decouplab",
         description="Seeded decoupling experiments with reproducible artifacts.",
@@ -632,7 +635,11 @@ def main(argv=None) -> int:
                        help="override the config's output directory")
     p_val = sub.add_parser("validate", help="check a config without running it")
     p_val.add_argument("config", help="path to the experiment config")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     try:
         cfg = load_config(args.config)

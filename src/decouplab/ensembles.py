@@ -24,6 +24,7 @@ test oracle in tests/oracles.py.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -159,6 +160,25 @@ _PAULI_1 = {
 }
 
 
+def _memoised_group(build):
+    """`build`, run once per qubit count: the members are kept read-only and
+    every call gets a list of its own. `__wrapped__` is the builder itself."""
+
+    @functools.lru_cache(maxsize=2)  # a group has one or two qubits
+    def members(n_qubits: int) -> tuple[np.ndarray, ...]:
+        out = tuple(build(n_qubits))
+        for m in out:
+            m.flags.writeable = False
+        return out
+
+    @functools.wraps(build)
+    def group(n_qubits: int) -> list[np.ndarray]:
+        return list(members(n_qubits))
+
+    return group
+
+
+@_memoised_group
 def pauli_group(n_qubits: int) -> list[np.ndarray]:
     """Phase-stripped Pauli tensor products, 4^n members."""
     if n_qubits not in (1, 2):
@@ -175,6 +195,7 @@ def _canonical_key(m: np.ndarray) -> bytes:
     return (np.round(stripped, 9) + 0.0).tobytes()
 
 
+@_memoised_group
 def clifford_group(n_qubits: int) -> list[np.ndarray]:
     """Closure of the standard generators modulo global phase.
 
@@ -432,13 +453,14 @@ def _weingarten(dim: int, t: int) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class _DesignTables:
-    """The per-(dim, t) tables of qtpe_lambda, built by array operations on
-    every call and never cached. M = C(dim^2 + t - 1, t) distinct monomials
+    """The per-(dim, t) tables of qtpe_lambda, built by array operations
+    once per (dim, t): `_design_tables` keeps the two most recent, so every
+    array is read-only. M = C(dim^2 + t - 1, t) distinct monomials
     z = prod_j U[r_j, c_j] of degree t; T = t! permutations."""
 
     dim: int
     groups: tuple  # the `_isotypic` bases Q_k
-    sizes: list  # their widths n_k
+    sizes: tuple  # their widths n_k
     perms: np.ndarray  # (T, t), the identity first
     moved: np.ndarray  # (T, dim^t), where P_s sends each basis index
     ginv: np.ndarray  # (T, T), the Weingarten function on perms
@@ -447,7 +469,15 @@ class _DesignTables:
     at: tuple  # the (M,) row and column of W = U^(x)t that hold each monomial
     parts: np.ndarray  # (sum n_k^2, M), the stacked vec(Q_k^T W Q_k) as a map of z
 
+    def __post_init__(self):
+        for x in (*self.groups, self.perms, self.moved, self.ginv, self.factors,
+                  self.fixers, *self.at, self.parts):
+            x.flags.writeable = False
 
+
+# a design rotation alternates a few (dim, t); at the moment cap one table's
+# `parts` reaches 4096 x 4096 floats (134 MB at dim 64, t = 1), hence two
+@functools.lru_cache(maxsize=2)
 def _design_tables(dim: int, t: int) -> _DesignTables:
     groups = _isotypic(dim, t)
     perms, ginv = _weingarten(dim, t)
@@ -464,9 +494,10 @@ def _design_tables(dim: int, t: int) -> _DesignTables:
     parts = [np.einsum("mpa,mpc->acm", q[rows], q[cols]).reshape(-1, len(factors)) / fixers
              for q in groups]
     digits = np.arange(dim**t)[:, None] // dim ** np.arange(t - 1, -1, -1) % dim
-    return _DesignTables(dim, groups, [q.shape[1] for q in groups], perms,
+    # the first columns are copied, so that the kept tables hold no (M, T) array
+    return _DesignTables(dim, groups, tuple(q.shape[1] for q in groups), perms,
                          _codes(digits[:, perms], dim).T, ginv, factors, fixers,
-                         (rows[:, 0], cols[:, 0]), np.vstack(parts))
+                         (rows[:, 0].copy(), cols[:, 0].copy()), np.vstack(parts))
 
 
 def _realign(x: np.ndarray, p: int, q: int, r: int, s: int) -> np.ndarray:

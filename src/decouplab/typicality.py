@@ -3,6 +3,8 @@
 The type classes of length-n sequences over |X| letters are built once per
 (n, |X|) as one read-only table: an (N, |X|) array of letter counts in
 lexicographic order and each class's exact sequence count as a Python int.
+The float values of those counts, inf past the float range, are kept beside
+the last table for the class masses.
 Typical sets are array masks over its rows, and the n-copy max-entropy cuts
 its class masses with the spectral truncation rule of `entropy`. Sums run
 over exact integer multiplicities, never over sampled sequences, so every
@@ -106,13 +108,34 @@ def _type_probs(counts: np.ndarray, probs: tuple[float, ...]) -> np.ndarray:
     return q
 
 
-def _class_masses(sizes, qs) -> list[float]:
-    """size * q for each type class, or a CapError once a size passes the float range."""
+def _float_or_inf(size: int) -> float:
     try:
-        return [size * q for size, q in zip(sizes, qs)]
-    except OverflowError as exc:
-        raise CapError(f"a type class of about 2^{max(sizes).bit_length() - 1} "
-                       "sequences passes the float range") from exc
+        return float(size)
+    except OverflowError:
+        return math.inf
+
+
+@functools.lru_cache(maxsize=1)
+def _float_sizes(n: int, alphabet: int) -> np.ndarray:
+    """The sizes of `enumerate_types(n, alphabet)` as read-only floats, inf
+    where a size passes the float range. Python's int * float rounds the int
+    to this float and then multiplies, so size * q is unchanged."""
+    out = np.fromiter(map(_float_or_inf, enumerate_types(n, alphabet).sizes), dtype=float)
+    out.flags.writeable = False
+    return out
+
+
+def _class_masses(n: int, alphabet: int, rows: np.ndarray, qs: np.ndarray) -> np.ndarray:
+    """size * q for the type classes `rows` of the (n, alphabet) table, or a
+    CapError if the size of one of them passes the float range."""
+    sizes = _float_sizes(n, alphabet)[rows]
+    over = np.isinf(sizes)
+    if over.any():
+        exact = enumerate_types(n, alphabet).sizes
+        largest = max(exact[i] for i in rows[over].tolist())
+        raise CapError(f"a type class of about 2^{largest.bit_length() - 1} "
+                       "sequences passes the float range")
+    return sizes * qs
 
 
 def _survivor_floor(probs, eps: float) -> float:
@@ -147,10 +170,9 @@ def typical_report(spec: TypicalSpec, eps: float) -> dict:
         typical &= (n * p * (1 - delta) <= c) & (c <= n * p * (1 + delta))
     rows = np.flatnonzero(typical)
     qs = _type_probs(counts[rows], probs)
-    typical_sizes = [sizes[i] for i in rows.tolist()]
     # one class at a time in row order: a pairwise sum would move the last bits
-    mass = functools.reduce(operator.add, _class_masses(typical_sizes, qs.tolist()), 0.0)
-    count_total = sum(typical_sizes)
+    mass = functools.reduce(operator.add, _class_masses(n, len(probs), rows, qs).tolist(), 0.0)
+    count_total = sum(sizes[i] for i in rows.tolist())
     threshold = aep_threshold(probs, eps, delta)
     lower_q = entropy._pow2(-n * h * (1 + delta))
     upper_q = entropy._pow2(-n * h * (1 - delta))
@@ -209,13 +231,12 @@ def hmax_prime_iid_aggregated(probs, n: int, eps: float) -> float:
     if not 0 <= eps < 1:
         raise DomainError(f"epsilon must sit in [0, 1), got {eps}")
     probs = tuple(float(p) for p in np.asarray(probs, dtype=float))
-    counts, sizes = enumerate_types(n, len(probs))
-    lam = _type_probs(counts, probs)
+    lam = _type_probs(enumerate_types(n, len(probs)).counts, probs)
     live = np.flatnonzero(lam > 0)
     if not live.size:
         raise DomainError("product spectrum has no positive mass")
-    order = live[np.argsort(lam[live], kind="stable")].tolist()
-    masses = np.array(_class_masses([sizes[i] for i in order], lam[order].tolist()))
+    order = live[np.argsort(lam[live], kind="stable")]
+    masses = _class_masses(n, len(probs), order, lam[order])
     # the first class that does not fit whole holds the smallest survivor;
     # if every class fits, the largest eigenvalue survives by construction
     cut = min(entropy._drop_smallest(masses, eps + 1e-15).size, len(order) - 1)
