@@ -14,6 +14,7 @@ import dataclasses
 import functools
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -574,8 +575,11 @@ def _config_echo(cfg: ExperimentConfig) -> dict:
 
 def _write_manifest(out: Path, cfg: ExperimentConfig, status: str,
                     error: str | None = None):
-    manifest = {"config": _config_echo(cfg), "status": status,
-                "version": __version__}
+    manifest = {"config": _config_echo(cfg), "status": status, "version": __version__,
+                "python": "%d.%d.%d" % sys.version_info[:3], "numpy": np.__version__,
+                # BLAS sums can move in their last bits with the thread count
+                "threads": {k: os.environ.get(k) for k in (
+                    "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}}
     if error is not None:
         manifest["error"] = error
     out.joinpath("manifest.json").write_text(

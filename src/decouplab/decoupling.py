@@ -12,12 +12,13 @@ so every derived bound stays a true bound.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import entropy, linalg, quantum
+from . import entropy, linalg, quantum, typicality
 from .entropy import SmoothingConfig
 from .errors import ComputationError, DimensionError, DomainError
 from .quantum import ChannelStinespring, DensitySystem
@@ -73,12 +74,12 @@ class Weights:
     channel side's feasible point, g reads omega_tilde_b, its B marginal weighted
     by omega3_inv_quarter (omega''' of the Choi state's B marginal, to the -1/4).
     povm, on the environment Z, steers the maximally entangled input to eta; it
-    is None at epsilon = 0. choi is read only by the benchmark ladder and tests.
+    is None at epsilon = 0. choi (bench ladder, tests) is built on first read.
     """
 
     rho_tilde: np.ndarray
     rho_tilde_r: np.ndarray
-    choi: DensitySystem
+    channel: ChannelStinespring
     omega3_inv_quarter: np.ndarray
     povm: np.ndarray | None
     omega_tilde_b: np.ndarray
@@ -91,6 +92,10 @@ class Weights:
     n_ab: float
     warnings: tuple[str, ...]
 
+    @functools.cached_property
+    def choi(self) -> DensitySystem:
+        return quantum.choi_state(self.channel)
+
 
 def prepare(inst: DecouplingInstance) -> Weights:
     """The certified weights, the channel side off `quantum._thin_choi`'s m = U S Wh.
@@ -100,7 +105,6 @@ def prepare(inst: DecouplingInstance) -> Weights:
     wit_in = entropy.h2_with_witness(inst.rho, cfg, given=list(inst.r_labels))
     rho_tilde_r = linalg.partial_trace(wit_in.tilde, inst.rho.shape, list(inst.a_labels))
 
-    choi = quantum.choi_state(inst.channel)
     spec, shp, wh = quantum._thin_choi(inst.channel)
     wit_ch = entropy.h2_prime(spec, shp, cfg.epsilon, cfg.delta)
 
@@ -121,7 +125,7 @@ def prepare(inst: DecouplingInstance) -> Weights:
     n_ar = linalg.schatten_norm(wit_in.tilde, 2) ** 2
     n_b = linalg.schatten_norm(wit_ch.tilde_marginal, 2) ** 2
     return Weights(
-        rho_tilde=wit_in.tilde, rho_tilde_r=rho_tilde_r, choi=choi,
+        rho_tilde=wit_in.tilde, rho_tilde_r=rho_tilde_r, channel=inst.channel,
         omega3_inv_quarter=wit_ch.omega3_inv_quarter, povm=povm,
         omega_tilde_b=wit_ch.tilde_marginal, h2_eps=wit_in.value,
         h2_prime_val=wit_ch.value, hmax_prime_val=wit_ch.hmax_prime, n_r=n_r,
@@ -240,10 +244,7 @@ def lipschitz_bound(inst: DecouplingInstance, w: Weights) -> float:
 
 def max_g_bound(inst: DecouplingInstance, w: Weights) -> float:
     """Uniform bound on g over the whole unitary group."""
-    d = inst.cfg.delta
-    return math.sqrt(2.0 * inst.a_dim) * 2.0 ** (
-        0.5 * (1.0 + d) * w.hmax_prime_val - 0.5 * w.h2_eps
-    )
+    return math.sqrt(inst.a_dim / 2.0) * lipschitz_bound(inst, w)
 
 
 @dataclass(frozen=True)
@@ -368,6 +369,7 @@ def fqsw_instance(a1: int, a2: int, r: int, rho: DensitySystem | None = None,
     beta_closed = (a1 / a2) * (a1 * a1 * a2 * a2 - a2 * a2) / denom
     e_g2_closed = (-(a1 * a1 - 1) / denom) * w.n_r + beta_closed * w.n_ar
     h2 = w.h2_eps
+    gap = a2 * 2.0 ** (h2 - 8.0) - 4.0
     report = {
         "alpha_closed": alpha_closed,
         "beta_closed": beta_closed,
@@ -379,14 +381,8 @@ def fqsw_instance(a1: int, a2: int, r: int, rho: DensitySystem | None = None,
             "reference_norm_ratio": bool(w.n_r < 0.9 * a1 * a2 * w.n_ar),
             "a1_at_least_two": bool(a1 >= 2),
             "a2_exceeds_a1": bool(a2 > a1),
-            "log_gap_strict": bool(
-                a2 * 2.0 ** (h2 - 8.0) - 4.0
-                > -h2 + math.log2(a1) + 2.0 * math.log2(a2)
-            ),
-            "log_gap_loose": bool(
-                a2 * 2.0 ** (h2 - 8.0) - 4.0
-                > 2.0 * math.log2(a1) + 3.0 * math.log2(a2)
-            ),
+            "log_gap_strict": bool(gap > -h2 + math.log2(a1) + 2.0 * math.log2(a2)),
+            "log_gap_loose": bool(gap > 2.0 * math.log2(a1) + 3.0 * math.log2(a2)),
         },
     }
     return inst, w, report
@@ -496,7 +492,7 @@ def iid_parameters(inst: DecouplingInstance, n: int, kappa: float) -> TailParame
     h_b = entropy.shannon(quantum.fixed_output(inst.channel))
 
     dab = da * db
-    eps_prime = 8.0 * (n + dab) ** dab * eps**0.25
+    eps_prime = typicality.many_copy_eps_prime(n, dab, eps)
     exponent = (
         -(n / 2.0) * (h_a_r - dlt * (3.0 * h_ar + 7.0 * h_r))
         - (n / 2.0) * (h_apb - h_b - dlt * (3.0 * h_apb + 7.0 * h_b))

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 import operator
 from dataclasses import dataclass
 
@@ -160,33 +159,20 @@ _PAULI_1 = {
 }
 
 
-def _memoised_group(build):
-    """`build`, run once per qubit count: the members are kept read-only and
-    every call gets a list of its own. `__wrapped__` is the builder itself."""
-
-    @functools.lru_cache(maxsize=2)  # a group has one or two qubits
-    def members(n_qubits: int) -> tuple[np.ndarray, ...]:
-        out = tuple(build(n_qubits))
-        for m in out:
-            m.flags.writeable = False
-        return out
-
-    @functools.wraps(build)
-    def group(n_qubits: int) -> list[np.ndarray]:
-        return list(members(n_qubits))
-
-    return group
+def _frozen(members) -> np.ndarray:
+    out = np.stack(members)
+    out.flags.writeable = False
+    return out
 
 
-@_memoised_group
-def pauli_group(n_qubits: int) -> list[np.ndarray]:
-    """Phase-stripped Pauli tensor products, 4^n members."""
+@functools.lru_cache(maxsize=2)  # a group has one or two qubits
+def pauli_group(n_qubits: int) -> np.ndarray:
+    """Phase-stripped Pauli tensor products, 4^n members, as one read-only
+    (4^n, 2^n, 2^n) stack."""
     if n_qubits not in (1, 2):
         raise DomainError("pauli_group supports 1 or 2 qubits")
-    singles = [_PAULI_1[k] for k in ("I", "X", "Y", "Z")]
-    if n_qubits == 1:
-        return [_strip_phase(p) for p in singles]
-    return [_strip_phase(np.kron(p, q)) for p in singles for q in singles]
+    return _frozen([_strip_phase(functools.reduce(np.kron, ps))
+                    for ps in itertools.product(_PAULI_1.values(), repeat=n_qubits)])
 
 
 def _canonical_key(m: np.ndarray) -> bytes:
@@ -195,9 +181,10 @@ def _canonical_key(m: np.ndarray) -> bytes:
     return (np.round(stripped, 9) + 0.0).tobytes()
 
 
-@_memoised_group
-def clifford_group(n_qubits: int) -> list[np.ndarray]:
-    """Closure of the standard generators modulo global phase.
+@functools.lru_cache(maxsize=2)
+def clifford_group(n_qubits: int) -> np.ndarray:
+    """Closure of the standard generators modulo global phase, as one
+    read-only (size, 2^n, 2^n) stack.
 
     Sizes are 24 for one qubit and 11520 for two. Closure is a breadth-first
     multiplication sweep with phase-canonical dedup keys.
@@ -230,7 +217,7 @@ def clifford_group(n_qubits: int) -> list[np.ndarray]:
     expected = {1: 24, 2: 11520}[n_qubits]
     if len(members) != expected:
         raise DomainError(f"clifford closure found {len(members)} members, expected {expected}")
-    return members
+    return _frozen(members)
 
 
 # the named groups a descriptor regenerates from its qubit count
@@ -244,7 +231,7 @@ class UnitaryEnsemble:
     kind: str  # enumerated | haar | circuit | iterated
     dim: int
     seed: int = 0
-    members: tuple = ()
+    members: np.ndarray | None = None  # enumerated: the read-only (n, dim, dim) stack
     n_qubits: int = 0
     circuit_depth: int = 0
     name: str = ""
@@ -254,14 +241,14 @@ class UnitaryEnsemble:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise DomainError(f"unknown ensemble kind {self.kind!r}")
-        if self.kind == "enumerated" and not self.members:
+        if self.kind == "enumerated" and (self.members is None or not len(self.members)):
             raise DomainError("enumerated ensemble needs members")
         if self.dim < 1:
             raise DomainError(f"ensemble dimension must be positive, got {self.dim}")
         if self.kind == "enumerated":
-            if any(np.shape(m) != (self.dim, self.dim) for m in self.members):
+            us = self.members
+            if us.shape[1:] != (self.dim, self.dim):
                 raise DomainError(f"enumerated members must all be {self.dim}x{self.dim}")
-            us = np.stack(self.members)
             gap = np.abs(us @ us.conj().transpose(0, 2, 1) - np.eye(self.dim)).max()
             if not gap <= 1e-9:
                 raise DomainError(f"enumerated members must be unitary, |U U^dag - I| = {gap:.3g}")
@@ -299,8 +286,8 @@ class UnitaryEnsemble:
                 u = draws[j::k] @ u
             return u
         if self.kind == "enumerated":
-            return np.stack([self.members[int(rng.integers(len(self.members)))]
-                             for rng in _stream_generators(self.seed, streams)])
+            return self.members[[int(rng.integers(len(self.members)))
+                                 for rng in _stream_generators(self.seed, streams)]]
         if self.kind == "haar":
             block = (2, self.dim, self.dim)
         else:
@@ -317,9 +304,17 @@ class UnitaryEnsemble:
 
 
 def enumerated_ensemble(members, seed: int = 0, name: str = "") -> UnitaryEnsemble:
-    members = tuple(np.asarray(m, dtype=complex) for m in members)
-    return UnitaryEnsemble(kind="enumerated", dim=members[0].shape[0] if members else 0,
-                           seed=seed, members=members, name=name)
+    """Uniform draws from `members`: a read-only complex stack, such as a named
+    group's, is kept as it is, anything else is stacked once, read-only."""
+    if not (isinstance(members, np.ndarray) and members.dtype == complex
+            and members.ndim == 3 and not members.flags.writeable):
+        mats = [np.asarray(m, dtype=complex) for m in members]
+        dim = mats[0].shape[0] if mats and mats[0].ndim else 0
+        if any(m.shape != (dim, dim) for m in mats):
+            raise DomainError(f"enumerated members must all be {dim}x{dim}")
+        members = _frozen(mats) if mats else np.empty((0, 0, 0), dtype=complex)
+    return UnitaryEnsemble(kind="enumerated", dim=members.shape[1], seed=seed,
+                           members=members, name=name)
 
 
 def haar_ensemble(dim: int, seed: int = 0) -> UnitaryEnsemble:
@@ -517,8 +512,7 @@ def _draw_grams(e: UnitaryEnsemble, samples: int, tab: _DesignTables, monomials:
     (else None).
     """
     if e.kind == "enumerated":
-        members = np.stack(e.members)
-        count, draw = len(members), lambda lo, hi: members[lo:hi]
+        count, draw = len(e.members), lambda lo, hi: e.members[lo:hi]
     else:
         count, draw = samples, lambda lo, hi: e.sample_batch(range(lo, hi))
     if count < 1:
@@ -661,7 +655,7 @@ def qtpe_lambda(e: UnitaryEnsemble, t: int, samples: int = 2000) -> DesignReport
     deviation = _monomial_deviation(gram, tab)
     del gram
     lam = max(float(np.linalg.svd(b, compute_uv=False)[0]) for _, b in _upper_blocks(grams, tab))
-    used = samples if e.kind not in ("enumerated",) else len(e.members)
+    used = samples if e.kind != "enumerated" else len(e.members)
     return DesignReport(t=t, dim=e.dim, lambda_value=lam, moment_deviation=deviation,
                         samples_used=used, kind=e.kind)
 
@@ -675,10 +669,14 @@ def ensemble_to_json(e: UnitaryEnsemble) -> dict:
     if e.kind == "iterated":
         out["iterations"] = e.iterations
         out["base"] = ensemble_to_json(e.base)
-    if e.kind == "enumerated" and e.name in GROUPS:
-        out["n_qubits"] = int(math.log2(e.dim))
-    elif e.kind == "enumerated":
-        out["members"] = [linalg.matrix_to_json(m) for m in e.members]
+    if e.kind == "enumerated":
+        n = e.dim.bit_length() - 1
+        try:  # a name stands only for its group's own members
+            named = e.dim == 2**n and np.array_equal(e.members, GROUPS[e.name](n))
+        except (KeyError, DomainError):  # no group by that name at this dimension
+            named = False
+        out.update({"n_qubits": n} if named else
+                   {"members": [linalg.matrix_to_json(m) for m in e.members]})
     return out
 
 
@@ -692,7 +690,7 @@ def ensemble_from_json(d: dict) -> UnitaryEnsemble:
         return iterate_ensemble(ensemble_from_json(d["base"]), int(d["iterations"]))
     if kind == "enumerated":
         name = d.get("name", "")
-        if name in GROUPS:
+        if name in GROUPS and "n_qubits" in d:
             members = GROUPS[name](int(d["n_qubits"]))
         else:
             members = [linalg.matrix_from_json(m) for m in d["members"]]

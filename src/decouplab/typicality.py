@@ -2,9 +2,9 @@
 
 The type classes of length-n sequences over |X| letters are built once per
 (n, |X|) as one read-only table: an (N, |X|) array of letter counts in
-lexicographic order and each class's exact sequence count as a Python int.
-The float values of those counts, inf past the float range, are kept beside
-the last table for the class masses.
+lexicographic order, each class's exact sequence count as a Python int,
+and the float values of those counts, inf past the float range, for the
+class masses.
 Typical sets are array masks over its rows, and the n-copy max-entropy cuts
 its class masses with the spectral truncation rule of `entropy`. Sums run
 over exact integer multiplicities, never over sampled sequences, so every
@@ -32,11 +32,13 @@ TYPE_TABLE_BYTES = 2**29
 
 class TypeTable(NamedTuple):
     """The type classes of length-n sequences: `counts` holds one class per
-    row (letter counts, lexicographic order, read-only) and `sizes` each
-    class's exact number of sequences."""
+    row (letter counts, lexicographic order, read-only), `sizes` each
+    class's exact number of sequences and `float_sizes` those numbers as
+    read-only floats, inf where one passes the float range."""
 
     counts: np.ndarray
     sizes: tuple[int, ...]
+    float_sizes: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -94,7 +96,11 @@ def enumerate_types(n: int, alphabet: int) -> TypeTable:
                 grown.append((size, left - c))
                 size = size * (left - c) // (c + 1)
         level = grown
-    return TypeTable(counts, tuple(size for size, _ in level))
+    sizes = tuple(size for size, _ in level)
+    level.clear()  # the pairs go before the floats are built
+    floats = np.fromiter(map(_float_or_inf, sizes), dtype=float, count=len(sizes))
+    floats.flags.writeable = False
+    return TypeTable(counts, sizes, floats)
 
 
 def _type_probs(counts: np.ndarray, probs: tuple[float, ...]) -> np.ndarray:
@@ -115,24 +121,13 @@ def _float_or_inf(size: int) -> float:
         return math.inf
 
 
-@functools.lru_cache(maxsize=1)
-def _float_sizes(n: int, alphabet: int) -> np.ndarray:
-    """The sizes of `enumerate_types(n, alphabet)` as read-only floats, inf
-    where a size passes the float range. Python's int * float rounds the int
-    to this float and then multiplies, so size * q is unchanged."""
-    out = np.fromiter(map(_float_or_inf, enumerate_types(n, alphabet).sizes), dtype=float)
-    out.flags.writeable = False
-    return out
-
-
-def _class_masses(n: int, alphabet: int, rows: np.ndarray, qs: np.ndarray) -> np.ndarray:
-    """size * q for the type classes `rows` of the (n, alphabet) table, or a
-    CapError if the size of one of them passes the float range."""
-    sizes = _float_sizes(n, alphabet)[rows]
+def _class_masses(table: TypeTable, rows: np.ndarray, qs: np.ndarray) -> np.ndarray:
+    """size * q for the type classes `rows` of `table`, as Python's int * float
+    rounds it; a CapError if one of their sizes passes the float range."""
+    sizes = table.float_sizes[rows]
     over = np.isinf(sizes)
     if over.any():
-        exact = enumerate_types(n, alphabet).sizes
-        largest = max(exact[i] for i in rows[over].tolist())
+        largest = max(table.sizes[i] for i in rows[over].tolist())
         raise CapError(f"a type class of about 2^{largest.bit_length() - 1} "
                        "sequences passes the float range")
     return sizes * qs
@@ -164,15 +159,15 @@ def typical_report(spec: TypicalSpec, eps: float) -> dict:
     probs = tuple(float(p) for p in spec.probs)
     h = entropy.shannon(np.asarray(probs))
     n, delta = spec.n, spec.delta
-    counts, sizes = enumerate_types(n, len(probs))
-    typical = np.ones(len(sizes), dtype=bool)
-    for c, p in zip(counts.T, probs):
+    table = enumerate_types(n, len(probs))
+    typical = np.ones(len(table.sizes), dtype=bool)
+    for c, p in zip(table.counts.T, probs):
         typical &= (n * p * (1 - delta) <= c) & (c <= n * p * (1 + delta))
     rows = np.flatnonzero(typical)
-    qs = _type_probs(counts[rows], probs)
+    qs = _type_probs(table.counts[rows], probs)
     # one class at a time in row order: a pairwise sum would move the last bits
-    mass = functools.reduce(operator.add, _class_masses(n, len(probs), rows, qs).tolist(), 0.0)
-    count_total = sum(sizes[i] for i in rows.tolist())
+    mass = functools.reduce(operator.add, _class_masses(table, rows, qs).tolist(), 0.0)
+    count_total = sum(table.sizes[i] for i in rows.tolist())
     threshold = aep_threshold(probs, eps, delta)
     lower_q = entropy._pow2(-n * h * (1 + delta))
     upper_q = entropy._pow2(-n * h * (1 - delta))
@@ -231,12 +226,13 @@ def hmax_prime_iid_aggregated(probs, n: int, eps: float) -> float:
     if not 0 <= eps < 1:
         raise DomainError(f"epsilon must sit in [0, 1), got {eps}")
     probs = tuple(float(p) for p in np.asarray(probs, dtype=float))
-    lam = _type_probs(enumerate_types(n, len(probs)).counts, probs)
+    table = enumerate_types(n, len(probs))
+    lam = _type_probs(table.counts, probs)
     live = np.flatnonzero(lam > 0)
     if not live.size:
         raise DomainError("product spectrum has no positive mass")
     order = live[np.argsort(lam[live], kind="stable")]
-    masses = _class_masses(n, len(probs), order, lam[order])
+    masses = _class_masses(table, order, lam[order])
     # the first class that does not fit whole holds the smallest survivor;
     # if every class fits, the largest eigenvalue survives by construction
     cut = min(entropy._drop_smallest(masses, eps + 1e-15).size, len(order) - 1)
@@ -264,6 +260,11 @@ def hmax_prime_iid_check(state_or_probs, n: int, eps: float, delta: float) -> di
 FULL_MODE_DIM_CAP = 4096
 
 
+def many_copy_eps_prime(n: int, dab, eps: float) -> float:
+    """The many-copy smoothing eps' = 8 (n + |A||B|)^(|A||B|) eps^(1/4)."""
+    return 8.0 * (n + dab) ** dab * eps**0.25
+
+
 def h2_prime_iid_bound_check(omega: DensitySystem, n: int, eps: float,
                              delta: float) -> dict:
     """Many-copy window for the alternate conditional collision entropy.
@@ -284,7 +285,7 @@ def h2_prime_iid_bound_check(omega: DensitySystem, n: int, eps: float,
     b_spec = linalg.spectral(omega.marginal([b_name]).matrix)
     h_joint, h_b = entropy.shannon(spec.values), entropy.shannon(b_spec.values)
     h_cond = h_joint - h_b
-    eps_prime = 8.0 * (n + dab) ** dab * eps**0.25
+    eps_prime = many_copy_eps_prime(n, dab, eps)
     lower = n * h_cond - n * delta * (3.0 * h_joint + 7.0 * h_b)
     upper = (
         n * h_cond + 32.0 * n * math.sqrt(eps_prime) * math.log2(da)

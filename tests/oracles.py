@@ -237,7 +237,7 @@ def prepare(inst):
         raise ComputationError("channel witness norm does not match its entropy value")
     return decoupling.Weights(
         rho_tilde=rho_tilde, rho_tilde_r=rho_tilde_r,
-        choi=choi,
+        channel=inst.channel,
         omega3_inv_quarter=omega3_iq, povm=povm, omega_tilde_b=omega_tilde_b,
         h2_eps=h2_eps, h2_prime_val=h2_prime_val, hmax_prime_val=hmax_prime_val,
         n_r=n_r, n_ar=n_ar, n_b=n_b, n_ab=n_ab, warnings=warns,
@@ -375,8 +375,7 @@ def moment_operator(e, t, samples=2000):
     if e.kind == "iterated" and ensembles._exact(e.base):
         return np.linalg.matrix_power(moment_operator(e.base, t), e.iterations)
     if e.kind == "enumerated":
-        members = np.stack(e.members)
-        count, draw = len(members), lambda lo, hi: members[lo:hi]
+        count, draw = len(e.members), lambda lo, hi: e.members[lo:hi]
     else:
         count, draw = samples, lambda lo, hi: e.sample_batch(range(lo, hi))
     d_t = e.dim**t

@@ -1,6 +1,6 @@
 """The once-per-process values: the CLI parser, the named groups, the design
-tables and the float type-class sizes. A cached value is read-only, equals a
-fresh build, and leaves every artifact as a fresh process writes it."""
+tables and the type tables. A cached value is read-only, equals a fresh
+build, and leaves every artifact as a fresh process writes it."""
 
 import csv
 import io
@@ -39,8 +39,7 @@ def test_caches_leak_no_state(tmp_path, capsys):
         subprocess.run([sys.executable, "-m", "decouplab.cli", "run", str(cfg),
                         "--output-dir", str(tmp_path / "fresh" / cfg.stem)],
                        check=True, capture_output=True)
-    for cache in (ensembles._design_tables, typicality.enumerate_types,
-                  typicality._float_sizes):
+    for cache in (ensembles._design_tables, typicality.enumerate_types):
         cache.cache_clear()
     # the second pass runs backwards, so the (dim, t) keys come back in
     # another order and the table cache drops and rebuilds some of them
@@ -68,15 +67,15 @@ def test_one_parser_per_process():
                                              (ensembles.pauli_group, 2),
                                              (ensembles.clifford_group, 1)])
 def test_group_members_read_only_and_fresh(build, n_qubits):
+    # one read-only stack per group, shared by every ensemble built on it
     members = build(n_qubits)
+    assert build(n_qubits) is members
     with pytest.raises(ValueError):
-        members[0][0, 0] = 0.0
+        members[0, 0, 0] = 0.0
     fresh = build.__wrapped__(n_qubits)
-    assert len(members) == len(fresh)
-    assert all(np.array_equal(a, b) for a, b in zip(members, fresh))
-    members.pop()
-    assert len(build(n_qubits)) == len(fresh)
-    assert build(n_qubits) is not build(n_qubits)
+    assert fresh is not members
+    np.testing.assert_array_equal(members, fresh)
+    assert ensembles.enumerated_ensemble(members).members is members
 
 
 def test_design_tables_read_only_and_fresh():
@@ -114,18 +113,19 @@ def _fits_a_float(size: int) -> bool:
 @pytest.mark.parametrize("n, probs", [(120, (1 / 3, 1 / 3, 1 / 3)), (120, (0.2, 0.3, 0.5)),
                                       (1100, (0.99, 0.01))])
 def test_float_masses_are_python_products(n, probs):
-    counts, sizes = typicality.enumerate_types(n, len(probs))
-    floats = typicality._float_sizes(n, len(probs))
+    table = typicality.enumerate_types(n, len(probs))
+    counts, sizes, floats = table
     with pytest.raises(ValueError):
         floats[0] = 0.0
     assert np.isfinite(floats).tolist() == [_fits_a_float(s) for s in sizes]
+    assert floats[np.isfinite(floats)].tolist() == [float(s) for s in sizes if _fits_a_float(s)]
     rows = np.flatnonzero(np.isfinite(floats))
     qs = typicality._type_probs(counts[rows], probs)
-    got = typicality._class_masses(n, len(probs), rows, qs)
+    got = typicality._class_masses(table, rows, qs)
     assert got.tolist() == [sizes[i] * q for i, q in zip(rows.tolist(), qs.tolist())]
     if rows.size < len(sizes):  # a class past the float range is refused
         with pytest.raises(CapError, match="passes the float range"):
-            typicality._class_masses(n, len(probs), np.arange(len(sizes)),
+            typicality._class_masses(table, np.arange(len(sizes)),
                                      typicality._type_probs(counts, probs))
 
 

@@ -3,11 +3,13 @@
 import hashlib
 import json
 import math
+import platform
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -164,6 +166,8 @@ class TestRunArtifacts:
         assert manifest["config"]["experiment"] == "decouple-expect"
         assert manifest["config"]["seed"] == 7
         assert manifest["version"] == decouplab.__version__
+        assert manifest["python"] == platform.python_version()
+        assert manifest["numpy"] == np.__version__
         summary = json.loads((out / "summary.json").read_text())
         assert summary["bound_holds"] is True
         assert summary["mean_f"] <= summary["expectation_bound"] + 1e-6
@@ -189,6 +193,17 @@ class TestRunArtifacts:
         assert cli.main(["run", str(p), "--output-dir", str(actual)]) == 0
         assert actual.joinpath("summary.json").exists()
         assert not configured.exists()
+
+    def test_manifest_records_thread_settings(self, tmp_path, monkeypatch):
+        # unset variables are recorded as null
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        out = tmp_path / "run"
+        assert cli.main(["run", str(tiny_expect_config(tmp_path, out))]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["threads"] == {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": None,
+                                       "MKL_NUM_THREADS": None}
 
     def test_failed_run_leaves_manifest(self, tmp_path, capsys):
         out = tmp_path / "run3"
@@ -575,8 +590,9 @@ class TestSharedWork:
         p = write_config(tmp_path, samples=5, seed=3,
                          output_dir=str(tmp_path / "out"), **payload)
         assert cli.main(["run", str(p)]) == 0
-        # only prepare builds the Choi state; f reads the fixed output off v
-        assert calls == {"prepare": prepares, "choi_state": prepares, "sample_batch": 1}
+        # no run builds the Choi state: prepare reads the thin SVD of the
+        # Choi amplitudes and f the fixed output off v
+        assert calls == {"prepare": prepares, "choi_state": 0, "sample_batch": 1}
 
     @pytest.mark.parametrize("payload, key", [
         ({"experiment": "decouple-expect", "dims": {"a": 4, "r": 2}}, "std_error"),

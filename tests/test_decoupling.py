@@ -750,6 +750,19 @@ class TestPrepareMatchesSequence:
         if name == "rank-deficient":
             assert got.warnings
 
+    @pytest.mark.parametrize("name", sorted(PREPARE_CASES))
+    def test_choi_built_on_first_read(self, monkeypatch, name):
+        inst = PREPARE_CASES[name](SmoothingConfig(epsilon=0.05, delta=0.1))
+        calls, real = [], quantum.choi_state
+        monkeypatch.setattr(quantum, "choi_state", lambda t: calls.append(t) or real(t))
+        w = decoupling.prepare(inst)
+        assert calls == []
+        choi = w.choi
+        want = real(inst.channel)
+        assert choi.shape == want.shape
+        np.testing.assert_array_equal(choi.matrix, want.matrix)
+        assert w.choi is choi and calls == [inst.channel]
+
     @pytest.mark.parametrize("cfg,calls", [(SmoothingConfig(), 2),
                                            (SmoothingConfig(epsilon=0.05, delta=0.1), 3)],
                              ids=["eps0", "smoothed"])
@@ -800,7 +813,8 @@ class TestPrepareMatchesSequence:
     def test_one_call_per_step(self, monkeypatch, cfg):
         # prepare goes through its public steps by module attribute, so a
         # tracer that wraps public functions sees each of them; the POVM is
-        # a closed-form projector, not the general steering lemma
+        # a closed-form projector, not the general steering lemma, and the
+        # Choi state is not built
         calls = {}
 
         def counted(owner, name):
@@ -817,7 +831,7 @@ class TestPrepareMatchesSequence:
         counted(entropy, "h2_prime")
         counted(quantum, "povm_completion")
         decoupling.prepare(random_instance(6, da=16, db=4, dr=4, cfg=cfg))
-        assert calls == {"choi_state": 1, "h2_with_witness": 1, "h2_prime": 1,
+        assert calls == {"choi_state": 0, "h2_with_witness": 1, "h2_prime": 1,
                          "povm_completion": 0}
 
 

@@ -1,6 +1,7 @@
 """Unitary ensembles, moment operators, and expander diagnostics."""
 
 import itertools
+import json
 import math
 import tracemalloc
 
@@ -629,6 +630,28 @@ class TestSerialization:
         assert back.kind == e.kind
         assert back.dim == e.dim
         np.testing.assert_array_equal(back.sample(9), e.sample(9))
+
+    @pytest.mark.parametrize("members, name, n_qubits", [
+        (lambda: ensembles.pauli_group(1), "pauli", 1),
+        (lambda: [m.copy() for m in ensembles.pauli_group(2)], "pauli", 2),
+        (lambda: list(ensembles.clifford_group(1)), "clifford", 1),
+        (lambda: [HADAMARD, PHASE], "pauli", None),
+        (lambda: [HADAMARD, PHASE], "clifford", None),
+        (lambda: ensembles.pauli_group(1)[:2], "pauli", None),
+        (lambda: weyl_group(3), "pauli", None),
+        (lambda: [np.eye(8)], "clifford", None),
+    ], ids=["pauli-1", "pauli-2-copy", "clifford-1-list", "hs-as-pauli", "hs-as-clifford",
+            "pauli-subset", "dim-3", "dim-8"])
+    def test_named_descriptor_only_for_the_group(self, members, name, n_qubits):
+        # a group's name regenerates the group, so other members are inlined
+        e = ensembles.enumerated_ensemble(members(), name=name)
+        desc = json.loads(json.dumps(ensembles.ensemble_to_json(e)))
+        assert desc.get("n_qubits") == n_qubits
+        assert ("members" in desc) == (n_qubits is None)
+        back = ensembles.ensemble_from_json(desc)
+        assert back.name == name
+        np.testing.assert_array_equal(back.members, e.members)
+        assert ensembles.ensemble_to_json(back) == desc
 
     def test_unknown_descriptor_rejected(self):
         with pytest.raises(DomainError):
