@@ -126,43 +126,6 @@ def load_config(path) -> ExperimentConfig:
     return ExperimentConfig(**raw)
 
 
-def _parse_ensemble(desc) -> ensembles.UnitaryEnsemble:
-    """The ensemble a descriptor builds, checked level by level on the way
-    down an `iterated` chain: a malformed level is a ConfigError, and so is a
-    key that `ensemble_to_json` does not write for the ensemble it builds,
-    or a `dim` other than that ensemble's."""
-    if not isinstance(desc, dict) or desc.get("kind") not in ensembles.KINDS:
-        raise ConfigError(f"malformed ensemble descriptor: kind must be one of "
-                          f"{', '.join(ensembles.KINDS)}", field="ensemble")
-    for key in ("dim", "n_qubits", "depth", "iterations", "seed"):
-        v = desc.get(key, 0)
-        if isinstance(v, bool) or not isinstance(v, int):
-            raise ConfigError(f"ensemble {key} must be an integer, got {v!r}",
-                              field="ensemble")
-    if desc.get("seed", 0) < 0:
-        raise ConfigError("ensemble seed must be nonnegative", field="ensemble")
-    try:
-        if desc["kind"] == "iterated":
-            built = ensembles.iterate_ensemble(_parse_ensemble(desc["base"]),
-                                               desc["iterations"])
-        else:
-            built = ensembles.ensemble_from_json(desc)
-    except DecouplabError:
-        raise
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed ensemble descriptor: {exc!r}",
-                          field="ensemble") from exc
-    unread = sorted(set(desc) - set(ensembles.ensemble_to_json(built)))
-    if unread:
-        raise ConfigError(f"{built.kind} ensemble descriptor has keys it does "
-                          f"not read: {', '.join(unread)}", field="ensemble")
-    if desc.get("dim", built.dim) != built.dim:
-        raise ConfigError(f"ensemble dim {desc['dim']} does not match its "
-                          f"{built.dim}-dimensional {built.kind} ensemble",
-                          field="ensemble")
-    return built
-
-
 def _checked_ensemble(cfg: ExperimentConfig) -> ensembles.UnitaryEnsemble | None:
     """Every check a run makes before it computes; returns the ensemble its
     driver draws from, built: the descriptor's, else Haar on the drawn
@@ -200,7 +163,7 @@ def _checked_ensemble(cfg: ExperimentConfig) -> ensembles.UnitaryEnsemble | None
     dim = math.prod(cfg.dims[k] for k in drawn)
     if cfg.ensemble is None:
         return ensembles.haar_ensemble(dim, seed=cfg.seed)
-    ens = _parse_ensemble(cfg.ensemble)
+    ens = ensembles.ensemble_from_json(cfg.ensemble)
     if drawn and ens.dim != dim:
         raise ConfigError(f"ensemble dimension {ens.dim} does not match the "
                           f"instance dimension {dim}", field="ensemble")

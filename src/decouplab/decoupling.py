@@ -12,6 +12,7 @@ so every derived bound stays a true bound.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 from dataclasses import dataclass
@@ -105,7 +106,7 @@ def prepare(inst: DecouplingInstance) -> Weights:
     wit_in = entropy.h2_with_witness(inst.rho, cfg, given=list(inst.r_labels))
     rho_tilde_r = linalg.partial_trace(wit_in.tilde, inst.rho.shape, list(inst.a_labels))
 
-    spec, shp, wh = quantum._thin_choi(inst.channel)
+    spec, shp, wh, m = quantum._thin_choi(inst.channel)
     wit_ch = entropy.h2_prime(spec, shp, cfg.epsilon, cfg.delta)
 
     povm = None
@@ -117,7 +118,7 @@ def prepare(inst: DecouplingInstance) -> Weights:
         # ||F D^dag + D F^dag + D D^dag||_max <= 2 r + r^2, as ||F_i||^2 = eta_ii <= 1.
         # A projector meeting eta also shows eta <= omega
         f = (spec.vectors[:, kept] * np.sqrt(spec.values[kept])) @ wh[kept]
-        r = float(np.linalg.norm(quantum.choi_amplitudes(inst.channel) @ povm.T - f, axis=1).max())
+        r = float(np.linalg.norm(m @ povm.T - f, axis=1).max())
         if 2.0 * r + r * r > 1e-7:
             raise ComputationError(f"steering projector missed eta by up to {2.0 * r + r * r:.2e}")
 
@@ -226,14 +227,11 @@ def dupuis_expectation_bound(inst: DecouplingInstance, w: Weights | None = None)
     Evaluated at epsilon = 0 with fixed marginal weights; those certified
     values can only enlarge the bound, so it stays valid. The channel side is
     h2' at (0, 0) on the Choi state's thin spectrum, where its point is the
-    state and its weight the B marginal; w prepared at epsilon = 0 holds both."""
-    if w is not None and inst.cfg.epsilon == 0:
-        return 2.0 ** (-0.5 * w.h2_eps - 0.5 * w.h2_prime_val)
-    h2_in = entropy.h2_conditional(inst.rho, SmoothingConfig(), "fixed_marginal",
-                                   given=list(inst.r_labels))
-    spec, shp, _ = quantum._thin_choi(inst.channel)
-    h2_ch = entropy.h2_prime(spec, shp, 0.0, 0.0).value
-    return 2.0 ** (-0.5 * h2_in - 0.5 * h2_ch)
+    state and its weight the B marginal; w prepared at epsilon = 0 holds both,
+    and without one the bound prepares its own at (0, 0)."""
+    if w is None or inst.cfg.epsilon != 0:
+        w = prepare(dataclasses.replace(inst, cfg=SmoothingConfig()))
+    return 2.0 ** (-0.5 * w.h2_eps - 0.5 * w.h2_prime_val)
 
 
 def lipschitz_bound(inst: DecouplingInstance, w: Weights) -> float:

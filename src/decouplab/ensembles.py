@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import CapError, DomainError
+from .errors import CapError, ConfigError, DecouplabError, DomainError
 
 KINDS = ("enumerated", "haar", "circuit", "iterated")
 MOMENT_DIM_CAP = 4096  # largest max(dim, 2)**(2t) of a design check's tables
@@ -169,7 +169,7 @@ def _frozen(members) -> np.ndarray:
 def pauli_group(n_qubits: int) -> np.ndarray:
     """Phase-stripped Pauli tensor products, 4^n members, as one read-only
     (4^n, 2^n, 2^n) stack."""
-    if n_qubits not in (1, 2):
+    if n_qubits not in GROUPS["pauli"][1]:
         raise DomainError("pauli_group supports 1 or 2 qubits")
     return _frozen([_strip_phase(functools.reduce(np.kron, ps))
                     for ps in itertools.product(_PAULI_1.values(), repeat=n_qubits)])
@@ -184,12 +184,10 @@ def _canonical_key(m: np.ndarray) -> bytes:
 @functools.lru_cache(maxsize=2)
 def clifford_group(n_qubits: int) -> np.ndarray:
     """Closure of the standard generators modulo global phase, as one
-    read-only (size, 2^n, 2^n) stack.
-
-    Sizes are 24 for one qubit and 11520 for two. Closure is a breadth-first
-    multiplication sweep with phase-canonical dedup keys.
-    """
-    if n_qubits not in (1, 2):
+    read-only (size, 2^n, 2^n) stack whose size `GROUPS` gives: a
+    breadth-first multiplication sweep with phase-canonical dedup keys."""
+    sizes = GROUPS["clifford"][1]
+    if n_qubits not in sizes:
         raise DomainError("clifford_group supports 1 or 2 qubits")
     h = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
     s = np.array([[1, 0], [0, 1j]], dtype=complex)
@@ -213,15 +211,16 @@ def clifford_group(n_qubits: int) -> np.ndarray:
                     seen[key] = _strip_phase(w)
                     nxt.append(w)
         frontier = nxt
-    members = list(seen.values())
-    expected = {1: 24, 2: 11520}[n_qubits]
+    members, expected = list(seen.values()), sizes[n_qubits]
     if len(members) != expected:
         raise DomainError(f"clifford closure found {len(members)} members, expected {expected}")
     return _frozen(members)
 
 
-# the named groups a descriptor regenerates from its qubit count
-GROUPS = {"pauli": pauli_group, "clifford": clifford_group}
+# the named groups a descriptor regenerates from its qubit count, each with
+# its size at every qubit count it supports
+GROUPS = {"pauli": (pauli_group, {1: 4, 2: 16}),
+          "clifford": (clifford_group, {1: 24, 2: 11520})}
 
 
 @dataclass(frozen=True, eq=False)
@@ -671,28 +670,57 @@ def ensemble_to_json(e: UnitaryEnsemble) -> dict:
         out["base"] = ensemble_to_json(e.base)
     if e.kind == "enumerated":
         n = e.dim.bit_length() - 1
-        try:  # a name stands only for its group's own members
-            named = e.dim == 2**n and np.array_equal(e.members, GROUPS[e.name](n))
-        except (KeyError, DomainError):  # no group by that name at this dimension
-            named = False
+        build, sizes = GROUPS.get(e.name, (None, {}))
+        # a name stands only for its group's own members; the size comes
+        # first, so that no group is built for an ensemble that cannot be it
+        named = (e.dim == 2**n and sizes.get(n) == len(e.members)
+                 and np.array_equal(e.members, build(n)))
         out.update({"n_qubits": n} if named else
                    {"members": [linalg.matrix_to_json(m) for m in e.members]})
     return out
 
 
-def ensemble_from_json(d: dict) -> UnitaryEnsemble:
-    kind, seed = d.get("kind"), int(d.get("seed", 0))
-    if kind == "haar":
-        return haar_ensemble(int(d["dim"]), seed=seed)
-    if kind == "circuit":
-        return random_circuit_ensemble(int(d["n_qubits"]), int(d["depth"]), seed=seed)
-    if kind == "iterated":
-        return iterate_ensemble(ensemble_from_json(d["base"]), int(d["iterations"]))
-    if kind == "enumerated":
-        name = d.get("name", "")
-        if name in GROUPS and "n_qubits" in d:
-            members = GROUPS[name](int(d["n_qubits"]))
+def ensemble_from_json(d) -> UnitaryEnsemble:
+    """The ensemble a descriptor builds, checked level by level on the way
+    down an `iterated` chain: a malformed level is a ConfigError, and so is a
+    key that `ensemble_to_json` does not write for the ensemble it builds, or
+    a `dim` other than that ensemble's. The constructors' DomainErrors pass."""
+    if not isinstance(d, dict) or d.get("kind") not in KINDS:
+        raise ConfigError(f"malformed ensemble descriptor: kind must be one of "
+                          f"{', '.join(KINDS)}", field="ensemble")
+    for key in ("dim", "n_qubits", "depth", "iterations", "seed"):
+        v = d.get(key, 0)
+        if isinstance(v, bool) or not isinstance(v, int):
+            raise ConfigError(f"ensemble {key} must be an integer, got {v!r}",
+                              field="ensemble")
+    kind, seed = d["kind"], d.get("seed", 0)
+    if seed < 0:
+        raise ConfigError("ensemble seed must be nonnegative", field="ensemble")
+    try:
+        if kind == "haar":
+            built = haar_ensemble(d["dim"], seed=seed)
+        elif kind == "circuit":
+            built = random_circuit_ensemble(d["n_qubits"], d["depth"], seed=seed)
+        elif kind == "iterated":
+            built = iterate_ensemble(ensemble_from_json(d["base"]), d["iterations"])
         else:
-            members = [linalg.matrix_from_json(m) for m in d["members"]]
-        return enumerated_ensemble(members, seed=seed, name=name)
-    raise DomainError(f"unknown ensemble descriptor kind {kind!r}")
+            name = d.get("name", "")
+            if name in GROUPS and "n_qubits" in d:
+                members = GROUPS[name][0](d["n_qubits"])
+            else:
+                members = [linalg.matrix_from_json(m) for m in d["members"]]
+            built = enumerated_ensemble(members, seed=seed, name=name)
+    except DecouplabError:
+        raise
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed ensemble descriptor: {exc!r}",
+                          field="ensemble") from exc
+    unread = sorted(set(d) - set(ensemble_to_json(built)))
+    if unread:
+        raise ConfigError(f"{built.kind} ensemble descriptor has keys it does "
+                          f"not read: {', '.join(unread)}", field="ensemble")
+    if d.get("dim", built.dim) != built.dim:
+        raise ConfigError(f"ensemble dim {d['dim']} does not match its "
+                          f"{built.dim}-dimensional {built.kind} ensemble",
+                          field="ensemble")
+    return built

@@ -243,11 +243,13 @@ def fixed_output(t: ChannelStinespring) -> np.ndarray:
         ("B", t.b_dim), ("Ap", t.a_dim)), "B")
 
 
-def _thin_choi(t: ChannelStinespring) -> tuple[linalg.Spectrum, SystemShape, np.ndarray]:
-    """`choi_state`'s nonzero spectrum (S^2, U) and shape, and Wh, from the thin
-    SVD m = U S Wh of the Choi amplitudes, as m m^dag has rank at most |Z|."""
-    u, s, wh = np.linalg.svd(choi_amplitudes(t), full_matrices=False)
-    return linalg.Spectrum(s * s, u), linalg.shape(("B", t.b_dim), ("Ap", t.a_dim)), wh
+def _thin_choi(t: ChannelStinespring) -> tuple[linalg.Spectrum, SystemShape,
+                                              np.ndarray, np.ndarray]:
+    """`choi_state`'s nonzero spectrum (S^2, U) and shape, Wh, and the Choi
+    amplitudes m, from the thin SVD m = U S Wh (m m^dag has rank at most |Z|)."""
+    m = choi_amplitudes(t)
+    u, s, wh = np.linalg.svd(m, full_matrices=False)
+    return linalg.Spectrum(s * s, u), linalg.shape(("B", t.b_dim), ("Ap", t.a_dim)), wh, m
 
 
 def identity_channel(d: int) -> ChannelStinespring:

@@ -141,8 +141,12 @@ def _survivor_floor(probs, eps: float) -> float:
 
 def aep_threshold(probs, eps: float, delta: float) -> float:
     """Smallest n the equipartition statement asks for at this (eps, delta)."""
-    p_min = _survivor_floor(probs, eps)
-    return 4.0 / (p_min * delta * delta) * math.log2(len(probs) / eps)
+    return _threshold_at(_survivor_floor(probs, eps), len(probs), eps, delta)
+
+
+def _threshold_at(p_min: float, letters: int, eps: float, delta: float) -> float:
+    """`aep_threshold` of an alphabet of `letters` whose survivor floor is p_min."""
+    return 4.0 / (p_min * delta * delta) * math.log2(letters / eps)
 
 
 def typical_report(spec: TypicalSpec, eps: float) -> dict:
@@ -245,7 +249,8 @@ def hmax_prime_iid_check(state_or_probs, n: int, eps: float, delta: float) -> di
     vals = vals / vals.sum()
     h = entropy.shannon(vals)
     value = hmax_prime_iid_aggregated(vals, n, eps)
-    threshold = aep_threshold(vals, eps, delta)
+    q_min = _survivor_floor(vals, eps)
+    threshold = _threshold_at(q_min, len(vals), eps, delta)
     return {
         "value_bits": value,
         "lower": n * (1 - delta) * h,
@@ -253,7 +258,7 @@ def hmax_prime_iid_check(state_or_probs, n: int, eps: float, delta: float) -> di
         "sandwich_ok": bool(n * (1 - delta) * h - 1e-9 <= value <= n * (1 + delta) * h + 1e-9),
         "n_threshold": threshold,
         "sub_threshold": bool(n < threshold),
-        "q_min": _survivor_floor(vals, eps),
+        "q_min": q_min,
     }
 
 

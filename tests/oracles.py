@@ -210,7 +210,7 @@ def prepare(inst):
     choi = quantum.choi_state(inst.channel)
     # the B marginal as prepare reads it, off the thin Choi spectrum's factor,
     # so hmax' is taken on the same matrix
-    spec, shp, _ = quantum._thin_choi(inst.channel)
+    spec, shp, _, _ = quantum._thin_choi(inst.channel)
     choi_b = DensitySystem._derived(linalg.factor_marginal(
         spec.vectors * np.sqrt(spec.values), shp, "B"), linalg.shape(("B", shp.dim_of("B"))))
     hmax_prime_val, _ = entropy.hmax_prime(choi_b, cfg.epsilon)

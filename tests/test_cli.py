@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import decouplab
 from decouplab import cli, ensembles, quantum
-from decouplab.errors import ConfigError
+from decouplab.errors import ConfigError, DomainError
 
 
 def write_config(tmp_path, name="cfg.json", **payload):
@@ -30,6 +30,49 @@ def tiny_expect_config(tmp_path, out, seed=7, name="cfg.json"):
         tmp_path, name=name, experiment="decouple-expect",
         dims={"a": 2, "r": 2}, samples=6, seed=seed, output_dir=str(out),
     )
+
+
+# descriptors the codec rejects as malformed: a ConfigError (exit 2)
+MALFORMED_ENSEMBLES = [
+    pytest.param({"kind": "haar"}, id="haar-without-dim"),
+    pytest.param({"kind": "haar", "dim": "4"}, id="ensemble-string-dim"),
+    pytest.param({"kind": "nonsense", "dim": 2}, id="unknown-kind"),
+    pytest.param({"kind": "haar", "dim": 2, "seed": -1}, id="ensemble-negative-seed"),
+    pytest.param({"kind": "haar", "dim": True}, id="ensemble-bool-dim"),
+    pytest.param({"kind": "iterated", "iterations": 2.9, "base": {"kind": "haar", "dim": 2}},
+                 id="ensemble-float-iterations"),
+    pytest.param({"kind": "iterated", "iterations": 2,
+                  "base": {"kind": "haar", "dim": 2, "seed": -3}}, id="base-negative-seed"),
+    pytest.param({"kind": "circuit", "n_qubits": 2, "depth": "1"}, id="ensemble-string-depth"),
+    pytest.param({"kind": "enumerated", "name": "pauli", "n_qubits": 1.0},
+                 id="ensemble-float-qubits"),
+    pytest.param({"kind": "circuit", "n_qubits": 2, "depth": 1, "dim": 8},
+                 id="circuit-dim-mismatch"),
+    pytest.param({"kind": "enumerated", "name": "clifford", "n_qubits": 1, "dim": 4},
+                 id="clifford-dim-mismatch"),
+    pytest.param({"kind": "iterated", "iterations": 2,
+                  "base": {"kind": "circuit", "n_qubits": 2, "depth": 1, "dim": 2}},
+                 id="base-dim-mismatch"),
+    pytest.param({"kind": "enumerated", "name": "pauli", "n_qubits": 1, "members": []},
+                 id="members-on-pauli"),
+    pytest.param({"kind": "haar", "dim": 4, "bogus": 1}, id="unread-key"),
+    pytest.param({"kind": "iterated", "iterations": 2,
+                  "base": {"kind": "haar", "dim": 2, "depth": 3}}, id="unread-key-in-base"),
+]
+
+# descriptors of ensembles that cannot exist: a DomainError (exit 3)
+INVALID_ENSEMBLES = [
+    pytest.param({"kind": "enumerated", "members": []}, id="no-members"),
+    pytest.param({"kind": "enumerated", "members": [
+        {"rows": 1, "cols": 1, "re": [1], "im": [0]},
+        {"rows": 2, "cols": 2, "re": [1, 0, 0, 1], "im": [0, 0, 0, 0]}]}, id="mixed-sizes"),
+    pytest.param({"kind": "enumerated", "members": [
+        {"rows": 2, "cols": 2, "re": [2, 0, 0, 1], "im": [0, 0, 0, 0]}]}, id="non-unitary"),
+    pytest.param({"kind": "circuit", "n_qubits": 1, "depth": 2}, id="one-qubit-circuit"),
+    pytest.param({"kind": "haar", "dim": 0}, id="dim-0"),
+    pytest.param({"kind": "enumerated", "name": "pauli", "n_qubits": 3},
+                 id="pauli-three-qubits"),
+]
 
 
 class TestLoadConfig:
@@ -309,48 +352,21 @@ class TestRunArtifacts:
         assert cli.main(["run", str(p)]) == code
 
     @pytest.mark.parametrize("overrides", [
-        {"samples": 2.5},
-        {"samples": "10"},
-        {"seed": -1},
-        {"experiment": "design-verify", "ensemble": {"kind": "haar"}},
-        {"experiment": "design-verify", "ensemble": {"kind": "nonsense", "dim": 2}},
-        {"seed": True},
-        {"samples": True},
-        {"experiment": "typicality", "probs": ["x"]},
-        {"experiment": "typicality", "probs": 5},
-        {"experiment": "typicality", "probs": [0.5, 0.6]},
-        {"experiment": "typicality", "probs": [-0.5, 1.5]},
-        {"ensemble": {"kind": "haar", "dim": 2, "seed": -1}},
-        {"experiment": "design-verify", "ensemble": {"kind": "haar", "dim": True}},
-        {"experiment": "design-verify", "ensemble": {
-            "kind": "iterated", "iterations": 2.9, "base": {"kind": "haar", "dim": 2}}},
-        {"experiment": "design-verify", "ensemble": {
-            "kind": "iterated", "iterations": 2, "base": {"kind": "haar", "dim": 2,
-                                                          "seed": -3}}},
-        {"experiment": "design-verify", "ensemble": {
-            "kind": "circuit", "n_qubits": 2, "depth": "1"}},
-        {"experiment": "design-verify", "ensemble": {
-            "kind": "enumerated", "name": "pauli", "n_qubits": 1.0}},
-        {"experiment": "design-verify", "ensemble": {
-            "kind": "circuit", "n_qubits": 2, "depth": 1, "dim": 8}},
-        {"experiment": "design-verify", "ensemble": {
-            "kind": "enumerated", "name": "clifford", "n_qubits": 1, "dim": 4}},
-        {"experiment": "design-verify", "ensemble": {
-            "kind": "iterated", "iterations": 2, "base": {"kind": "circuit", "n_qubits": 2,
-                                                          "depth": 1, "dim": 2}}},
-        {"experiment": "design-verify", "ensemble": {
-            "kind": "enumerated", "name": "pauli", "n_qubits": 1, "members": []}},
-        {"experiment": "design-verify", "ensemble": {"kind": "haar", "dim": 4, "bogus": 1}},
-        {"experiment": "design-verify", "ensemble": {
-            "kind": "iterated", "iterations": 2, "base": {"kind": "haar", "dim": 2,
-                                                          "depth": 3}}},
-    ], ids=["float-samples", "string-samples", "negative-seed", "haar-without-dim",
-            "unknown-kind", "bool-seed", "bool-samples", "string-probs",
-            "scalar-probs", "probs-over-one", "negative-probs",
-            "ensemble-negative-seed", "ensemble-bool-dim", "ensemble-float-iterations",
-            "base-negative-seed", "ensemble-string-depth", "ensemble-float-qubits",
-            "circuit-dim-mismatch", "clifford-dim-mismatch", "base-dim-mismatch",
-            "members-on-pauli", "unread-key", "unread-key-in-base"])
+        pytest.param({"samples": 2.5}, id="float-samples"),
+        pytest.param({"samples": "10"}, id="string-samples"),
+        pytest.param({"seed": -1}, id="negative-seed"),
+        pytest.param({"seed": True}, id="bool-seed"),
+        pytest.param({"samples": True}, id="bool-samples"),
+        pytest.param({"experiment": "typicality", "probs": ["x"]}, id="string-probs"),
+        pytest.param({"experiment": "typicality", "probs": 5}, id="scalar-probs"),
+        pytest.param({"experiment": "typicality", "probs": [0.5, 0.6]}, id="probs-over-one"),
+        pytest.param({"experiment": "typicality", "probs": [-0.5, 1.5]},
+                     id="negative-probs"),
+    ] + [
+        # design-verify reads no dims, so only the descriptor can be at fault
+        pytest.param({"experiment": "design-verify", "dims": {}, "ensemble": p.values[0]},
+                     id=p.id) for p in MALFORMED_ENSEMBLES
+    ])
     def test_malformed_config_exits_two(self, tmp_path, capsys, overrides):
         payload = {"experiment": "decouple-expect", "dims": {"a": 2, "r": 2},
                    "samples": 4, "t": 1, "output_dir": str(tmp_path / "out")}
@@ -359,6 +375,8 @@ class TestRunArtifacts:
         assert cli.main(["run", str(p)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error") and "Traceback" not in err
+        if "ensemble" in overrides:
+            assert err.startswith("config error (key: ensemble)")
 
     @pytest.mark.parametrize("make", [
         lambda: ensembles.haar_ensemble(4, seed=3),
@@ -371,18 +389,17 @@ class TestRunArtifacts:
     def test_echoed_descriptor_loads(self, make):
         # every key ensemble_to_json writes, name included, is accepted back
         desc = json.loads(json.dumps(ensembles.ensemble_to_json(make())))
-        assert ensembles.ensemble_to_json(cli._parse_ensemble(desc)) == desc
+        assert ensembles.ensemble_to_json(ensembles.ensemble_from_json(desc)) == desc
 
-    @pytest.mark.parametrize("ensemble", [
-        {"kind": "enumerated", "members": []},
-        {"kind": "enumerated", "members": [
-            {"rows": 1, "cols": 1, "re": [1], "im": [0]},
-            {"rows": 2, "cols": 2, "re": [1, 0, 0, 1], "im": [0, 0, 0, 0]}]},
-        {"kind": "enumerated", "members": [
-            {"rows": 2, "cols": 2, "re": [2, 0, 0, 1], "im": [0, 0, 0, 0]}]},
-        {"kind": "circuit", "n_qubits": 1, "depth": 2},
-        {"kind": "haar", "dim": 0},
-    ], ids=["no-members", "mixed-sizes", "non-unitary", "one-qubit-circuit", "dim-0"])
+    @pytest.mark.parametrize("desc, error", [
+        pytest.param(p.values[0], ConfigError, id=p.id) for p in MALFORMED_ENSEMBLES
+    ] + [pytest.param(p.values[0], DomainError, id=p.id) for p in INVALID_ENSEMBLES])
+    def test_codec_rejects_what_the_cli_does(self, desc, error):
+        # the library loads descriptors through the same checks as the CLI
+        with pytest.raises(error):
+            ensembles.ensemble_from_json(desc)
+
+    @pytest.mark.parametrize("ensemble", INVALID_ENSEMBLES)
     def test_invalid_ensemble_exits_three(self, tmp_path, capsys, ensemble):
         p = write_config(tmp_path, experiment="decouple-expect", dims={"a": 2, "r": 2},
                          samples=4, ensemble=ensemble, output_dir=str(tmp_path / "out"))
@@ -564,7 +581,7 @@ class TestDeterminism:
 class TestSharedWork:
     @pytest.mark.parametrize("payload, prepares", [
         ({"experiment": "fqsw", "dims": {"a1": 2, "a2": 4, "r": 2}}, 1),
-        ({"experiment": "decouple-expect", "dims": {"a": 4, "r": 2, "b": 2}}, 0),
+        ({"experiment": "decouple-expect", "dims": {"a": 4, "r": 2, "b": 2}}, 1),
         ({"experiment": "decouple-tail", "dims": {"a": 4, "r": 2, "b": 2}}, 1),
         ({"experiment": "lipschitz", "dims": {"a": 4, "r": 2, "b": 2}}, 1),
         ({"experiment": "moments", "dims": {"a": 4, "r": 2, "b": 2}}, 1),

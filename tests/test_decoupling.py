@@ -653,7 +653,7 @@ PINNED_G = {
 def prepared_eta(inst):
     """The channel side's eta that prepare certifies: the pairs of the thin
     spectrum (S^2, U) of the Choi amplitudes that h2' keeps."""
-    spec, shp, _ = quantum._thin_choi(inst.channel)
+    spec, shp, _, _ = quantum._thin_choi(inst.channel)
     kept = entropy.h2_prime(spec, shp, inst.cfg.epsilon, inst.cfg.delta).kept
     return oracles.kept_point(spec, kept)
 
@@ -814,7 +814,8 @@ class TestPrepareMatchesSequence:
         # prepare goes through its public steps by module attribute, so a
         # tracer that wraps public functions sees each of them; the POVM is
         # a closed-form projector, not the general steering lemma, and the
-        # Choi state is not built
+        # Choi state is not built; its amplitudes are built once, for the thin
+        # SVD and the steering check alike
         calls = {}
 
         def counted(owner, name):
@@ -830,9 +831,10 @@ class TestPrepareMatchesSequence:
         counted(entropy, "h2_with_witness")
         counted(entropy, "h2_prime")
         counted(quantum, "povm_completion")
+        counted(quantum, "choi_amplitudes")
         decoupling.prepare(random_instance(6, da=16, db=4, dr=4, cfg=cfg))
         assert calls == {"choi_state": 0, "h2_with_witness": 1, "h2_prime": 1,
-                         "povm_completion": 0}
+                         "povm_completion": 0, "choi_amplitudes": 1}
 
 
 def assert_steers_to_eta(inst, w):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from decouplab import ensembles, linalg
-from decouplab.errors import CapError, DomainError
+from decouplab.errors import CapError, ConfigError, DomainError
 
 import oracles
 
@@ -654,5 +654,16 @@ class TestSerialization:
         assert ensembles.ensemble_to_json(back) == desc
 
     def test_unknown_descriptor_rejected(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ConfigError):
             ensembles.ensemble_from_json({"kind": "nonsense"})
+
+    @pytest.mark.parametrize("name", ["clifford", "pauli"])
+    def test_name_alone_builds_no_group(self, name):
+        # one member cannot be Clifford(2) or the 2-qubit Paulis: the size
+        # rules the group out before it is built
+        ensembles.clifford_group.cache_clear()
+        ensembles.pauli_group.cache_clear()
+        e = ensembles.enumerated_ensemble([np.eye(4)], name=name)
+        assert "members" in ensembles.ensemble_to_json(e)
+        assert ensembles.clifford_group.cache_info().misses == 0
+        assert ensembles.pauli_group.cache_info().misses == 0

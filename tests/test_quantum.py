@@ -173,12 +173,14 @@ class TestChannelStinespring:
         assert choi.mass == pytest.approx(want.mass, abs=1e-12)
         np.testing.assert_allclose(choi.matrix, want.matrix, rtol=0, atol=1e-12)
         # the thin spectrum and shape that the channel side reads
-        spec, shp, wh = quantum._thin_choi(t)
+        spec, shp, wh, m = quantum._thin_choi(t)
         assert shp == choi.shape and spec.values.size == min(choi.shape.dim, t.z_dim)
         assert np.all(np.diff(spec.values) <= 0)
         np.testing.assert_allclose(spec.reconstruct(), choi.matrix, rtol=0, atol=1e-12)
+        # m is the factorised array itself, the Choi amplitudes bit for bit
+        np.testing.assert_array_equal(m, quantum.choi_amplitudes(t))
         np.testing.assert_allclose((spec.vectors * np.sqrt(spec.values)) @ wh,
-                                   quantum.choi_amplitudes(t), rtol=0, atol=1e-12)
+                                   m, rtol=0, atol=1e-12)
         # the fixed output T(pi_A), read off the amplitudes without the Choi state
         np.testing.assert_allclose(quantum.fixed_output(t), choi.marginal(["B"]).matrix,
                                    rtol=0, atol=1e-12)

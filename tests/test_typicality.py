@@ -299,6 +299,16 @@ class TestAggregatedMaxEntropy:
         got = typicality.hmax_prime_iid_aggregated((0.5, 0.5, 0.0), 2, 0.0)
         assert got == pytest.approx(2.0)
 
+    def test_check_cuts_the_spectrum_once(self, monkeypatch):
+        # n_threshold and q_min read the same eps/2 cut of the single-copy spectrum
+        calls = []
+        real = entropy.hmax_prime_values
+        monkeypatch.setattr(entropy, "hmax_prime_values",
+                            lambda *args: calls.append(args) or real(*args))
+        out = typicality.hmax_prime_iid_check((0.5, 0.3, 0.2), n=20, eps=0.2, delta=0.3)
+        assert len(calls) == 1
+        assert out["n_threshold"] == typicality.aep_threshold((0.5, 0.3, 0.2), 0.2, 0.3)
+
     def test_full_budget_keeps_top(self):
         # eps large enough to eat everything but the largest class member
         got = typicality.hmax_prime_iid_aggregated((0.9, 0.1), 1, 0.5)
