@@ -49,7 +49,7 @@ print("mass kept by the truncation:",
 # The alternate collision entropy evaluates one canonical feasible point,
 # so h2 at radius 4 sqrt(eps) always sits above it.
 spec = linalg.spectral(rho.matrix)
-canonical = entropy.h2_prime(spec, rho.shape, eps, 0.1, given="B")
+canonical = entropy.h2_prime(spec, rho.shape, eps, 0.1)
 h2p = canonical.value
 rough = entropy.h2_conditional(rho, SmoothingConfig(epsilon=4 * math.sqrt(eps)),
                                "fixed_marginal", given="B")

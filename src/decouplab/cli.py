@@ -309,7 +309,7 @@ def run_thermalize(cfg: ExperimentConfig, ens):
     rho = quantum.random_state(linalg.shape(("Om", s * e), ("R", r)), rng)
     us = ens.sample_batch(range(cfg.samples))
     report = decoupling.thermalization_check(rho, s, e, cfg.kappa, us, cfg=_smoothing(cfg))
-    distances = np.array(report.pop("distances"))
+    distances = report.pop("distances")
     report["anchors"] = {
         "epsilon_default": "kappa^2 / 60",
         "tail_a": "(|Om|/|S|) 2^(h2 - 9)",

@@ -440,7 +440,7 @@ def thermalization_check(rho: DensitySystem, s_dim: int, e_dim: int,
     report = {
         "samples": len(us),
         "kappa": kappa,
-        "distances": [float(d) for d in distances],
+        "distances": distances,
         "thermalized_fraction": fraction,
         "predicted_fraction_lower": None if tail is None else max(0.0, 1.0 - tail.bound),
         "mean_distance": float(distances.mean()),

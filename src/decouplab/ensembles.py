@@ -683,8 +683,9 @@ def ensemble_to_json(e: UnitaryEnsemble) -> dict:
 def ensemble_from_json(d) -> UnitaryEnsemble:
     """The ensemble a descriptor builds, checked level by level on the way
     down an `iterated` chain: a malformed level is a ConfigError, and so is a
-    key that `ensemble_to_json` does not write for the ensemble it builds, or
-    a `dim` other than that ensemble's. The constructors' DomainErrors pass."""
+    key its kind does not read, unless it restates what the kind derives (a
+    `dim`, a `name`, an iterate's `seed`) as the built ensemble's own value.
+    The constructors' DomainErrors pass."""
     if not isinstance(d, dict) or d.get("kind") not in KINDS:
         raise ConfigError(f"malformed ensemble descriptor: kind must be one of "
                           f"{', '.join(KINDS)}", field="ensemble")
@@ -698,16 +699,19 @@ def ensemble_from_json(d) -> UnitaryEnsemble:
         raise ConfigError("ensemble seed must be nonnegative", field="ensemble")
     try:
         if kind == "haar":
-            built = haar_ensemble(d["dim"], seed=seed)
+            read, built = {"dim", "seed"}, haar_ensemble(d["dim"], seed=seed)
         elif kind == "circuit":
+            read = {"n_qubits", "depth", "seed"}
             built = random_circuit_ensemble(d["n_qubits"], d["depth"], seed=seed)
         elif kind == "iterated":
+            read = {"base", "iterations"}
             built = iterate_ensemble(ensemble_from_json(d["base"]), d["iterations"])
         else:
             name = d.get("name", "")
             if name in GROUPS and "n_qubits" in d:
-                members = GROUPS[name][0](d["n_qubits"])
+                read, members = {"name", "n_qubits", "seed"}, GROUPS[name][0](d["n_qubits"])
             else:
+                read = {"name", "members", "seed"}
                 members = [linalg.matrix_from_json(m) for m in d["members"]]
             built = enumerated_ensemble(members, seed=seed, name=name)
     except DecouplabError:
@@ -715,12 +719,12 @@ def ensemble_from_json(d) -> UnitaryEnsemble:
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed ensemble descriptor: {exc!r}",
                           field="ensemble") from exc
-    unread = sorted(set(d) - set(ensemble_to_json(built)))
-    if unread:
-        raise ConfigError(f"{built.kind} ensemble descriptor has keys it does "
-                          f"not read: {', '.join(unread)}", field="ensemble")
-    if d.get("dim", built.dim) != built.dim:
-        raise ConfigError(f"ensemble dim {d['dim']} does not match its "
-                          f"{built.dim}-dimensional {built.kind} ensemble",
-                          field="ensemble")
+    derived = {"dim": built.dim, "name": built.name, "seed": built.seed}
+    for key in sorted(set(d) - read - {"kind"}):
+        if key not in derived:
+            raise ConfigError(f"{kind} ensemble descriptor has a key it does not "
+                              f"read: {key}", field="ensemble")
+        if d[key] != derived[key]:
+            raise ConfigError(f"ensemble {key} {d[key]!r} does not match its {kind} "
+                              f"ensemble's {derived[key]!r}", field="ensemble")
     return built

@@ -421,9 +421,9 @@ def _omega_triple_prime(values: np.ndarray, eps: float, delta: float) -> tuple[f
 
 
 class H2Prime(NamedTuple):
-    """h2' = -log2 ||tilde||_2^2 with hmax' of omega's marginal on the given label,
-    the indices of the spectrum's pairs that eta keeps, omega''' of that marginal
-    to the -1/4, and tilde's marginal on the label and its squared 2-norm."""
+    """h2' = -log2 ||tilde||_2^2 with hmax' of omega's marginal on B, the
+    indices of the spectrum's pairs that eta keeps, omega''' of that marginal
+    to the -1/4, and tilde's marginal on B and its squared 2-norm."""
 
     value: float
     hmax_prime: float
@@ -433,11 +433,10 @@ class H2Prime(NamedTuple):
     tilde_norm_sq: float
 
 
-def h2_prime(spec: linalg.Spectrum, shp: SystemShape, eps: float, delta: float,
-             given: str = "B") -> H2Prime:
-    """Conditional collision entropy against the truncated marginal weight of
-    omega = V Lambda V^dag on `shp`, from its spectrum `spec` (descending; a
-    thin one leaves out zero eigenvalues).
+def h2_prime(spec: linalg.Spectrum, shp: SystemShape, eps: float, delta: float) -> H2Prime:
+    """Conditional collision entropy given B against the truncated marginal
+    weight of omega = V Lambda V^dag on `shp`, from its spectrum `spec`
+    (descending; a thin one leaves out zero eigenvalues).
 
     The canonical feasible point eta = V_K Lambda_K V_K^dag keeps the
     eigenvectors whose overlap with the truncated-marginal support is at least
@@ -447,13 +446,13 @@ def h2_prime(spec: linalg.Spectrum, shp: SystemShape, eps: float, delta: float,
     Z = (I (x) omega'''^{-1/4}) V_K Lambda_K^{1/2}, ||Z Z^dag||_2 = ||Z^dag Z||_2.
     omega''' shares the marginal's eigenvectors, so both use one eigh."""
     factor = spec.vectors * np.sqrt(np.clip(spec.values, 0.0, None))
-    b_spec = linalg.spectral(linalg.factor_marginal(factor, shp, given))
+    b_spec = linalg.spectral(linalg.factor_marginal(factor, shp, "B"))
     hmax_value, w3_vals = _omega_triple_prime(b_spec.values, eps, delta)
     cols = b_spec.vectors[:, _above_rank_floor(w3_vals)]
 
     # <v_i| I (x) P |v_i> for every eigenvector at once, P omega'''s support projector
     overlaps = np.einsum("ri,ri->i", spec.vectors.conj(), _apply_on_labels(
-        cols @ cols.conj().T, spec.vectors, shp, [given])).real
+        cols @ cols.conj().T, spec.vectors, shp, ["B"])).real
     live = spec.values > RANK_FLOOR * float(spec.values.max(initial=0.0))
     off = live & (overlaps < 1.0 - eps - 1e-12)
     removed = sum(spec.values[off], 0.0)  # left to right, in index order
@@ -465,10 +464,10 @@ def h2_prime(spec: linalg.Spectrum, shp: SystemShape, eps: float, delta: float,
     if not keep.size:
         raise DomainError("smoothing removed every eigenvector")
     w3_iq = linalg.Spectrum(w3_vals, b_spec.vectors).power(-0.25)
-    z = _apply_on_labels(w3_iq, factor[:, keep], shp, [given])
+    z = _apply_on_labels(w3_iq, factor[:, keep], shp, ["B"])
     norm_sq = float((np.abs(z.conj().T @ z) ** 2).sum())
     return H2Prime(-math.log2(norm_sq), hmax_value, keep, w3_iq,
-                   linalg.factor_marginal(z, shp, given), norm_sq)
+                   linalg.factor_marginal(z, shp, "B"), norm_sq)
 
 
 def h2_upper_bound_check(rho: DensitySystem, cfg: SmoothingConfig, value: float,

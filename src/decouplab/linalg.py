@@ -53,11 +53,16 @@ def matrix_to_json(m: np.ndarray) -> dict:
 
 
 def matrix_from_json(d: dict) -> np.ndarray:
-    rows, cols = int(d["rows"]), int(d["cols"])
+    """The matrix `matrix_to_json` wrote; any other dict is a ValueError."""
+    if not isinstance(d, dict) or set(d) != {"rows", "cols", "re", "im"}:
+        raise ValueError("a matrix has exactly the keys rows, cols, re and im")
+    rows, cols = d["rows"], d["cols"]
+    if any(isinstance(n, bool) or not isinstance(n, int) for n in (rows, cols)):
+        raise ValueError(f"matrix rows and cols must be integers, got {rows!r}, {cols!r}")
     re = np.asarray(d["re"], dtype=float)
     im = np.asarray(d["im"], dtype=float)
-    if re.size != rows * cols or im.size != rows * cols:
-        raise DimensionError("re/im length does not match rows*cols")
+    if re.shape != (rows * cols,) or im.shape != (rows * cols,):
+        raise ValueError("re and im must be flat lists of rows*cols numbers")
     return (re + 1j * im).reshape(rows, cols)
 
 

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import decouplab
-from decouplab import cli, ensembles, quantum
+from decouplab import cli, ensembles, linalg, quantum
 from decouplab.errors import ConfigError, DomainError
 
 
@@ -58,6 +58,28 @@ MALFORMED_ENSEMBLES = [
     pytest.param({"kind": "haar", "dim": 4, "bogus": 1}, id="unread-key"),
     pytest.param({"kind": "iterated", "iterations": 2,
                   "base": {"kind": "haar", "dim": 2, "depth": 3}}, id="unread-key-in-base"),
+    # a restated derived key must be the built ensemble's own value
+    pytest.param({"kind": "iterated", "seed": 5, "iterations": 2,
+                  "base": {"kind": "haar", "dim": 2}}, id="iterated-seed-mismatch"),
+    pytest.param({"kind": "haar", "dim": 2, "name": "foo"}, id="haar-name-mismatch"),
+    pytest.param({"kind": "circuit", "n_qubits": 2, "depth": 1, "name": "foo"},
+                 id="circuit-name-mismatch"),
+    pytest.param({"kind": "iterated", "iterations": 2, "name": "haar^3",
+                  "base": {"kind": "haar", "dim": 2}}, id="iterated-name-mismatch"),
+    # inline members are read strictly
+    pytest.param({"kind": "enumerated", "members": [
+        {"rows": 2, "cols": 2, "re": [1, 0, 0], "im": [0, 0, 0, 0]}]}, id="member-size-mismatch"),
+    pytest.param({"kind": "enumerated", "members": [
+        {"rows": "2", "cols": 2, "re": [1, 0, 0, 1], "im": [0, 0, 0, 0]}]},
+        id="member-string-rows"),
+    pytest.param({"kind": "enumerated", "members": [
+        {"rows": 2.5, "cols": 2, "re": [1, 0, 0, 1], "im": [0, 0, 0, 0]}]},
+        id="member-float-rows"),
+    pytest.param({"kind": "enumerated", "members": [
+        {"rows": 2, "cols": 2, "re": [1, 0, 0, 1], "im": [0, 0, 0, 0], "extra": 1}]},
+        id="member-extra-key"),
+    pytest.param({"kind": "enumerated", "members": [
+        {"rows": 1, "cols": 1, "re": [1], "im": "0"}]}, id="member-scalar-im"),
 ]
 
 # descriptors of ensembles that cannot exist: a DomainError (exit 3)
@@ -390,6 +412,33 @@ class TestRunArtifacts:
         # every key ensemble_to_json writes, name included, is accepted back
         desc = json.loads(json.dumps(ensembles.ensemble_to_json(make())))
         assert ensembles.ensemble_to_json(ensembles.ensemble_from_json(desc)) == desc
+
+    def test_inline_group_members_load(self, tmp_path):
+        # Pauli(1) inlined under its own name is read as the members it lists
+        # and echoed as the group it is
+        desc = {"kind": "enumerated", "name": "pauli", "members": [
+            linalg.matrix_to_json(m) for m in ensembles.pauli_group(1)]}
+        assert ensembles.ensemble_to_json(ensembles.ensemble_from_json(desc))["n_qubits"] == 1
+        out = tmp_path / "out"
+        p = write_config(tmp_path, experiment="design-verify", t=1, samples=4,
+                         ensemble=desc, output_dir=str(out))
+        assert cli.main(["run", str(p)]) == 0
+        echo = json.loads((out / "summary.json").read_text())["ensemble"]
+        assert echo["n_qubits"] == 1 and "members" not in echo
+
+    def test_reader_serialises_nothing(self, monkeypatch):
+        # an iterate of an iterate over an inline base loads without writing
+        # any level or member back out
+        def refuse(*args):
+            raise AssertionError("the reader serialised")
+        desc = {"kind": "iterated", "iterations": 2, "base": {
+            "kind": "iterated", "iterations": 3, "name": "custom^3", "seed": 4,
+            "base": {"kind": "enumerated", "name": "custom", "seed": 4, "dim": 2,
+                     "members": [linalg.matrix_to_json(m) for m in ensembles.pauli_group(1)]}}}
+        monkeypatch.setattr(ensembles, "ensemble_to_json", refuse)
+        monkeypatch.setattr(linalg, "matrix_to_json", refuse)
+        built = ensembles.ensemble_from_json(desc)
+        assert (built.name, built.seed, built.base.base.members.shape) == ("custom^3^2", 4, (4, 2, 2))
 
     @pytest.mark.parametrize("desc, error", [
         pytest.param(p.values[0], ConfigError, id=p.id) for p in MALFORMED_ENSEMBLES

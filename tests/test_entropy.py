@@ -260,7 +260,7 @@ class TestOmegaTriplePrime:
 def state_h2_prime(omega, eps, delta):
     """entropy.h2_prime given B on the state's full spectrum, and that spectrum."""
     spec = linalg.spectral(omega.matrix)
-    return entropy.h2_prime(spec, omega.shape, eps, delta, given="B"), spec
+    return entropy.h2_prime(spec, omega.shape, eps, delta), spec
 
 
 class TestH2Prime:
@@ -913,7 +913,7 @@ def _check_channel_side(omega, spec, eps, delta, exact):
     oracle: both raise the same error, or the values agree within 1e-12
     relative and eta rebuilt from the kept pairs is the oracle's, bit for bit
     when exact and within 1e-12 otherwise."""
-    got, want = _same_outcome(lambda: entropy.h2_prime(spec, omega.shape, eps, delta, "B"),
+    got, want = _same_outcome(lambda: entropy.h2_prime(spec, omega.shape, eps, delta),
                               lambda: oracles.h2_prime(omega, eps, delta, "B"))
     if want is None:
         return
